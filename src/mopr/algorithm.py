@@ -154,19 +154,34 @@ class _Oracle:
         return Cut(coef, offset, rho)
 
 
-def _is_duplicate(cut: Cut, cuts: list[Cut]) -> bool:
+def _is_duplicate(cut, cuts) -> bool:
     return any(
         np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
         for old in cuts
     )
 
 
-def _solve_with_relaxation(s, cuts: list[Cut], k: int, rho_eff: float, trace: MoprTrace):
-    """Solve the LP, relaxing the cut bound geometrically if infeasible."""
+def _check_k(k: int, d_r: Dataset) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > len(d_r):
+        raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
+
+
+def _halt_reason(achieved: float, rho_eff: float, stalled: bool) -> str:
+    if achieved <= rho_eff + HALT_TOL:
+        return "constraint-satisfied"
+    return "stalled" if stalled else "iteration-cap"
+
+
+def _solve_with_relaxation(s, cuts: list[Cut], k: int, rho_eff: float, trace: MoprTrace,
+                           start):
+    """Solve the LP from ``start``, relaxing the cut bound geometrically if infeasible."""
     for attempt in range(MAX_RELAX + 1):
-        lp = solve_lp(s, cuts, k)
+        lp = solve_lp(s, cuts, k, start=start)
         if lp.status == "optimal":
             return lp, cuts, rho_eff
+        start = lp.basis
         rho_eff = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
         cuts = [c.with_bound(rho_eff) for c in cuts]
     raise InfeasibleRetrievalError(
@@ -177,9 +192,13 @@ def _solve_with_relaxation(s, cuts: list[Cut], k: int, rho_eff: float, trace: Mo
 def mopr_retrieve(
     d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig
 ) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane retrieval of k items under a representation bound."""
-    if k > len(d_r):
-        raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
+    """Cutting-plane retrieval of k items under a representation bound.
+
+    The loop halts at the first duplicate cut: the LP is then unchanged and
+    re-solving it from its own optimal basis returns the same point, so every
+    later iteration would return the same selection.
+    """
+    _check_k(k, d_r)
     if cfg.curation_pool_size is not None:
         d_c = condition_curation(d_c, q, cfg.curation_pool_size)
     s = similarity_vector(d_r, q)
@@ -188,8 +207,11 @@ def mopr_retrieve(
     cuts: list[Cut] = []
     rho_eff = cfg.rho
     sel = None
+    basis = None
+    stalled = False
     for it in range(1, cfg.T + 1):
-        lp, cuts, rho_eff = _solve_with_relaxation(s, cuts, k, rho_eff, trace)
+        lp, cuts, rho_eff = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
+        basis = lp.basis
         trace.effective_rho = rho_eff
         sel = round_top_k(lp.a, k)
         probe = lp.a if cfg.oracle_on_fractional else sel.indicator.astype(float)
@@ -206,17 +228,15 @@ def mopr_retrieve(
             break
         cut = oracle.cut_for(witness, rho_eff)
         if _is_duplicate(cut, cuts):
-            record.duplicate_cut = True
-        else:
-            cuts.append(cut)
-            record.cut_added = True
+            record.duplicate_cut = stalled = True
+            break
+        cuts.append(cut)
+        record.cut_added = True
     achieved, _ = oracle(sel.indicator.astype(float))
     trace.selection = sel
     trace.achieved_mpr = achieved
     trace.mean_similarity = float(np.mean(s[sel.indices]))
-    trace.halted_by = (
-        "constraint-satisfied" if achieved <= rho_eff + HALT_TOL else "iteration-cap"
-    )
+    trace.halted_by = _halt_reason(achieved, rho_eff, stalled)
     return sel, trace
 
 
@@ -232,10 +252,10 @@ def mopr_qp_linear(
     """Cutting-plane on the closed-form norm constraint for linear statistics.
 
     Each violated iterate contributes the supporting hyperplane of the convex
-    constraint at that point, built from the analytic subgradient.
+    constraint at that point, built from the analytic subgradient.  Like
+    ``mopr_retrieve`` it halts at the first duplicate cut.
     """
-    if k > len(d_r):
-        raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
+    _check_k(k, d_r)
     s = similarity_vector(d_r, q)
     X = combined_features(d_r, d_c, feature_view)
     ctx = svd_context(X)
@@ -256,8 +276,11 @@ def mopr_qp_linear(
     cuts: list[HalfSpaceCut] = []
     rho_eff = rho
     sel = None
+    basis = None
+    stalled = False
     for it in range(1, T + 1):
-        lp, cuts, rho_eff = _qp_solve_with_relaxation(s, cuts, k, rho_eff, trace)
+        lp, cuts, rho_eff = _qp_solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
+        basis = lp.basis
         trace.effective_rho = rho_eff
         sel = round_top_k(lp.a, k)
         a_star = sel.indicator.astype(float)
@@ -274,30 +297,26 @@ def mopr_qp_linear(
             break
         rhs = rho_eff - g_val + float(grad @ a_star)
         cut = HalfSpaceCut(grad, rhs)
-        if any(
-            np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
-            for old in cuts
-        ):
-            record.duplicate_cut = True
-        else:
-            cuts.append(cut)
-            record.cut_added = True
+        if _is_duplicate(cut, cuts):
+            record.duplicate_cut = stalled = True
+            break
+        cuts.append(cut)
+        record.cut_added = True
     achieved, _ = constraint_and_subgrad(sel.indicator.astype(float))
     trace.selection = sel
     trace.achieved_mpr = achieved
     trace.mean_similarity = float(np.mean(s[sel.indices]))
-    trace.halted_by = (
-        "constraint-satisfied" if achieved <= rho_eff + HALT_TOL else "iteration-cap"
-    )
+    trace.halted_by = _halt_reason(achieved, rho_eff, stalled)
     return sel, trace
 
 
-def _qp_solve_with_relaxation(s, cuts: list[HalfSpaceCut], k, rho_eff, trace):
+def _qp_solve_with_relaxation(s, cuts: list[HalfSpaceCut], k, rho_eff, trace, start):
     # subgradient cuts carry rho in their rhs, so relaxation shifts the rhs
     for attempt in range(MAX_RELAX + 1):
-        lp = solve_lp(s, cuts, k)
+        lp = solve_lp(s, cuts, k, start=start)
         if lp.status == "optimal":
             return lp, cuts, rho_eff
+        start = lp.basis
         new_rho = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
         cuts = [HalfSpaceCut(c.coefficients, c.rhs + (new_rho - rho_eff)) for c in cuts]
         rho_eff = new_rho

@@ -2,9 +2,15 @@
 
 The relaxed retrieval problem is ``max s.a`` over ``a in [0,1]^n`` with
 ``sum(a) = k`` plus accumulated representation cuts.  It is solved by a
-self-contained two-phase bounded-variable simplex (no external solver):
-nonbasic variables sit at a bound, entering/leaving choices follow Bland's
-rule (lowest eligible index), which guarantees termination and determinism.
+self-contained bounded dual simplex (no external solver).  Each row gets a
+slack, ``row.a - slack = 0``, whose bounds carry the row's range, so cuts and
+bound changes only move bounds.  A cold solve starts at the top-k vertex: the
+k most similar free items at their upper bound, one of them basic in the
+cardinality row and every cut slack basic.  That basis is dual feasible, so
+no phase 1 is needed.  The final basis is returned, and a later solve whose
+cuts extend the earlier ones (and whose bounds may differ) re-optimizes from
+it, which in a cutting-plane loop takes a few pivots per new cut.  Pivots
+follow Bland-style lowest-index rules, which keeps runs deterministic.
 Small instances can also be solved exactly as integer programs.
 """
 
@@ -17,6 +23,17 @@ import numpy as np
 
 TOL = 1e-9
 FRACTIONAL_TOL = 1e-8
+MAX_PIVOTS = 200000
+
+# status of a variable in a basis
+AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
+
+
+def _finite(coefficients) -> np.ndarray:
+    coef = np.asarray(coefficients, dtype=float)
+    if not np.all(np.isfinite(coef)):
+        raise ValueError("cut coefficients must be finite")
+    return coef
 
 
 @dataclass(frozen=True)
@@ -32,10 +49,7 @@ class Cut:
     bound: float
 
     def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
-        if not np.all(np.isfinite(coef)):
-            raise ValueError("cut coefficients must be finite")
-        object.__setattr__(self, "coefficients", coef)
+        object.__setattr__(self, "coefficients", _finite(self.coefficients))
 
     def rows(self) -> list[tuple[np.ndarray, float, float]]:
         return [(self.coefficients, self.offset - self.bound, self.offset + self.bound)]
@@ -55,11 +69,14 @@ class HalfSpaceCut:
     coefficients: np.ndarray
     rhs: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", _finite(self.coefficients))
+
     def rows(self) -> list[tuple[np.ndarray, float, float]]:
-        return [(np.asarray(self.coefficients, dtype=float), -np.inf, self.rhs)]
+        return [(self.coefficients, -np.inf, self.rhs)]
 
     def violation(self, a: np.ndarray) -> float:
-        return max(float(np.asarray(self.coefficients) @ a) - self.rhs, 0.0)
+        return max(float(self.coefficients @ a) - self.rhs, 0.0)
 
 
 @dataclass
@@ -68,132 +85,73 @@ class LpSolution:
     objective: float
     status: str  # optimal | infeasible
     n_fractional: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)  # "pivots"; "rows" if optimal
+    # (status per variable, basic variable per row) where the solve ended;
+    # ``solve_lp(..., start=basis)`` re-optimizes from it
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
-class _Simplex:
-    """Two-phase bounded-variable simplex for max c.x, Ax = b, l <= x <= u."""
+def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, bool]:
+    """Bounded dual simplex for max c.x, Ax = 0, lower <= x <= upper.
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray):
-        self.A = A
-        self.b = b
-        self.c = c
-        self.lower = lower
-        self.upper = upper
-        self.n_rows, self.n_vars = A.shape
-        # status per variable: 0 at lower, 1 at upper, 2 basic
-        self.status = np.zeros(self.n_vars, dtype=int)
-        self.basis = np.full(self.n_rows, -1, dtype=int)
+    Starts from a dual feasible basis and updates ``status`` and ``basis`` in
+    place.  The leaving variable is the lowest-index basic variable outside
+    its bounds; the entering one has the smallest |reduced cost| / |alpha|,
+    ties to the lowest index.  Returns (x, pivots, feasible).
+    """
+    movable = lower < upper
+    for pivots in range(MAX_PIVOTS):
+        x = np.where(status == AT_UPPER, upper, lower)
+        x[basis] = 0.0
+        B_inv = np.linalg.inv(A[:, basis])
+        x[basis] = -B_inv @ (A @ x)
+        below = x[basis] < lower[basis] - TOL
+        above = x[basis] > upper[basis] + TOL
+        infeasible = np.flatnonzero(below | above)
+        if infeasible.size == 0:
+            return x, pivots, True
+        p = int(infeasible[np.argmin(basis[infeasible])])
+        reduced = c - (c[basis] @ B_inv) @ A
+        # x[basis[p]] falls by alpha[j] per unit rise of x[j]; the sign flip for
+        # a variable above its bound makes one test pick the moves that fix it
+        alpha = B_inv[p] @ A if below[p] else -(B_inv[p] @ A)
+        candidates = np.flatnonzero(movable & (
+            ((status == AT_LOWER) & (alpha < -TOL)) | ((status == AT_UPPER) & (alpha > TOL))
+        ))
+        if candidates.size == 0:
+            return x, pivots, False
+        ratios = np.abs(reduced[candidates] / alpha[candidates])
+        entering = int(candidates[np.argmax(ratios <= ratios.min() + TOL)])
+        status[basis[p]] = AT_LOWER if below[p] else AT_UPPER
+        status[entering] = BASIC
+        basis[p] = entering
+    raise RuntimeError("simplex iteration limit exceeded")
 
-    def _nonbasic_values(self) -> np.ndarray:
-        x = np.where(self.status == 1, self.upper, self.lower)
-        x[self.status == 2] = 0.0
-        return x
 
-    def _basic_values(self) -> np.ndarray:
-        x_n = self._nonbasic_values()
-        rhs = self.b - self.A @ x_n
-        return np.linalg.solve(self.A[:, self.basis], rhs)
+def _top_k_start(s, lo_a, hi_a, k, n_rows):
+    """Dual feasible basis at the top-k vertex, or None if sum(a) = k is out of reach.
 
-    def _iterate(self, c: np.ndarray, max_iter: int = 200000) -> None:
-        for _ in range(max_iter):
-            B = self.A[:, self.basis]
-            x_b = self._basic_values()
-            y = np.linalg.solve(B.T, c[self.basis])
-            reduced = c - self.A.T @ y
-            at_lower = (self.status == 0) & (self.upper > self.lower) & (reduced > TOL)
-            at_upper = (self.status == 1) & (reduced < -TOL)
-            eligible = np.flatnonzero(at_lower | at_upper)
-            if eligible.size == 0:
-                return
-            j = int(eligible[0])  # Bland: lowest index
-            delta = 1.0 if self.status[j] == 0 else -1.0
-            w = np.linalg.solve(B, self.A[:, j])
-            step = delta * w
-            # ratio test: keep every basic variable inside its bounds
-            t_best = self.upper[j] - self.lower[j]
-            leave_row = -1
-            for i in range(self.n_rows):
-                vi = self.basis[i]
-                if step[i] > TOL:
-                    t_i = (x_b[i] - self.lower[vi]) / step[i]
-                elif step[i] < -TOL:
-                    t_i = (x_b[i] - self.upper[vi]) / step[i]
-                else:
-                    continue
-                t_i = max(t_i, 0.0)
-                if t_i < t_best - TOL or (
-                    t_i < t_best + TOL
-                    and leave_row >= 0
-                    and vi < self.basis[leave_row]
-                ):
-                    t_best = t_i
-                    leave_row = i
-            if not np.isfinite(t_best):
-                raise RuntimeError("LP is unbounded")
-            if leave_row < 0:
-                # entering variable runs to its opposite bound
-                self.status[j] = 1 - self.status[j]
-                continue
-            leaving = self.basis[leave_row]
-            self.basis[leave_row] = j
-            self.status[j] = 2
-            self.status[leaving] = 0 if step[leave_row] > 0 else 1
-        raise RuntimeError("simplex iteration limit exceeded")
-
-    def solve(self) -> tuple[np.ndarray, bool]:
-        """Returns (x, feasible)."""
-        n_struct = self.n_vars
-        # initial point: all variables at lower bound, residuals absorbed by
-        # per-row artificials where the slack cannot absorb them
-        x0 = np.where(self.status == 1, self.upper, self.lower)
-        resid = self.b - self.A @ x0
-        art_cols = []
-        art_of_row = {}
-        for i in range(self.n_rows):
-            slack_var = n_struct - self.n_rows + i  # slacks appended last, one per row
-            lo, hi = self.lower[slack_var], self.upper[slack_var]
-            want = resid[i] + x0[slack_var]
-            if lo - TOL <= want <= hi + TOL:
-                # slack absorbs the residual: make it basic
-                self.basis[i] = slack_var
-                self.status[slack_var] = 2
-            else:
-                clamped = min(max(want, lo), hi)
-                # leave slack nonbasic at the nearest bound
-                self.status[slack_var] = 0 if clamped == lo else 1
-                sigma = 1.0 if want - clamped > 0 else -1.0
-                col = np.zeros(self.n_rows)
-                col[i] = sigma
-                art_cols.append(col)
-                art_of_row[i] = self.n_vars + len(art_cols) - 1
-        if art_cols:
-            self.A = np.hstack([self.A, np.column_stack(art_cols)])
-            n_art = len(art_cols)
-            self.c = np.concatenate([self.c, np.zeros(n_art)])
-            self.lower = np.concatenate([self.lower, np.zeros(n_art)])
-            self.upper = np.concatenate([self.upper, np.full(n_art, np.inf)])
-            self.status = np.concatenate([self.status, np.full(n_art, 2, dtype=int)])
-            for i, var in art_of_row.items():
-                self.basis[i] = var
-            self.n_vars = self.A.shape[1]
-            # phase 1: drive artificials to zero
-            phase1_c = np.zeros(self.n_vars)
-            phase1_c[-n_art:] = -1.0
-            self._iterate(phase1_c)
-            x = self._assemble()
-            if float(np.sum(x[-n_art:])) > 1e-7:
-                return x[:n_struct], False
-            # pin artificials at zero for phase 2
-            self.upper[-n_art:] = 0.0
-        self._iterate(self.c)
-        return self._assemble()[:n_struct], True
-
-    def _assemble(self) -> np.ndarray:
-        x = self._nonbasic_values()
-        x[self.basis] = self._basic_values()
-        return np.clip(x, self.lower, np.minimum(self.upper, np.inf))
+    Free items in stable descending-``s`` order fill the cardinality row: the
+    leading ones at their upper bound, the one that completes k basic in row 0,
+    the rest at their lower bound.  Every cut slack is basic.
+    """
+    n = s.size
+    free = np.flatnonzero(lo_a < hi_a)
+    order = free[np.argsort(-s[free], kind="stable")]
+    need = k - float(lo_a.sum())
+    reach = np.cumsum(hi_a[order] - lo_a[order])
+    if need < -TOL or need > (reach[-1] if reach.size else 0.0) + TOL:
+        return None
+    status = np.full(n + n_rows, BASIC)
+    status[:n] = AT_LOWER
+    basis = n + np.arange(n_rows)
+    if order.size:
+        p = int(np.searchsorted(reach, need - TOL))
+        status[order[:p]] = AT_UPPER
+        status[order[p]] = BASIC
+        status[n] = AT_LOWER
+        basis[0] = order[p]
+    return status, basis
 
 
 def _build_rows(cuts, n: int):
@@ -211,12 +169,15 @@ def solve_lp(
     cuts,
     k: int,
     var_bounds: list[tuple[float, float]] | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LpSolution:
     """Maximize s.a over the box [0,1]^n with sum(a)=k and all cut rows.
 
     ``var_bounds`` optionally overrides per-variable bounds (used for
-    branch-and-bound fixing).  The returned point is a vertex, so the number
-    of fractional coordinates is at most the number of active cut rows + 1.
+    branch-and-bound fixing).  ``start`` is the ``basis`` of an earlier
+    solution whose cuts are a prefix of ``cuts``; its bounds may differ.  The
+    returned point is a vertex, so the number of fractional coordinates is at
+    most the number of active cut rows + 1.
     """
     s = np.asarray(s, dtype=float)
     n = s.size
@@ -227,45 +188,43 @@ def solve_lp(
         lo_a = np.zeros(n)
         hi_a = np.ones(n)
     else:
-        lo_a = np.array([b[0] for b in var_bounds])
-        hi_a = np.array([b[1] for b in var_bounds])
-    # standard form: one equality row for sum(a)=k, one slack per cut row
+        lo_a = np.array([b[0] for b in var_bounds], dtype=float)
+        hi_a = np.array([b[1] for b in var_bounds], dtype=float)
+    # one slack per row with row.a - slack = 0; row 0 is sum(a), slack fixed at k
     n_rows = 1 + len(rows)
-    A = np.zeros((n_rows, n + n_rows))
-    b = np.zeros(n_rows)
-    slack_lo = np.zeros(n_rows)
-    slack_hi = np.zeros(n_rows)
-    A[0, :n] = 1.0
-    A[0, n] = 1.0
-    b[0] = float(k)
-    slack_hi[0] = 0.0  # equality row
-    for r, (coef, lo, hi) in enumerate(rows, start=1):
-        if np.isfinite(hi):
-            A[r, :n] = coef
-            b[r] = hi
-            slack_hi[r] = (hi - lo) if np.isfinite(lo) else np.inf
-        else:
-            A[r, :n] = -coef
-            b[r] = -lo
-            slack_hi[r] = np.inf
-        A[r, n + r] = 1.0
+    if start is None:
+        start = _top_k_start(s, lo_a, hi_a, k, n_rows)
+        if start is None:
+            return LpSolution(a=lo_a, objective=float("nan"), status="infeasible",
+                              diagnostics={"pivots": 0})
+        status, basis = start
+    else:
+        status, basis = start
+        if status.shape != (n + basis.size,) or basis.size > n_rows:
+            raise ValueError("start basis does not fit this LP")
+        # rows added since the start enter with their slack basic
+        status = np.concatenate([status, np.full(n_rows - basis.size, BASIC)])
+        basis = np.concatenate([basis, n + np.arange(basis.size, n_rows)])
+    A = np.hstack([
+        np.vstack([np.ones(n)] + [coef for coef, _, _ in rows]),
+        -np.eye(n_rows),
+    ])
     c = np.concatenate([s, np.zeros(n_rows)])
-    lower = np.concatenate([lo_a, slack_lo])
-    upper = np.concatenate([hi_a, slack_hi])
-    simplex = _Simplex(A, b, c, lower, upper)
-    x, feasible = simplex.solve()
+    lower = np.concatenate([lo_a, [k], [lo for _, lo, _ in rows]])
+    upper = np.concatenate([hi_a, [k], [hi for _, _, hi in rows]])
+    x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
     a = np.clip(x[:n], lo_a, hi_a)
-    if not feasible:
-        return LpSolution(a=a, objective=float("nan"), status="infeasible")
-    if abs(float(a.sum()) - k) > 1e-6:
-        return LpSolution(a=a, objective=float("nan"), status="infeasible")
+    if not feasible or abs(float(a.sum()) - k) > 1e-6:
+        return LpSolution(a=a, objective=float("nan"), status="infeasible",
+                          diagnostics={"pivots": pivots}, basis=(status, basis))
     n_frac = int(np.sum((a > FRACTIONAL_TOL) & (a < 1.0 - FRACTIONAL_TOL)))
     return LpSolution(
         a=a,
         objective=float(s @ a),
         status="optimal",
         n_fractional=n_frac,
-        diagnostics={"rows": len(rows)},
+        diagnostics={"rows": len(rows), "pivots": pivots},
+        basis=(status, basis),
     )
 
 
@@ -343,9 +302,9 @@ def _branch_and_bound(s: np.ndarray, cuts, k: int):
     best_obj = -np.inf
     best_ind: np.ndarray | None = None
 
-    def recurse(bounds: list[tuple[float, float]]):
+    def recurse(bounds: list[tuple[float, float]], start):
         nonlocal best_obj, best_ind
-        lp = solve_lp(s, cuts, k, var_bounds=bounds)
+        lp = solve_lp(s, cuts, k, var_bounds=bounds, start=start)
         if lp.status != "optimal" or lp.objective <= best_obj + 1e-9:
             return
         frac = np.flatnonzero(
@@ -363,9 +322,9 @@ def _branch_and_bound(s: np.ndarray, cuts, k: int):
         for fix in (1.0, 0.0):
             child = list(bounds)
             child[j] = (fix, fix)
-            recurse(child)
+            recurse(child, lp.basis)
 
-    recurse([(0.0, 1.0)] * n)
+    recurse([(0.0, 1.0)] * n, None)
     if best_ind is None:
         raise ValueError("integer program infeasible")
     return Selection(best_ind, k)

@@ -7,17 +7,29 @@ from conftest import make_dataset
 from mopr.algorithm import (
     MoprConfig,
     SWEEP_CSV_HEADER,
+    _Oracle,
     mmr_retrieve,
     mopr_qp_linear,
     mopr_retrieve,
     pareto_sweep,
     write_sweep_csv,
 )
-from mopr.datamodel import Query, build_balanced_curation
-from mopr.metric import mpr_closed_form_linear, mpr_exact_finite
+from mopr.datamodel import (
+    GroupAxis,
+    Query,
+    SyntheticSpec,
+    build_balanced_curation,
+    generate_synthetic,
+)
+from mopr.metric import (
+    combined_features,
+    mpr_closed_form_linear,
+    mpr_exact_finite,
+    svd_context,
+)
 from mopr.similarity import similarity_vector, top_k
-from mopr.solver import solve_ip_exact, Cut
-from mopr.statclasses import all_cell_indicators
+from mopr.solver import HalfSpaceCut, round_top_k, solve_ip_exact, solve_lp, Cut
+from mopr.statclasses import all_cell_indicators, target_norm
 
 
 def binary_instance(rng, n=15, m=40, d=3, guaranteed_each=4):
@@ -37,6 +49,78 @@ def binary_instance(rng, n=15, m=40, d=3, guaranteed_each=4):
     )
     q = Query("q", np.eye(d)[0])
     return d_r, d_c, q
+
+
+def grid_instance(seed=0):
+    """2x4 grid of group cells, skewed in the retrieval pool and by similarity."""
+    axes = (
+        GroupAxis("a", 2, (0.7, 0.3), (0.5, 0.5)),
+        GroupAxis("b", 4, (0.4, 0.3, 0.2, 0.1), (0.25,) * 4),
+    )
+    spec = SyntheticSpec(n=80, m=60, d=4, group_axes=axes,
+                         similarity_bias={"a": (0.5, -0.5)}, seed=seed)
+    return generate_synthetic(spec)
+
+
+def oracle_separator(d_r, d_c, k, cfg):
+    oracle = _Oracle(d_r, d_c, k, cfg)
+
+    def separate(a):
+        violation, witness = oracle(a)
+        return violation, oracle.cut_for(witness, cfg.rho)
+
+    return separate
+
+
+def qp_separator(d_r, d_c, k, rho):
+    # the supporting hyperplane of mopr_qp_linear, in the same arithmetic
+    ctx = svd_context(combined_features(d_r, d_c, "labels"))
+    n, m, tn = len(d_r), len(d_c), target_norm(len(d_c), k)
+
+    def separate(a):
+        z = ctx.U_l.T @ np.concatenate([a / k, np.full(m, -1.0 / m)])
+        zn = float(np.linalg.norm(z))
+        grad = (tn * (ctx.U_l @ z) / zn)[:n] / k
+        return tn * zn, HalfSpaceCut(grad, rho - tn * zn + float(grad @ a))
+
+    return separate
+
+
+def run_to_cap(s, k, rho, T, separate):
+    """The cutting-plane loop without the stall halt: a duplicate cut is
+    skipped and the loop goes on until the constraint holds or T is reached."""
+    cuts, basis = [], None
+    for _ in range(T):
+        lp = solve_lp(s, cuts, k, start=basis)
+        basis = lp.basis
+        sel = round_top_k(lp.a, k)
+        violation, cut = separate(sel.indicator.astype(float))
+        if violation <= rho + 1e-8:
+            break
+        if not any(np.max(np.abs(cut.coefficients - old.coefficients)) < 1e-9 for old in cuts):
+            cuts.append(cut)
+    return sel, separate(sel.indicator.astype(float))[0]
+
+
+@pytest.mark.parametrize("kind, rho", [("finite", 0.05), ("linear", 0.02), ("qp", 0.02)])
+def test_stall_halt_matches_run_to_cap(kind, rho):
+    d_r, d_c, q = grid_instance()
+    k, T = 10, 30
+    s = similarity_vector(d_r, q)
+    if kind == "qp":
+        sel, trace = mopr_qp_linear(d_r, d_c, q, k, rho=rho, T=T)
+        separate = qp_separator(d_r, d_c, k, rho)
+    else:
+        cfg = MoprConfig(rho=rho, T=T, oracle_kind=kind)
+        sel, trace = mopr_retrieve(d_r, d_c, q, k, cfg)
+        separate = oracle_separator(d_r, d_c, k, cfg)
+    assert trace.effective_rho == rho  # no relaxation, which run_to_cap leaves out
+    assert trace.halted_by == "stalled"
+    assert len(trace.iterations) < T
+    assert trace.iterations[-1].duplicate_cut and not trace.iterations[-1].cut_added
+    ref_sel, ref_achieved = run_to_cap(s, k, rho, T, separate)
+    assert np.array_equal(sel.indicator, ref_sel.indicator)
+    assert trace.achieved_mpr == ref_achieved
 
 
 class TestMoprRetrieve:
@@ -100,6 +184,13 @@ class TestMoprRetrieve:
         with pytest.raises(ValueError, match="exceeds"):
             mopr_retrieve(d_r, d_c, q, 16, MoprConfig())
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("kind", ["finite", "linear"])
+    def test_k_below_one(self, rng, k, kind):
+        d_r, d_c, q = binary_instance(rng, n=15)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            mopr_retrieve(d_r, d_c, q, k, MoprConfig(oracle_kind=kind))
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             MoprConfig(T=0)
@@ -128,6 +219,13 @@ class TestQpVariant:
         _, loose = mopr_qp_linear(d_r, d_c, q, 10, rho=0.9 * mpr0, feature_view="labels")
         _, tight = mopr_qp_linear(d_r, d_c, q, 10, rho=0.3 * mpr0, feature_view="labels")
         assert tight.achieved_mpr <= loose.achieved_mpr + 1e-9
+
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, rng, k):
+        d_r, d_c, q = binary_instance(rng)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            mopr_qp_linear(d_r, d_c, q, k, rho=0.1)
 
 
 class TestMmr:

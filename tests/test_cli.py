@@ -130,7 +130,7 @@ class TestRetrieve:
             "--out", str(out)])
         sidecar = json.loads((out.parent / "sel.csv.config.json").read_text())
         assert "trace" in sidecar
-        assert sidecar["trace"]["halted_by"] in ("constraint-satisfied", "iteration-cap")
+        assert sidecar["trace"]["halted_by"] in ("constraint-satisfied", "stalled", "iteration-cap")
 
 
 class TestSweep:

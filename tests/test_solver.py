@@ -226,3 +226,94 @@ class TestCuts:
         report = check_cuts(np.array([1.0, 1.0]), cuts)
         assert [idx for idx, _ in report] == [0]
         assert report[0][1] == pytest.approx(0.9)
+
+
+def test_halfspace_non_finite_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        HalfSpaceCut(np.array([1.0, np.nan]), 0.5)
+
+
+# Constraint data on a grid of multiples of 1/8 keeps every instance either
+# feasible or infeasible by a clear margin, so HiGHS's tolerances and ours agree.
+GRID = st.integers(-8, 8).map(lambda v: v / 8)
+
+
+@st.composite
+def lp_instances(draw, min_cuts=0):
+    n = draw(st.integers(3, 10))
+    k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    s = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    cuts = []
+    for _ in range(draw(st.integers(min_cuts, 3))):
+        coef = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) / 4
+        if draw(st.booleans()):
+            cuts.append(Cut(coef, draw(GRID), abs(draw(GRID))))
+        else:
+            cuts.append(HalfSpaceCut(coef, draw(GRID)))
+    var_bounds = None
+    if draw(st.booleans()):
+        fixings = [(0.0, 1.0)] * 4 + [(0.0, 0.0), (1.0, 1.0)]
+        var_bounds = draw(st.lists(st.sampled_from(fixings), min_size=n, max_size=n))
+    return s, cuts, k, var_bounds
+
+
+def assert_matches_highs(lp, s, cuts, k, var_bounds):
+    ref = scipy_reference(s, cuts, k, var_bounds)
+    if ref.status == 2:
+        assert lp.status == "infeasible"
+        return
+    assert ref.status == 0
+    assert lp.status == "optimal"
+    assert lp.objective == pytest.approx(-ref.fun, abs=1e-7)
+    assert not check_cuts(lp.a, cuts, tol=1e-7)
+    assert float(lp.a.sum()) == pytest.approx(k, abs=1e-8)
+    if var_bounds is not None:
+        lo, hi = np.array(var_bounds).T
+        assert np.all((lp.a >= lo) & (lp.a <= hi))
+
+
+def loosened(cut):
+    if isinstance(cut, Cut):
+        return cut.with_bound(cut.bound + 0.25)
+    return HalfSpaceCut(cut.coefficients, cut.rhs + 0.25)
+
+
+class TestSolveLpProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lp_instances())
+    def test_cold_solve_matches_highs(self, instance):
+        s, cuts, k, var_bounds = instance
+        lp = solve_lp(s, cuts, k, var_bounds)
+        assert_matches_highs(lp, s, cuts, k, var_bounds)
+        assert lp.diagnostics["pivots"] >= 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp_instances(min_cuts=1), st.sampled_from(["append", "loosen"]))
+    def test_warm_equals_cold(self, instance, change):
+        s, cuts, k, var_bounds = instance
+        if change == "append":
+            before, after = cuts[:-1], cuts
+        else:
+            before, after = cuts, [loosened(c) for c in cuts]
+        first = solve_lp(s, before, k, var_bounds)
+        warm = solve_lp(s, after, k, var_bounds, start=first.basis)
+        cold = solve_lp(s, after, k, var_bounds)
+        assert warm.status == cold.status
+        if cold.status == "optimal":
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
+        assert_matches_highs(warm, s, after, k, var_bounds)
+
+    def test_warm_start_after_new_cut_takes_one_pivot(self):
+        # the cut removes the top-k vertex; re-optimizing from its basis is one pivot
+        s = np.array([4.0, 3.0, 2.0, 1.0])
+        first = solve_lp(s, [], 2)
+        assert first.diagnostics["pivots"] == 0
+        cut = Cut(np.array([1.0, 1.0, -1.0, -1.0]) / 2, -0.5, 0.51)
+        warm = solve_lp(s, [cut], 2, start=first.basis)
+        assert warm.a == pytest.approx(solve_lp(s, [cut], 2).a)
+        assert warm.diagnostics == {"rows": 1, "pivots": 1}
+
+    def test_start_that_does_not_fit_rejected(self):
+        first = solve_lp(np.ones(4), [], 2)
+        with pytest.raises(ValueError, match="start"):
+            solve_lp(np.ones(5), [], 2, start=first.basis)
