@@ -1,12 +1,21 @@
 """Cutting-plane retrieval under a representation constraint, plus baselines.
 
-The main loop alternates between solving the relaxed similarity LP under the
-accumulated cuts, rounding to the k largest coordinates, and asking an oracle
-for the statistic with the most disproportionate representation on the
-rounded set.  Violated statistics become new linear cuts.  A quadratic
-variant handles the linear class through subgradients of the closed-form
-norm constraint, and a greedy maximal-marginal-relevance baseline and a
-Pareto sweep harness round out the module.
+One loop, ``_cutting_plane``, does the retrieval.  Each iteration re-solves
+the similarity LP under the cuts found so far, warm-started from the previous
+basis and with the target gap relaxed geometrically if the LP is infeasible,
+rounds the LP point to its k largest coordinates, and hands the rounded
+selection to a separator.  The separator returns the selection's violation
+and, only when asked, a cut that the selection violates.  The loop stops when
+the selection is certified, when the new cut duplicates an old one (the LP
+would not change), or after T iterations.
+
+Two separators plug into it.  ``mopr_retrieve`` uses ``_Oracle``, which finds
+the statistic with the most disproportionate representation (exactly over
+the cell indicators, or by a regression oracle) and cuts on its mean.
+``mopr_qp_linear`` uses ``_SupportingHyperplane``, which evaluates the
+closed-form norm constraint of the linear class and cuts on its supporting
+hyperplane.  A greedy maximal-marginal-relevance baseline and a Pareto sweep
+harness round out the module.
 """
 
 from __future__ import annotations
@@ -18,22 +27,16 @@ import numpy as np
 
 from mopr.datamodel import Dataset, Query
 from mopr.metric import (
-    build_tilde_a,
+    FiniteTable,
+    closed_form_gap,
     combined_features,
-    mpr_closed_form_linear,
+    oracle_gap,
+    signed_weights,
     svd_context,
 )
 from mopr.similarity import Selection, condition_curation, similarity_vector
-from mopr.solver import Cut, HalfSpaceCut, LpSolution, round_top_k, solve_lp
-from mopr.statclasses import (
-    DegenerateStatisticError,
-    all_cell_indicators,
-    fit_linear_ls,
-    fit_mlp,
-    fit_tree,
-    normalize_to_cprime,
-    target_norm,
-)
+from mopr.solver import Cut, HalfSpaceCut, round_top_k, solve_lp
+from mopr.statclasses import all_cell_indicators, target_norm
 
 HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
@@ -49,6 +52,13 @@ class InfeasibleRetrievalError(RuntimeError):
         self.trace = trace
 
 
+def _check_run(T: int, rho: float) -> None:
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if rho < 0.0:
+        raise ValueError("rho must be non-negative")
+
+
 @dataclass(frozen=True)
 class MoprConfig:
     rho: float = 0.0
@@ -56,7 +66,6 @@ class MoprConfig:
     oracle_kind: str = "linear"  # linear | tree | mlp | finite
     feature_view: str = "labels"
     curation_pool_size: int | None = None
-    oracle_on_fractional: bool = False
     tree_depth: int = 3
     mlp_hidden: int = 64
     mlp_epochs: int = 500
@@ -64,10 +73,7 @@ class MoprConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.rho < 0.0:
-            raise ValueError("rho must be non-negative")
+        _check_run(self.T, self.rho)
 
 
 @dataclass
@@ -100,7 +106,11 @@ class MoprTrace:
 
 
 class _Oracle:
-    """Returns (violation, witness) for a fractional or binary selection."""
+    """Separator by the most disproportionate statistic of the configured class.
+
+    ``oracle(a)`` returns (violation, witness statistic) for a binary
+    selection; ``cut_for(witness, rho)`` bounds the witness's gap by rho.
+    """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
         self.d_r = d_r
@@ -109,44 +119,20 @@ class _Oracle:
         self.cfg = cfg
         self.m = len(d_c)
         if cfg.oracle_kind == "finite":
-            self.indicators = all_cell_indicators(d_r.schema.label_cards)
-            self._coef = np.stack([st.values(d_r) for st in self.indicators]) / k
-            self._offsets = np.array([float(np.mean(st.values(d_c))) for st in self.indicators])
+            self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
         else:
             self.X = combined_features(d_r, d_c, cfg.feature_view)
 
     def __call__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=float)
-        if self.cfg.oracle_kind == "finite":
-            gaps = np.abs(self._coef @ a - self._offsets)
-            best = int(np.argmax(gaps))
-            return float(gaps[best]), self.indicators[best]
-        tilde = np.concatenate([a / self.k, np.full(self.m, -1.0 / self.m)])
-        best_val, best_witness = None, None
-        for sign in (1.0, -1.0):
-            target = sign * tilde
-            if self.cfg.oracle_kind == "linear":
-                stat = fit_linear_ls(self.X, target, self.cfg.feature_view)
-            elif self.cfg.oracle_kind == "tree":
-                stat = fit_tree(self.X, target, self.cfg.tree_depth, self.cfg.feature_view)
-            elif self.cfg.oracle_kind == "mlp":
-                stat = fit_mlp(
-                    self.X, target, self.cfg.mlp_hidden,
-                    epochs=self.cfg.mlp_epochs, step_size=self.cfg.mlp_step,
-                    seed=self.cfg.seed, feature_view=self.cfg.feature_view,
-                )
-            else:
-                raise ValueError(f"unknown oracle kind {self.cfg.oracle_kind!r}")
-            try:
-                norm_stat = normalize_to_cprime(stat, self.d_r, self.d_c, self.k)
-            except DegenerateStatisticError:
-                continue
-            value = abs(float(norm_stat.values_from_features(self.X) @ tilde))
-            if best_val is None or value > best_val:
-                best_val, best_witness = value, norm_stat
-        if best_val is None:
-            raise DegenerateStatisticError("no identifiable statistic")
-        return best_val, best_witness
+        cfg = self.cfg
+        if cfg.oracle_kind == "finite":
+            return self.table.worst(a, self.k)
+        value, witness, _ = oracle_gap(
+            self.X, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
+            cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
+            cfg.seed,
+        )
+        return value, witness
 
     def cut_for(self, witness, rho: float) -> Cut:
         coef = witness.values(self.d_r) / self.k
@@ -154,68 +140,69 @@ class _Oracle:
         return Cut(coef, offset, rho)
 
 
-def _is_duplicate(cut, cuts) -> bool:
-    return any(
-        np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
-        for old in cuts
-    )
+class _SupportingHyperplane:
+    """Separator by the closed-form norm constraint of the linear class.
+
+    ``sep(a)`` returns (constraint value, witness) for a binary selection;
+    ``cut_for(witness, rho)`` is the supporting hyperplane of the convex
+    constraint at that selection, built from its analytic gradient.
+    """
+
+    def __init__(self, d_r: Dataset, d_c: Dataset, k: int, feature_view: str):
+        self.ctx = svd_context(combined_features(d_r, d_c, feature_view))
+        self.n, self.m, self.k = len(d_r), len(d_c), k
+
+    def __call__(self, a: np.ndarray):
+        value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
+        return value, (a, value, z)
+
+    def cut_for(self, witness, rho: float) -> HalfSpaceCut:
+        # only asked for when the value exceeds rho >= 0, so z is nonzero
+        a, value, z = witness
+        tn = target_norm(self.m, self.k)
+        grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[: self.n] / self.k
+        return HalfSpaceCut(grad, rho - value + float(grad @ a))
 
 
-def _check_k(k: int, d_r: Dataset) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if k > len(d_r):
-        raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
-
-
-def _halt_reason(achieved: float, rho_eff: float, stalled: bool) -> str:
-    if achieved <= rho_eff + HALT_TOL:
-        return "constraint-satisfied"
-    return "stalled" if stalled else "iteration-cap"
-
-
-def _solve_with_relaxation(s, cuts: list[Cut], k: int, rho_eff: float, trace: MoprTrace,
-                           start):
-    """Solve the LP from ``start``, relaxing the cut bound geometrically if infeasible."""
+def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
+    """Solve the LP from ``start``, relaxing the target gap geometrically if infeasible."""
     for attempt in range(MAX_RELAX + 1):
         lp = solve_lp(s, cuts, k, start=start)
         if lp.status == "optimal":
             return lp, cuts, rho_eff
         start = lp.basis
-        rho_eff = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
-        cuts = [c.with_bound(rho_eff) for c in cuts]
+        new_rho = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
+        cuts = [c.relaxed(rho_eff, new_rho) for c in cuts]
+        rho_eff = new_rho
     raise InfeasibleRetrievalError(
         f"LP infeasible after {MAX_RELAX} relaxations (rho={rho_eff})", trace
     )
 
 
-def mopr_retrieve(
-    d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig
-) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane retrieval of k items under a representation bound.
+def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
+                   ) -> tuple[Selection, MoprTrace]:
+    """The cutting-plane loop shared by both retrievals; see the module docstring.
 
-    The loop halts at the first duplicate cut: the LP is then unchanged and
-    re-solving it from its own optimal basis returns the same point, so every
-    later iteration would return the same selection.
+    A duplicate cut leaves the LP unchanged, and re-solving it from its own
+    optimal basis returns the same point, so every later iteration would
+    return the same selection: the loop halts there.
     """
-    _check_k(k, d_r)
-    if cfg.curation_pool_size is not None:
-        d_c = condition_curation(d_c, q, cfg.curation_pool_size)
-    s = similarity_vector(d_r, q)
-    oracle = _Oracle(d_r, d_c, k, cfg)
-    trace = MoprTrace(effective_rho=cfg.rho)
-    cuts: list[Cut] = []
-    rho_eff = cfg.rho
-    sel = None
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > s.size:
+        raise ValueError(f"k={k} exceeds retrieval pool size {s.size}")
+    _check_run(T, rho)
+    trace = MoprTrace(effective_rho=rho)
+    cuts: list = []
+    rho_eff = rho
     basis = None
     stalled = False
-    for it in range(1, cfg.T + 1):
+    for it in range(1, T + 1):
         lp, cuts, rho_eff = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
         basis = lp.basis
         trace.effective_rho = rho_eff
         sel = round_top_k(lp.a, k)
-        probe = lp.a if cfg.oracle_on_fractional else sel.indicator.astype(float)
-        violation, witness = oracle(probe)
+        violation, witness = separate(sel.indicator.astype(float))
         record = IterationRecord(
             iteration=it,
             violation=violation,
@@ -224,20 +211,33 @@ def mopr_retrieve(
             cut_added=False,
         )
         trace.iterations.append(record)
-        if violation <= rho_eff + HALT_TOL or it == cfg.T:
+        if violation <= rho_eff + HALT_TOL or it == T:
             break
-        cut = oracle.cut_for(witness, rho_eff)
-        if _is_duplicate(cut, cuts):
+        cut = separate.cut_for(witness, rho_eff)
+        if any(np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
+               for old in cuts):
             record.duplicate_cut = stalled = True
             break
         cuts.append(cut)
         record.cut_added = True
-    achieved, _ = oracle(sel.indicator.astype(float))
     trace.selection = sel
-    trace.achieved_mpr = achieved
+    trace.achieved_mpr = violation
     trace.mean_similarity = float(np.mean(s[sel.indices]))
-    trace.halted_by = _halt_reason(achieved, rho_eff, stalled)
+    if violation <= rho_eff + HALT_TOL:
+        trace.halted_by = "constraint-satisfied"
+    else:
+        trace.halted_by = "stalled" if stalled else "iteration-cap"
     return sel, trace
+
+
+def mopr_retrieve(
+    d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig
+) -> tuple[Selection, MoprTrace]:
+    """Cutting-plane retrieval of k items under a representation bound."""
+    if cfg.curation_pool_size is not None:
+        d_c = condition_curation(d_c, q, cfg.curation_pool_size)
+    s = similarity_vector(d_r, q)
+    return _cutting_plane(s, k, _Oracle(d_r, d_c, k, cfg), cfg.T, cfg.rho)
 
 
 def mopr_qp_linear(
@@ -249,80 +249,9 @@ def mopr_qp_linear(
     T: int = 50,
     feature_view: str = "labels",
 ) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane on the closed-form norm constraint for linear statistics.
-
-    Each violated iterate contributes the supporting hyperplane of the convex
-    constraint at that point, built from the analytic subgradient.  Like
-    ``mopr_retrieve`` it halts at the first duplicate cut.
-    """
-    _check_k(k, d_r)
+    """Cutting-plane on the closed-form norm constraint for linear statistics."""
     s = similarity_vector(d_r, q)
-    X = combined_features(d_r, d_c, feature_view)
-    ctx = svd_context(X)
-    n, m = len(d_r), len(d_c)
-    tn = target_norm(m, k)
-
-    def constraint_and_subgrad(a: np.ndarray):
-        tilde = np.concatenate([a / k, np.full(m, -1.0 / m)])
-        z = ctx.U_l.T @ tilde
-        zn = float(np.linalg.norm(z))
-        g_val = tn * zn
-        if zn == 0.0:
-            return g_val, None
-        grad_full = tn * (ctx.U_l @ z) / zn
-        return g_val, grad_full[:n] / k
-
-    trace = MoprTrace(effective_rho=rho)
-    cuts: list[HalfSpaceCut] = []
-    rho_eff = rho
-    sel = None
-    basis = None
-    stalled = False
-    for it in range(1, T + 1):
-        lp, cuts, rho_eff = _qp_solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
-        basis = lp.basis
-        trace.effective_rho = rho_eff
-        sel = round_top_k(lp.a, k)
-        a_star = sel.indicator.astype(float)
-        g_val, grad = constraint_and_subgrad(a_star)
-        record = IterationRecord(
-            iteration=it,
-            violation=g_val,
-            lp_objective=lp.objective,
-            n_fractional=lp.n_fractional,
-            cut_added=False,
-        )
-        trace.iterations.append(record)
-        if g_val <= rho_eff + HALT_TOL or grad is None or it == T:
-            break
-        rhs = rho_eff - g_val + float(grad @ a_star)
-        cut = HalfSpaceCut(grad, rhs)
-        if _is_duplicate(cut, cuts):
-            record.duplicate_cut = stalled = True
-            break
-        cuts.append(cut)
-        record.cut_added = True
-    achieved, _ = constraint_and_subgrad(sel.indicator.astype(float))
-    trace.selection = sel
-    trace.achieved_mpr = achieved
-    trace.mean_similarity = float(np.mean(s[sel.indices]))
-    trace.halted_by = _halt_reason(achieved, rho_eff, stalled)
-    return sel, trace
-
-
-def _qp_solve_with_relaxation(s, cuts: list[HalfSpaceCut], k, rho_eff, trace, start):
-    # subgradient cuts carry rho in their rhs, so relaxation shifts the rhs
-    for attempt in range(MAX_RELAX + 1):
-        lp = solve_lp(s, cuts, k, start=start)
-        if lp.status == "optimal":
-            return lp, cuts, rho_eff
-        start = lp.basis
-        new_rho = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
-        cuts = [HalfSpaceCut(c.coefficients, c.rhs + (new_rho - rho_eff)) for c in cuts]
-        rho_eff = new_rho
-    raise InfeasibleRetrievalError(
-        f"LP infeasible after {MAX_RELAX} relaxations (rho={rho_eff})", trace
-    )
+    return _cutting_plane(s, k, _SupportingHyperplane(d_r, d_c, k, feature_view), T, rho)
 
 
 def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
@@ -385,10 +314,13 @@ def pareto_sweep(
         raise ValueError("rho grid must be nonempty")
     if list(rho_grid) != sorted(rho_grid, reverse=True):
         raise ValueError("rho grid must be descending")
+    if cfg_template.curation_pool_size is not None:
+        # the reference is measured against the curated set every retrieval
+        # uses; conditioning is idempotent, so mopr_retrieve may repeat it
+        d_c = condition_curation(d_c, q, cfg_template.curation_pool_size)
     s = similarity_vector(d_r, q)
     sel0 = round_top_k(s, k)
-    oracle = _Oracle(d_r, d_c, k, cfg_template)
-    mpr0, _ = oracle(sel0.indicator.astype(float))
+    mpr0, _ = _Oracle(d_r, d_c, k, cfg_template)(sel0.indicator.astype(float))
     sim0 = float(np.mean(s[sel0.indices]))
     points: list[ParetoPoint] = []
     for rho in rho_grid:

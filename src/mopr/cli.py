@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -148,32 +147,7 @@ def cmd_retrieve(args) -> int:
 def cmd_sweep(args) -> int:
     d_r, d_c, q = _load_inputs(args)
     grid = [float(v) for v in args.rho_grid.split(",")]
-    cfg = _mopr_config(args, grid[0])
-    if args.jobs > 1:
-        # independent grid points; results keep grid order
-        s = similarity.similarity_vector(d_r, q)
-        sel0 = solver.round_top_k(s, args.k)
-        oracle = algorithm._Oracle(d_r, d_c, args.k, cfg)
-        mpr0, _ = oracle(sel0.indicator.astype(float))
-        sim0 = float(np.mean(s[sel0.indices]))
-
-        def run(rho: float):
-            try:
-                _, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, replace(cfg, rho=rho))
-            except algorithm.InfeasibleRetrievalError:
-                return algorithm.ParetoPoint(rho, float("nan"), float("nan"),
-                                             float("nan"), float("nan"), "infeasible", 0)
-            return algorithm.ParetoPoint(
-                rho, trace.achieved_mpr, trace.mean_similarity,
-                algorithm._fraction(trace.mean_similarity, sim0),
-                algorithm._fraction(trace.achieved_mpr, mpr0),
-                trace.halted_by, len(trace.iterations),
-            )
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(run, grid))
-    else:
-        points = algorithm.pareto_sweep(d_r, d_c, q, args.k, cfg, grid)
+    points = algorithm.pareto_sweep(d_r, d_c, q, args.k, _mopr_config(args, grid[0]), grid)
     algorithm.write_sweep_csv(points, args.out)
     _write_sidecar(args.out, _resolved(args))
     return 0
@@ -210,15 +184,11 @@ def cmd_compare_ip(args) -> int:
     if len(d_r) > 25:
         raise ValueError("compare-ip requires a retrieval pool of at most 25 items")
     s = similarity.similarity_vector(d_r, q)
-    indicators = all_cell_indicators(d_r.schema.label_cards)
+    table = metric.FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
     grid = [float(v) for v in args.rho_grid.split(",")]
     rows = []
     for rho in grid:
-        cuts = []
-        for stat in indicators:
-            coef = stat.values(d_r) / args.k
-            offset = float(np.mean(stat.values(d_c)))
-            cuts.append(solver.Cut(coef, offset, rho))
+        cuts = table.cuts(args.k, rho)
         lp = solver.solve_lp(s, cuts, args.k)
         if lp.status != "optimal":
             rows.append([rho, "infeasible", "", "", ""])
@@ -298,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["labels", "embedding", "concat"], default="labels")
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--curation-pool", dest="curation_pool", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the sweep always runs serially")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -18,6 +18,7 @@ import numpy as np
 
 from mopr.datamodel import Dataset
 from mopr.similarity import Selection
+from mopr.solver import Cut
 from mopr.statclasses import (
     DegenerateStatisticError,
     NormalizedStatistic,
@@ -26,7 +27,7 @@ from mopr.statclasses import (
     fit_linear_ls,
     fit_mlp,
     fit_tree,
-    normalize_to_cprime,
+    normalize_values,
     target_norm,
 )
 
@@ -43,10 +44,13 @@ class TildeA:
     k: int
 
 
+def signed_weights(a: np.ndarray, k: int, m: int) -> np.ndarray:
+    """a/k on the retrieval entries followed by -1/m on the curated ones."""
+    return np.concatenate([a / k, np.full(m, -1.0 / m)])
+
+
 def build_tilde_a(sel: Selection, m: int) -> TildeA:
-    n = sel.indicator.size
-    values = np.concatenate([sel.indicator / sel.k, np.full(m, -1.0 / m)])
-    return TildeA(values, n=n, m=m, k=sel.k)
+    return TildeA(signed_weights(sel.indicator, sel.k, m), n=sel.indicator.size, m=m, k=sel.k)
 
 
 @dataclass
@@ -100,27 +104,97 @@ def svd_context(X: np.ndarray) -> SvdContext:
     return SvdContext(U_l=U[:, keep], singular_values=S[keep], V=Vt[keep].T, l=l)
 
 
+@dataclass(frozen=True)
+class FiniteTable:
+    """A finite statistic list: its values on the retrieval items, one row per
+    statistic, and each statistic's mean over the curated items."""
+
+    stats: list
+    on_retrieval: np.ndarray
+    curated_means: np.ndarray
+
+    @classmethod
+    def build(cls, stats: list, d_r: Dataset, d_c: Dataset) -> "FiniteTable":
+        if not stats:
+            raise ValueError("indicator list must be nonempty")
+        return cls(
+            list(stats),
+            np.stack([st.values(d_r) for st in stats]),
+            np.array([float(np.mean(st.values(d_c))) for st in stats]),
+        )
+
+    def worst(self, a: np.ndarray, k: int) -> tuple[float, RepStatistic]:
+        """Largest |selection mean - curated mean| for selection weights ``a``
+        summing to k, and its statistic; ties to the first.  The selection mean
+        is (values @ a) / k, which for ±1 values and a binary ``a`` is exact."""
+        gaps = np.abs(self.on_retrieval @ a / k - self.curated_means)
+        best = int(np.argmax(gaps))
+        return float(gaps[best]), self.stats[best]
+
+    def cuts(self, k: int, rho: float) -> list[Cut]:
+        """One cut |mean over the selection - curated mean| <= rho per statistic."""
+        return [
+            Cut(row / k, float(mean), rho)
+            for row, mean in zip(self.on_retrieval, self.curated_means)
+        ]
+
+
 def mpr_exact_finite(
     sel: Selection, d_r: Dataset, d_c: Dataset, indicators: list[RepStatistic]
 ) -> MprReport:
     """Exact supremum over an explicit finite statistic list; ties to the first."""
-    if not indicators:
-        raise ValueError("indicator list must be nonempty")
-    best_val = -1.0
-    best_stat = None
-    for stat in indicators:
-        gap = abs(
-            float(np.mean(stat.values(d_r)[sel.indices])) - float(np.mean(stat.values(d_c)))
-        )
-        if gap > best_val:
-            best_val = gap
-            best_stat = stat
+    value, witness = FiniteTable.build(indicators, d_r, d_c).worst(sel.indicator, sel.k)
     return MprReport(
-        value=best_val,
+        value=value,
         method="exact-finite",
-        witness=best_stat,
+        witness=witness,
         diagnostics={"class_size": len(indicators)},
     )
+
+
+def oracle_gap(
+    X: np.ndarray,
+    tilde: np.ndarray,
+    m: int,
+    k: int,
+    oracle: str = "linear",
+    feature_view: str = "labels",
+    tree_depth: int = 3,
+    mlp_hidden: int = 64,
+    mlp_epochs: int = 500,
+    mlp_step: float = 0.05,
+    seed: int = 0,
+) -> tuple[float, NormalizedStatistic, float]:
+    """(gap, witness, mse) of the best regression fit of the signed weights.
+
+    ``X`` holds the feature rows of D_R over D_C and ``tilde`` the signed
+    weights.  Both signs of the target are fitted and the larger normalized
+    correlation is kept, which recovers the absolute value in the definition.
+    """
+    fits = {
+        "linear": lambda y: fit_linear_ls(X, y, feature_view),
+        "tree": lambda y: fit_tree(X, y, tree_depth, feature_view),
+        "mlp": lambda y: fit_mlp(X, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
+                                 seed=seed, feature_view=feature_view),
+    }
+    if oracle not in fits:
+        raise ValueError(f"unknown oracle {oracle!r}")
+    best: tuple[float, NormalizedStatistic, float] | None = None
+    for sign in (1.0, -1.0):
+        target = sign * tilde
+        stat = fits[oracle](target)
+        values = stat.values_from_features(X)
+        try:
+            norm_stat = normalize_values(stat, values, m, k)
+        except DegenerateStatisticError:
+            continue
+        fitted = norm_stat.scale * values
+        value = abs(float(fitted @ tilde))
+        if best is None or value > best[0]:
+            best = (value, norm_stat, float(np.mean((fitted - target) ** 2)))
+    if best is None:
+        raise DegenerateStatisticError("no identifiable statistic: both fits degenerate")
+    return best
 
 
 def mpr_via_oracle(
@@ -135,45 +209,26 @@ def mpr_via_oracle(
     mlp_step: float = 0.05,
     seed: int = 0,
 ) -> MprReport:
-    """Estimate the gap by regressing the signed weight vector over the class.
-
-    Both signs of the target are fitted and the larger normalized correlation
-    is kept, which recovers the absolute value in the definition.
-    """
+    """Estimate the gap by regressing the signed weight vector over the class."""
     X = combined_features(d_r, d_c, feature_view)
     ta = build_tilde_a(sel, len(d_c))
-    best: tuple[float, NormalizedStatistic, float] | None = None
-    for sign in (1.0, -1.0):
-        target = sign * ta.values
-        if oracle == "linear":
-            stat = fit_linear_ls(X, target, feature_view)
-        elif oracle == "tree":
-            stat = fit_tree(X, target, tree_depth, feature_view)
-        elif oracle == "mlp":
-            stat = fit_mlp(
-                X, target, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
-                seed=seed, feature_view=feature_view,
-            )
-        else:
-            raise ValueError(f"unknown oracle {oracle!r}")
-        try:
-            norm_stat = normalize_to_cprime(stat, d_r, d_c, sel.k)
-        except DegenerateStatisticError:
-            continue
-        fitted = norm_stat.values_from_features(X)
-        value = abs(float(fitted @ ta.values))
-        mse = float(np.mean((fitted - target) ** 2))
-        if best is None or value > best[0]:
-            best = (value, norm_stat, mse)
-    if best is None:
-        raise DegenerateStatisticError("no identifiable statistic: both fits degenerate")
-    value, witness, mse = best
+    value, witness, mse = oracle_gap(
+        X, ta.values, ta.m, ta.k, oracle, feature_view,
+        tree_depth, mlp_hidden, mlp_epochs, mlp_step, seed,
+    )
     return MprReport(
         value=value,
         method="oracle",
         witness=witness,
         diagnostics={"oracle": oracle, "oracle_mse": mse, "context_norm": witness.context_norm},
     )
+
+
+def closed_form_gap(ctx: SvdContext, tilde: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray]:
+    """Gap over normalized linear statistics for signed weights ``tilde``, and
+    the coordinates ``z = U_l' tilde`` the gap is the scaled norm of."""
+    z = ctx.U_l.T @ tilde
+    return target_norm(m, k) * float(np.linalg.norm(z)), z
 
 
 def mpr_closed_form_linear(
@@ -183,9 +238,8 @@ def mpr_closed_form_linear(
     X = combined_features(d_r, d_c, feature_view)
     ctx = svd_context(X)
     ta = build_tilde_a(sel, len(d_c))
-    z = ctx.U_l.T @ ta.values
+    value, z = closed_form_gap(ctx, ta.values, ta.m, ta.k)
     scale = target_norm(ta.m, ta.k)
-    value = scale * float(np.linalg.norm(z))
     zn = float(np.linalg.norm(z))
     if zn > 0.0:
         w_opt = ctx.V @ (z / ctx.singular_values) * (scale / zn)

@@ -44,6 +44,11 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 def similarity_vector(dataset: Dataset, q: Query) -> np.ndarray:
     """Cosine similarity of every item to the query, in item order."""
     emb = dataset.embeddings
+    if np.shape(q.embedding) != emb.shape[1:]:
+        raise ValueError(
+            f"query has dimension {np.size(q.embedding)}, "
+            f"but the dataset's embeddings have dimension {emb.shape[1]}"
+        )
     norms = np.linalg.norm(emb, axis=1)
     qn = np.linalg.norm(q.embedding)
     if qn == 0.0 or np.any(norms == 0.0):

@@ -21,6 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
+from mopr.similarity import Selection
+
 TOL = 1e-9
 FRACTIONAL_TOL = 1e-8
 MAX_PIVOTS = 200000
@@ -61,6 +63,10 @@ class Cut:
     def with_bound(self, bound: float) -> "Cut":
         return Cut(self.coefficients, self.offset, bound)
 
+    def relaxed(self, rho: float, new_rho: float) -> "Cut":
+        """This cut, built for target gap ``rho``, at target ``new_rho``."""
+        return self.with_bound(new_rho)
+
 
 @dataclass(frozen=True)
 class HalfSpaceCut:
@@ -77,6 +83,10 @@ class HalfSpaceCut:
 
     def violation(self, a: np.ndarray) -> float:
         return max(float(self.coefficients @ a) - self.rhs, 0.0)
+
+    def relaxed(self, rho: float, new_rho: float) -> "HalfSpaceCut":
+        """This cut, built for target gap ``rho``, with its rhs moved to ``new_rho``."""
+        return HalfSpaceCut(self.coefficients, self.rhs + (new_rho - rho))
 
 
 @dataclass
@@ -228,10 +238,8 @@ def solve_lp(
     )
 
 
-def round_top_k(a: np.ndarray, k: int):
+def round_top_k(a: np.ndarray, k: int) -> Selection:
     """Indicator of the k largest entries of ``a``; ties to the lower index."""
-    from mopr.similarity import Selection
-
     a = np.asarray(a, dtype=float)
     if a.size < k:
         raise ValueError("fewer entries than k")
@@ -251,9 +259,7 @@ def check_cuts(a: np.ndarray, cuts, tol: float = 1e-8) -> list[tuple[int, float]
     return report
 
 
-def _enumerate_ip(s: np.ndarray, cuts, k: int):
-    from mopr.similarity import Selection
-
+def _enumerate_ip(s: np.ndarray, cuts, k: int) -> Selection:
     n = s.size
     combos = np.array(list(combinations(range(n), k)), dtype=int)
     objectives = s[combos].sum(axis=1)
@@ -274,7 +280,7 @@ def _enumerate_ip(s: np.ndarray, cuts, k: int):
     return Selection(indicator, k)
 
 
-def solve_ip_exact(s: np.ndarray, cuts, k: int, n_limit: int = 25):
+def solve_ip_exact(s: np.ndarray, cuts, k: int, n_limit: int = 25) -> Selection:
     """Optimal binary selection on a small instance.
 
     Exhaustive enumeration for n <= 20, branch-and-bound with the LP bound
@@ -295,9 +301,7 @@ def solve_ip_exact(s: np.ndarray, cuts, k: int, n_limit: int = 25):
     return sel
 
 
-def _branch_and_bound(s: np.ndarray, cuts, k: int):
-    from mopr.similarity import Selection
-
+def _branch_and_bound(s: np.ndarray, cuts, k: int) -> Selection:
     n = s.size
     best_obj = -np.inf
     best_ind: np.ndarray | None = None

@@ -11,7 +11,7 @@ mk/(m+k), which bounds the representation gap in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -158,11 +158,6 @@ def all_cell_indicators(schema_cards: dict[str, int]) -> list[RepStatistic]:
     return [cell_indicator(c) for c in cells]
 
 
-def evaluate(stat, dataset: Dataset, index: int) -> float:
-    """Value of a statistic on a single item of ``dataset``."""
-    return float(stat.values(dataset)[index])
-
-
 def fit_linear_ls(X: np.ndarray, targets: np.ndarray, feature_view: str = "labels") -> RepStatistic:
     """Minimum-norm least-squares linear fit of targets on feature rows X."""
     w, *_ = np.linalg.lstsq(X, targets, rcond=None)
@@ -305,12 +300,18 @@ def target_norm(m: int, k: int) -> float:
     return math.sqrt(m * k / (m + k))
 
 
+def normalize_values(stat, context: np.ndarray, m: int, k: int) -> NormalizedStatistic:
+    """Rescale ``stat``, whose values over the D_R then D_C rows are ``context``."""
+    norm = float(np.linalg.norm(context))
+    if norm <= 0.0:
+        raise DegenerateStatisticError("degenerate statistic: zero norm over context")
+    return NormalizedStatistic(stat, target_norm(m, k) / norm, norm)
+
+
 def normalize_to_cprime(
     stat: RepStatistic, d_r: Dataset, d_c: Dataset, k: int
 ) -> NormalizedStatistic:
     """Rescale ``stat`` into the normalized class over D_R then D_C rows."""
-    context = np.concatenate([stat.values(d_r), stat.values(d_c)])
-    norm = float(np.linalg.norm(context))
-    if norm <= 0.0:
-        raise DegenerateStatisticError("degenerate statistic: zero norm over context")
-    return NormalizedStatistic(stat, target_norm(len(d_c), k) / norm, norm)
+    return normalize_values(
+        stat, np.concatenate([stat.values(d_r), stat.values(d_c)]), len(d_c), k
+    )

@@ -51,13 +51,13 @@ def binary_instance(rng, n=15, m=40, d=3, guaranteed_each=4):
     return d_r, d_c, q
 
 
-def grid_instance(seed=0):
+def grid_instance(seed=0, n=80, m=60):
     """2x4 grid of group cells, skewed in the retrieval pool and by similarity."""
     axes = (
         GroupAxis("a", 2, (0.7, 0.3), (0.5, 0.5)),
         GroupAxis("b", 4, (0.4, 0.3, 0.2, 0.1), (0.25,) * 4),
     )
-    spec = SyntheticSpec(n=80, m=60, d=4, group_axes=axes,
+    spec = SyntheticSpec(n=n, m=m, d=4, group_axes=axes,
                          similarity_bias={"a": (0.5, -0.5)}, seed=seed)
     return generate_synthetic(spec)
 
@@ -179,6 +179,14 @@ class TestMoprRetrieve:
         ref = mpr_closed_form_linear(sel, d_r, d_c, "labels").value
         assert trace.achieved_mpr == pytest.approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    @pytest.mark.parametrize("rho", [0.0, 0.05, 0.2])
+    def test_finite_achieved_mpr_is_exact_finite(self, seed, rho):
+        d_r, d_c, q = grid_instance(seed)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=rho, oracle_kind="finite"))
+        indicators = all_cell_indicators(d_r.schema.label_cards)
+        assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
+
     def test_k_too_large(self, rng):
         d_r, d_c, q = binary_instance(rng, n=15)
         with pytest.raises(ValueError, match="exceeds"):
@@ -226,6 +234,15 @@ class TestQpVariant:
         d_r, d_c, q = binary_instance(rng)
         with pytest.raises(ValueError, match="k must be at least 1"):
             mopr_qp_linear(d_r, d_c, q, k, rho=0.1)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"rho": 0.1, "T": 0}, "T must be >= 1"),
+        ({"rho": -0.1}, "rho must be non-negative"),
+    ])
+    def test_invalid_run_rejected(self, rng, kwargs, message):
+        d_r, d_c, q = binary_instance(rng)
+        with pytest.raises(ValueError, match=message):
+            mopr_qp_linear(d_r, d_c, q, 5, **kwargs)
 
 
 class TestMmr:
@@ -287,6 +304,16 @@ class TestParetoSweep:
         assert len(points) == 1
         assert points[0].sim_frac_topk == pytest.approx(1.0, abs=1e-9)
         assert points[0].mpr_frac_topk == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["finite", "linear"])
+    def test_reference_uses_conditioned_curation(self, kind):
+        # at rho = 1 the retrieval is plain top-k, so its MPR is the reference
+        d_r, d_c, q = grid_instance(seed=1, n=300, m=200)
+        cfg = MoprConfig(oracle_kind=kind, curation_pool_size=50)
+        (point,) = pareto_sweep(d_r, d_c, q, 10, cfg, [1.0])
+        assert point.halted_by == "constraint-satisfied" and point.iterations == 1
+        assert point.sim_frac_topk == 1.0
+        assert point.mpr_frac_topk == 1.0
 
     def test_grid_must_descend(self, rng):
         d_r, d_c, q = binary_instance(rng)

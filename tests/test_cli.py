@@ -7,6 +7,7 @@ import pytest
 from mopr.cli import main
 from mopr.datamodel import (
     GroupAxis,
+    Query,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -199,6 +200,16 @@ class TestCompareIp:
 
 
 class TestErrors:
+    def test_query_dimension_mismatch(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        save_query(Query("q", np.ones(5)), tmp_path / "query.csv")
+        code = main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "5", "--algo", "topk", "--out", str(tmp_path / "sel.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "query has dimension 5, but the dataset's embeddings have dimension 3" in err
+        assert "matmul" not in err
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["mpr", "--retrieval", str(tmp_path / "nope.csv"),
                      "--curated", str(tmp_path / "nope.csv"),

@@ -105,6 +105,11 @@ class TestTopK:
                 cosine_similarity(ds.embeddings[i], q.embedding)
             )
 
+    def test_query_dimension_mismatch_names_both(self, rng):
+        ds = make_dataset(rng.standard_normal((6, 3)))
+        with pytest.raises(ValueError, match="query has dimension 4.*dimension 3"):
+            similarity_vector(ds, Query("q", rng.standard_normal(4)))
+
 
 class TestConditionCuration:
     def test_noop_when_pool_large(self, rng):

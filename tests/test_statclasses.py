@@ -10,7 +10,6 @@ from mopr.statclasses import (
     TreeNode,
     all_cell_indicators,
     cell_indicator,
-    evaluate,
     feature_matrix,
     fit_linear_ls,
     fit_mlp,
@@ -55,7 +54,7 @@ class TestIndicators:
         ds = label_ds([0, 1, 1], 2)
         stat = cell_indicator({"g": 1})
         assert stat.values(ds).tolist() == [-1.0, 1.0, 1.0]
-        assert evaluate(stat, ds, 1) == 1.0
+        assert stat.values(ds)[1] == 1.0
 
     def test_all_cells_lexicographic(self):
         stats = all_cell_indicators({"b": 2, "a": 2})
@@ -103,7 +102,7 @@ class TestLinearFit:
     def test_evaluate_linear(self):
         ds = make_dataset([[3.0, 5.0]])
         stat = RepStatistic("linear", {"w": np.array([2.0, 0.0])}, "embedding")
-        assert evaluate(stat, ds, 0) == 6.0
+        assert stat.values(ds)[0] == 6.0
 
 
 class TestTreeFit:
