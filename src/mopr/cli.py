@@ -33,8 +33,15 @@ def _resolved(args: argparse.Namespace) -> dict:
 def _load_inputs(args):
     d_r = datamodel.load_dataset(args.retrieval, "retrieval")
     d_c = datamodel.load_dataset(args.curated, "curated")
-    q = datamodel.load_query(args.query)
-    return d_r, d_c, q
+    names, other = d_r.schema.label_names, d_c.schema.label_names
+    if names != other:
+        raise ValueError(f"retrieval labels {names} and curated labels {other} differ")
+    # a CSV implies each axis's cardinality from its largest code, so a
+    # category that one file lacks is still a category of the other
+    cards = {n: max(d_r.schema.label_cards[n], d_c.schema.label_cards[n]) for n in names}
+    d_r, d_c = (datamodel.Dataset(d.items, replace(d.schema, label_cards=cards), d.role)
+                for d in (d_r, d_c))
+    return d_r, d_c, datamodel.load_query(args.query)
 
 
 def _parse_kernel(text: str) -> tuple[str, float | None]:

@@ -168,8 +168,11 @@ def oracle_gap(
     """(gap, witness, mse) of the best regression fit of the signed weights.
 
     ``X`` holds the feature rows of D_R over D_C and ``tilde`` the signed
-    weights.  Both signs of the target are fitted and the larger normalized
-    correlation is kept, which recovers the absolute value in the definition.
+    weights.  The gap is an absolute value, so the fit of ``-tilde`` counts
+    too; the larger normalized correlation wins, ties to ``+tilde``.  The
+    least-squares and tree fits of ``-tilde`` are exactly the negated fits of
+    ``tilde``, so those two oracles fit ``tilde`` alone.  The MLP's random
+    start breaks that symmetry, so it fits both signs.
     """
     fits = {
         "linear": lambda y: fit_linear_ls(X, y, feature_view),
@@ -180,7 +183,7 @@ def oracle_gap(
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
     best: tuple[float, NormalizedStatistic, float] | None = None
-    for sign in (1.0, -1.0):
+    for sign in (1.0, -1.0) if oracle == "mlp" else (1.0,):
         target = sign * tilde
         stat = fits[oracle](target)
         values = stat.values_from_features(X)
@@ -193,7 +196,7 @@ def oracle_gap(
         if best is None or value > best[0]:
             best = (value, norm_stat, float(np.mean((fitted - target) ** 2)))
     if best is None:
-        raise DegenerateStatisticError("no identifiable statistic: both fits degenerate")
+        raise DegenerateStatisticError("no identifiable statistic: every fit is degenerate")
     return best
 
 
@@ -283,14 +286,22 @@ def mpr_rkhs(
 ) -> MprReport:
     """Kernel mean-embedding distance between retrieved and curated samples."""
     _check_compatible(d_r, d_c, feature_view)
-    R = feature_matrix(d_r, feature_view)[sel.indices]
-    C = feature_matrix(d_c, feature_view)
-    k, m = R.shape[0], C.shape[0]
-    # extended-precision accumulation: the three terms cancel almost exactly
-    # when the two samples are near-identical multisets
-    rr = np.sum(_kernel_gram(R, R, kernel, sigma), dtype=np.longdouble)
-    rc = np.sum(_kernel_gram(R, C, kernel, sigma), dtype=np.longdouble)
-    cc = np.sum(_kernel_gram(C, C, kernel, sigma), dtype=np.longdouble)
+    # the kernel is evaluated once per pair of distinct rows, weighted by their
+    # multiplicities: a label view has a few distinct rows, while full Gram
+    # matrices over hundreds of rows are megabytes page-faulted in on every call
+    R, r_counts = np.unique(feature_matrix(d_r, feature_view)[sel.indices], axis=0, return_counts=True)
+    C, c_counts = np.unique(feature_matrix(d_c, feature_view), axis=0, return_counts=True)
+    k, m = int(r_counts.sum()), int(c_counts.sum())
+
+    def gram_sum(A, a_counts, B, b_counts):
+        # extended precision: the three sums cancel almost exactly when the
+        # two samples are near-identical multisets
+        gram = _kernel_gram(A, B, kernel, sigma)
+        return np.sum(np.outer(a_counts, b_counts) * gram, dtype=np.longdouble)
+
+    rr = gram_sum(R, r_counts, R, r_counts)
+    rc = gram_sum(R, r_counts, C, c_counts)
+    cc = gram_sum(C, c_counts, C, c_counts)
     radicand = float(rr / k**2 - 2.0 * rc / (m * k) + cc / m**2)
     if radicand < -1e-10:
         raise ValueError(f"negative squared distance {radicand}: kernel is not PSD")

@@ -6,6 +6,10 @@ supported: cell indicators over label codes, linear functions, CART regression
 trees, and one-hidden-layer MLPs.  Statistics can be rescaled so that their
 squared values over the concatenated retrieval+curation rows sum to
 mk/(m+k), which bounds the representation gap in [0, 1].
+
+The tree fit sorts each feature column once and filters the sort orders down
+the tree (SLIQ), scoring the columns of a node in small blocks; splits tie to
+the lower feature, then the lower threshold.
 """
 
 from __future__ import annotations
@@ -65,12 +69,16 @@ class TreeNode:
         return self.value is not None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        if self.is_leaf:
-            return np.full(features.shape[0], self.value)
-        go_left = features[:, self.feature] <= self.threshold
         out = np.empty(features.shape[0])
-        out[go_left] = self.left.predict(features[go_left])
-        out[~go_left] = self.right.predict(features[~go_left])
+        pending = [(self, np.ones(features.shape[0], dtype=bool))]
+        while pending:
+            node, reach = pending.pop()
+            if node.is_leaf:
+                out[reach] = node.value
+                continue
+            go_left = features[:, node.feature] <= node.threshold
+            pending.append((node.left, reach & go_left))
+            pending.append((node.right, reach & ~go_left))
         return out
 
     def depth(self) -> int:
@@ -164,57 +172,80 @@ def fit_linear_ls(X: np.ndarray, targets: np.ndarray, feature_view: str = "label
     return RepStatistic("linear", {"w": w}, feature_view)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
-    """Lowest-SSE (feature, midpoint-threshold) split; ties to lower feature
-    index then lower threshold. Returns None when no feature admits a split."""
-    best: tuple[int, float, float] | None = None
-    n = y.size
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        # candidate split after position i requires xs[i] < xs[i+1]
-        boundaries = np.flatnonzero(np.diff(xs) > 0)
-        if boundaries.size == 0:
+# Elements per block of columns scored together.  Small blocks keep the
+# split search's temporaries within the heap that malloc retains between
+# calls; whole-node (p, n) temporaries at n = 1500 outgrow it and are
+# page-faulted in afresh on every fit, in amounts that vary with heap layout.
+_BLOCK_ELEMS = 4096
+
+
+def _grow_tree(
+    X: np.ndarray, y: np.ndarray, in_node: np.ndarray, order: np.ndarray, depth_left: int
+) -> TreeNode:
+    """Subtree over the rows flagged by ``in_node``.  ``order[j]`` lists all
+    rows sorted stably by column j, and filtering it by ``in_node`` keeps it
+    sorted.  The columns are scored a block at a time."""
+    rows = np.flatnonzero(in_node)
+    ys = y[rows]
+    n = rows.size
+    if depth_left == 0 or n < 2 or ys.min() == ys.max():
+        return TreeNode(value=float(np.mean(ys)))
+    n_all, p = X.shape
+    width = max(1, _BLOCK_ELEMS // n)
+    best = None  # (sse, column, threshold)
+    for j0 in range(0, p, width):
+        blk = order[j0:j0 + width]
+        if n != n_all:
+            blk = blk[in_node[blk]].reshape(blk.shape[0], n)
+        xs = X.ravel().take(blk * p + np.arange(j0, j0 + blk.shape[0])[:, None])  # X[blk, column]
+        at = np.flatnonzero(xs[:, 1:] > xs[:, :-1])  # candidates, in (column, position) order
+        if at.size == 0:
             continue
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        nl = boundaries + 1
+        yo = y.take(blk)
+        csum = np.cumsum(yo, axis=1).ravel()
+        csq = np.cumsum(yo * yo, axis=1).ravel()
+        cols = at // (n - 1)
+        nl = at - cols * (n - 1) + 1
+        at += cols  # the same (column, position) in the flattened (width, n) sums
+        end = (cols + 1) * n - 1
         nr = n - nl
-        sum_l = csum[boundaries]
-        sq_l = csq[boundaries]
-        sse = (sq_l - sum_l**2 / nl) + ((csq[-1] - sq_l) - (csum[-1] - sum_l) ** 2 / nr)
-        pick = int(np.argmin(sse))  # first minimum = lowest threshold
-        score = float(sse[pick])
-        if best is None or score < best[2]:
-            pos = boundaries[pick]
-            best = (j, 0.5 * (xs[pos] + xs[pos + 1]), score)
-    return best
-
-
-def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
-    if depth_left == 0 or y.size < 2 or np.ptp(y) == 0.0:
-        return TreeNode(value=float(np.mean(y)))
-    split = _best_split(X, y)
-    if split is None:
-        return TreeNode(value=float(np.mean(y)))
-    j, thr, _ = split
+        sum_l = csum[at]
+        sq_l = csq[at]
+        sse = (sq_l - sum_l**2 / nl) + ((csq[end] - sq_l) - (csum[end] - sum_l) ** 2 / nr)
+        k = int(np.argmin(sse))  # the first minimum: lowest feature, then lowest threshold
+        if best is None or sse[k] < best[0]:  # strict: an earlier block wins a tie
+            c, i = int(cols[k]), int(nl[k]) - 1
+            best = (sse[k], j0 + c, 0.5 * (xs[c, i] + xs[c, i + 1]))
+    if best is None:
+        return TreeNode(value=float(np.mean(ys)))
+    _, j, thr = best
     go_left = X[:, j] <= thr
     return TreeNode(
         feature=j,
-        threshold=thr,
-        left=_grow_tree(X[go_left], y[go_left], depth_left - 1),
-        right=_grow_tree(X[~go_left], y[~go_left], depth_left - 1),
+        threshold=float(thr),
+        left=_grow_tree(X, y, in_node & go_left, order, depth_left - 1),
+        right=_grow_tree(X, y, in_node & ~go_left, order, depth_left - 1),
     )
 
 
 def fit_tree(
     X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels"
 ) -> RepStatistic:
-    """Greedy CART regression tree with midpoint thresholds."""
+    """Greedy CART regression tree with midpoint thresholds.
+
+    Each node takes the lowest-SSE split between two distinct values of one
+    column; ties go to the lower feature index, then to the lower threshold.
+    Leaves hold the mean target of their rows.  The columns are sorted once,
+    stably, at the root, and each node filters those sort orders to its rows.
+    """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
-    root = _grow_tree(np.asarray(X, dtype=float), np.asarray(targets, dtype=float), depth_limit)
+    X = np.ascontiguousarray(X, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"fit_tree needs X of shape (N, p), targets (N,); got {X.shape}, {y.shape}")
+    order = np.argsort(X.T, axis=1, kind="stable")
+    root = _grow_tree(X, y, np.ones(y.size, dtype=bool), order, depth_limit)
     return RepStatistic("tree", {"root": root}, feature_view)
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_dataset
 from mopr.cli import main
 from mopr.datamodel import (
     GroupAxis,
@@ -14,8 +15,13 @@ from mopr.datamodel import (
     save_dataset,
     save_query,
 )
-from mopr.metric import mpr_exact_finite
-from mopr.similarity import top_k
+from mopr.metric import (
+    mpr_closed_form_linear,
+    mpr_exact_finite,
+    mpr_rkhs,
+    mpr_via_oracle,
+)
+from mopr.similarity import Selection, top_k
 from mopr.statclasses import all_cell_indicators
 
 
@@ -104,6 +110,79 @@ class TestMprCommand:
             "--k", "1", "--selection", str(sel_file)])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+def write_label_pair(tmp_path, retrieval_codes, curated_codes, curated_axis="g"):
+    """Retrieval and curated CSVs whose label codes are given; returns both
+    datasets as they should be read, with 3 categories on axis g.  A CSV
+    holds codes only, so each file alone implies its largest code plus one."""
+    rng = np.random.default_rng(5)
+    pools = []
+    for codes, axis, role, prefix in ((retrieval_codes, "g", "retrieval", "r"),
+                                      (curated_codes, curated_axis, "curated", "c")):
+        pools.append(make_dataset(rng.standard_normal((len(codes), 3)),
+                                  [{axis: c} for c in codes], cards={axis: 3},
+                                  role=role, prefix=prefix))
+        save_dataset(pools[-1], tmp_path / f"{role}.csv")
+    save_query(Query("q", np.array([1.0, 0.0, 0.0])), tmp_path / "query.csv")
+    sel_file = tmp_path / "sel.csv"
+    sel_file.write_text("id\n" + "\n".join(f"r{i}" for i in range(10)) + "\n")
+    sel = Selection(np.array([1] * 10 + [0] * (len(retrieval_codes) - 10)), 10)
+    return pools[0], pools[1], sel
+
+
+class TestLabelReconciliation:
+    """Each CSV implies its label cardinalities from the codes it holds, so a
+    category present in only one of the two files must still be counted."""
+
+    @pytest.mark.parametrize("method", ["oracle", "closed-form", "rkhs", "finite"])
+    def test_retrieval_category_missing_from_curated(self, tmp_path, method):
+        d_r, d_c, sel = write_label_pair(tmp_path, [i % 3 for i in range(30)],
+                                         [i % 2 for i in range(20)])
+        out = tmp_path / "rep.json"
+        code = main(["mpr"] + io_args(tmp_path) + [
+            "--k", "10", "--selection", str(tmp_path / "sel.csv"), "--method", method,
+            "--out", str(out)])
+        assert code == 0
+        ref = {
+            "oracle": lambda: mpr_via_oracle(sel, d_r, d_c),
+            "closed-form": lambda: mpr_closed_form_linear(sel, d_r, d_c),
+            "rkhs": lambda: mpr_rkhs(sel, d_r, d_c),
+            "finite": lambda: mpr_exact_finite(sel, d_r, d_c, all_cell_indicators({"g": 3})),
+        }[method]().value
+        assert json.loads(out.read_text())["value"] == pytest.approx(ref, abs=1e-12)
+
+    def test_retrieve_with_category_missing_from_curated(self, tmp_path):
+        write_label_pair(tmp_path, [i % 3 for i in range(30)], [i % 2 for i in range(20)])
+        out = tmp_path / "ids.csv"
+        code = main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "10", "--algo", "mopr", "--rho", "0.3", "--oracle", "linear",
+            "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 11
+
+    def test_curated_category_missing_from_pool_is_checked(self, tmp_path):
+        # the selection holds five items of g=0 and five of g=1; a quarter of
+        # the curated items are g=0, a quarter g=1 and half g=2, which the pool
+        # lacks, so the g=2 cell has the largest gap, 1.0, against 0.5 for the others
+        d_r, d_c, sel = write_label_pair(tmp_path, [i % 2 for i in range(30)],
+                                         [0] * 5 + [1] * 5 + [2] * 10)
+        out = tmp_path / "rep.json"
+        main(["mpr"] + io_args(tmp_path) + [
+            "--k", "10", "--selection", str(tmp_path / "sel.csv"), "--method", "finite",
+            "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["value"] == pytest.approx(1.0)
+        assert report["witness"]["params"]["cell"] == {"g": 2}
+        assert report["value"] == mpr_exact_finite(
+            sel, d_r, d_c, all_cell_indicators({"g": 3})).value
+
+    def test_label_names_must_match(self, tmp_path, capsys):
+        write_label_pair(tmp_path, [i % 2 for i in range(30)], [i % 2 for i in range(20)],
+                         curated_axis="h")
+        code = main(["mpr"] + io_args(tmp_path) + ["--k", "10"])
+        assert code == 1
+        assert "retrieval labels ['g'] and curated labels ['h'] differ" in capsys.readouterr().err
 
 
 class TestRetrieve:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, random_pair
 from mopr.metric import (
@@ -9,10 +11,21 @@ from mopr.metric import (
     mpr_exact_finite,
     mpr_rkhs,
     mpr_via_oracle,
+    oracle_gap,
+    signed_weights,
     svd_context,
 )
 from mopr.similarity import Selection
-from mopr.statclasses import all_cell_indicators, cell_indicator
+from mopr.statclasses import (
+    DegenerateStatisticError,
+    all_cell_indicators,
+    cell_indicator,
+    feature_matrix,
+    fit_linear_ls,
+    fit_mlp,
+    fit_tree,
+    normalize_values,
+)
 
 
 def random_selection(rng, n, k):
@@ -149,6 +162,71 @@ class TestClosedFormLinear:
         assert attained == pytest.approx(rep.value, abs=1e-9)
 
 
+def two_sign_fits(X, tilde, m, k, fit):
+    """(value, normalized statistic, mse) of the fits of +tilde and -tilde,
+    in that order, as the gap's definition states them."""
+    out = []
+    for sign in (1.0, -1.0):
+        target = sign * tilde
+        stat = fit(target)
+        values = stat.values_from_features(X)
+        norm = normalize_values(stat, values, m, k)
+        fitted = norm.scale * values
+        out.append((abs(float(fitted @ tilde)), norm, float(np.mean((fitted - target) ** 2))))
+    return out
+
+
+class TestOneSignFit:
+    """The least-squares and tree fits are sign-equivariant, so fitting +tilde
+    alone gives exactly what fitting both signs and keeping the better
+    (ties to +tilde) gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["labels", "embedding", "concat"]),
+           st.integers(1, 4))
+    def test_linear_and_tree_equal_two_sign_fit(self, seed, view, depth):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(4, 30)), int(rng.integers(3, 25))
+        k = int(rng.integers(1, n))
+        d_r, d_c = random_pair(rng, n, m, 3, n_groups=int(rng.integers(2, 4)))
+        X = combined_features(d_r, d_c, view)
+        if view != "labels":
+            X = np.round(X, int(rng.integers(0, 3)))  # ties in the split search
+        a = np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        tilde = signed_weights(a, k, m)
+        for oracle, fit in (("linear", lambda y: fit_linear_ls(X, y, view)),
+                            ("tree", lambda y: fit_tree(X, y, depth, view))):
+            try:
+                plus, minus = two_sign_fits(X, tilde, m, k, fit)
+            except DegenerateStatisticError:
+                with pytest.raises(DegenerateStatisticError):
+                    oracle_gap(X, tilde, m, k, oracle, view, tree_depth=depth)
+                continue
+            expected = minus if minus[0] > plus[0] else plus
+            value, witness, mse = oracle_gap(X, tilde, m, k, oracle, view, tree_depth=depth)
+            assert value == expected[0]
+            assert witness.to_dict() == expected[1].to_dict()
+            assert mse == expected[2]
+
+    def test_mlp_keeps_the_negative_fit(self):
+        # pinned case: the MLP's fit of -tilde correlates better than its fit
+        # of +tilde, so the MLP must still fit both signs
+        rng = np.random.default_rng(0)
+        d_r, d_c = random_pair(rng, 8, 6, 2)
+        a = np.zeros(8)
+        a[rng.choice(8, 3, replace=False)] = 1.0
+        X = combined_features(d_r, d_c, "concat")
+        tilde = signed_weights(a, 3, 6)
+        plus, minus = two_sign_fits(
+            X, tilde, 6, 3, lambda y: fit_mlp(X, y, 4, epochs=30, seed=0, feature_view="concat"))
+        assert minus[0] > plus[0] + 0.1
+        value, witness, mse = oracle_gap(X, tilde, 6, 3, "mlp", "concat", mlp_hidden=4,
+                                         mlp_epochs=30, seed=0)
+        assert (value, mse) == (minus[0], minus[2])
+        assert witness.to_dict() == minus[1].to_dict()
+
+
 class TestOracle:
     def test_linear_matches_closed_form(self, rng):
         for _ in range(10):
@@ -239,6 +317,26 @@ class TestRkhs:
         assert mpr_rkhs(sel, d_r, d_c, "gaussian", 0.7, "embedding").value == (
             pytest.approx(0.0, abs=1e-9)
         )
+
+    @pytest.mark.parametrize("view", ["labels", "concat"])
+    def test_repeated_rows_match_all_pairs_sum(self, rng, view):
+        # label rows repeat, so the kernel is summed over distinct rows with
+        # multiplicities; it must agree with the plain sum over all pairs
+        for kernel, sigma in (("linear", None), ("gaussian", 0.8)):
+            d_r, d_c = random_pair(rng, 40, 30, 2, n_groups=3)
+            sel = random_selection(rng, 40, 12)
+            R = feature_matrix(d_r, view)[sel.indices]
+            C = feature_matrix(d_c, view)
+
+            def mean_kernel(A, B):
+                if kernel == "linear":
+                    return float((A @ B.T).mean())
+                sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+                return float(np.exp(-sq / (2.0 * sigma**2)).mean())
+
+            ref = np.sqrt(max(mean_kernel(R, R) - 2.0 * mean_kernel(R, C) + mean_kernel(C, C), 0.0))
+            value = mpr_rkhs(sel, d_r, d_c, kernel, sigma, view).value
+            assert value == pytest.approx(ref, abs=1e-12)
 
     def test_gaussian_requires_sigma(self, rng):
         d_r, d_c = random_pair(rng, 4, 3, 2)

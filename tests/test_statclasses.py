@@ -1,9 +1,13 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_pair
+from mopr import statclasses
 from mopr.statclasses import (
     DegenerateStatisticError,
     RepStatistic,
@@ -158,6 +162,115 @@ class TestTreeFit:
     def test_depth_zero_node_predicts_value(self):
         node = TreeNode(value=0.25)
         assert node.predict(np.zeros((3, 2))).tolist() == [0.25] * 3
+
+
+# The per-column CART that fit_tree replaced: it argsorts every column at
+# every node.  fit_tree presorts once and must build the same trees bit for bit.
+def reference_best_split(X, y):
+    best = None
+    n = y.size
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        boundaries = np.flatnonzero(np.diff(xs) > 0)
+        if boundaries.size == 0:
+            continue
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        nl = boundaries + 1
+        nr = n - nl
+        sum_l = csum[boundaries]
+        sq_l = csq[boundaries]
+        sse = (sq_l - sum_l**2 / nl) + ((csq[-1] - sq_l) - (csum[-1] - sum_l) ** 2 / nr)
+        pick = int(np.argmin(sse))
+        score = float(sse[pick])
+        if best is None or score < best[2]:
+            pos = boundaries[pick]
+            best = (j, 0.5 * (xs[pos] + xs[pos + 1]), score)
+    return best
+
+
+def reference_tree(X, y, depth_left):
+    if depth_left == 0 or y.size < 2 or np.ptp(y) == 0.0:
+        return TreeNode(value=float(np.mean(y)))
+    split = reference_best_split(X, y)
+    if split is None:
+        return TreeNode(value=float(np.mean(y)))
+    j, thr, _ = split
+    go_left = X[:, j] <= thr
+    return TreeNode(
+        feature=j,
+        threshold=thr,
+        left=reference_tree(X[go_left], y[go_left], depth_left - 1),
+        right=reference_tree(X[~go_left], y[~go_left], depth_left - 1),
+    )
+
+
+def reference_predict(node, X):
+    if node.is_leaf:
+        return np.full(X.shape[0], node.value)
+    go_left = X[:, node.feature] <= node.threshold
+    out = np.empty(X.shape[0])
+    out[go_left] = reference_predict(node.left, X[go_left])
+    out[~go_left] = reference_predict(node.right, X[~go_left])
+    return out
+
+
+@st.composite
+def tree_problems(draw):
+    """Feature columns of several kinds, targets and a depth limit."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["one-hot", "continuous", "small-int",
+                                               "constant"]), min_size=1, max_size=4)):
+        if kind == "one-hot":
+            columns.append(np.eye(3)[rng.integers(0, 3, n)])
+        elif kind == "continuous":
+            columns.append(rng.standard_normal((n, 1)) * 10.0 ** int(rng.integers(-3, 4)))
+        elif kind == "small-int":
+            columns.append(rng.integers(-2, 3, (n, 1)).astype(float))
+        else:
+            columns.append(np.full((n, 1), float(rng.integers(-2, 3))))
+    target = draw(st.sampled_from(["continuous", "small-int", "signed-weights", "constant"]))
+    if target == "continuous":
+        y = rng.standard_normal(n)
+    elif target == "small-int":
+        y = rng.integers(-3, 4, n) / 7.0
+    elif target == "signed-weights":
+        y = np.where(rng.random(n) < 0.3, 1.0 / 20, 0.0) - np.where(rng.random(n) < 0.5, 1 / 500, 0)
+    else:
+        y = np.full(n, 0.3)
+    return np.hstack(columns), y, draw(st.integers(1, 5))
+
+
+class TestTreeFitMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_problems(), st.one_of(st.just(statclasses._BLOCK_ELEMS), st.integers(1, 60)))
+    def test_same_tree_and_values_bit_for_bit(self, problem, block_elems):
+        # a small block size scores the columns over several blocks
+        X, y, depth = problem
+        with mock.patch.object(statclasses, "_BLOCK_ELEMS", block_elems):
+            stat = fit_tree(X, y, depth, "embedding")
+        ref = reference_tree(X, y, depth)
+        assert stat.to_dict()["params"]["root"] == ref.to_dict()
+        assert np.array_equal(stat.values_from_features(X), reference_predict(ref, X))
+
+    def test_tie_goes_to_lower_feature_then_lower_threshold(self):
+        # columns 0 and 1 are identical, and splitting at 0.5 or 1.5 gives the same SSE
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        root = fit_tree(X, np.array([0.0, 1.0, 0.0]), 1, "embedding").params["root"]
+        assert (root.feature, root.threshold) == (0, 0.5)
+
+    @pytest.mark.parametrize("X, y, shapes", [
+        (np.zeros((3, 2)), np.zeros(4), "(3, 2), (4,)"),
+        (np.zeros(3), np.zeros(3), "(3,), (3,)"),
+        (np.zeros((3, 2)), np.zeros((3, 1)), "(3, 2), (3, 1)"),
+    ])
+    def test_shape_errors_name_both_sizes(self, X, y, shapes):
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            fit_tree(X, y, 2)
 
 
 class TestMlpFit:
