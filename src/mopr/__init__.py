@@ -28,11 +28,11 @@ from mopr.statclasses import (
 )
 from mopr.metric import (
     MprReport,
-    build_tilde_a,
     mpr_closed_form_linear,
     mpr_exact_finite,
     mpr_rkhs,
     mpr_via_oracle,
+    signed_weights,
 )
 from mopr.solver import Cut, LpSolution, round_top_k, solve_ip_exact, solve_lp
 from mopr.algorithm import (

@@ -52,6 +52,11 @@ class InfeasibleRetrievalError(RuntimeError):
         self.trace = trace
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def _check_run(T: int, rho: float) -> None:
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -108,16 +113,15 @@ class MoprTrace:
 class _Oracle:
     """Separator by the most disproportionate statistic of the configured class.
 
-    ``oracle(a)`` returns (violation, witness statistic) for a binary
-    selection; ``cut_for(witness, rho)`` bounds the witness's gap by rho.
+    ``oracle(a)`` returns (violation, witness) for a binary selection.  The
+    witness is the worst statistic's values on the D_R items and its mean over
+    D_C, as the search computed them; ``cut_for(witness, rho)`` bounds the gap
+    between its selection mean and that curated mean by rho.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
-        self.d_r = d_r
-        self.d_c = d_c
-        self.k = k
+        self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
-        self.m = len(d_c)
         if cfg.oracle_kind == "finite":
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
         else:
@@ -126,18 +130,18 @@ class _Oracle:
     def __call__(self, a: np.ndarray):
         cfg = self.cfg
         if cfg.oracle_kind == "finite":
-            return self.table.worst(a, self.k)
-        value, witness, _ = oracle_gap(
+            value, i = self.table.worst(a, self.k)
+            return value, (self.table.on_retrieval[i], float(self.table.curated_means[i]))
+        value, _, _, values = oracle_gap(
             self.X, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
             cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
             cfg.seed,
         )
-        return value, witness
+        return value, (values[: self.n], float(np.mean(values[self.n :])))
 
     def cut_for(self, witness, rho: float) -> Cut:
-        coef = witness.values(self.d_r) / self.k
-        offset = float(np.mean(witness.values(self.d_c)))
-        return Cut(coef, offset, rho)
+        on_retrieval, curated_mean = witness
+        return Cut(on_retrieval / self.k, curated_mean, rho)
 
 
 class _SupportingHyperplane:
@@ -187,8 +191,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
     optimal basis returns the same point, so every later iteration would
     return the same selection: the loop halts there.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_k(k)
     if k > s.size:
         raise ValueError(f"k={k} exceeds retrieval pool size {s.size}")
     _check_run(T, rho)
@@ -258,6 +261,7 @@ def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
     """Greedy maximal-marginal-relevance selection of k items."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
+    _check_k(k)
     n = len(d_r)
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
@@ -310,6 +314,7 @@ def pareto_sweep(
     rho_grid: list[float],
 ) -> list[ParetoPoint]:
     """One constrained retrieval per grid value, normalized against plain top-k."""
+    _check_k(k)
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
     if list(rho_grid) != sorted(rho_grid, reverse=True):

@@ -223,6 +223,15 @@ def _add_io_args(p, query=True):
         p.add_argument("--query", required=True, help="query CSV")
 
 
+def _add_oracle_args(p):
+    """The oracle and loop arguments that ``retrieve`` and ``sweep`` share."""
+    p.add_argument("--oracle", choices=["linear", "tree", "mlp", "finite"], default="linear")
+    p.add_argument("--feature-view", dest="feature_view",
+                   choices=["labels", "embedding", "concat"], default="labels")
+    p.add_argument("--iterations", type=int, default=50)
+    p.add_argument("--curation-pool", dest="curation_pool", type=int, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mopr",
@@ -256,11 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["mopr", "mopr-qp", "topk", "mmr"], default="mopr")
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="MMR trade-off")
-    p.add_argument("--oracle", choices=["linear", "tree", "mlp", "finite"], default="linear")
-    p.add_argument("--feature-view", dest="feature_view",
-                   choices=["labels", "embedding", "concat"], default="labels")
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--curation-pool", dest="curation_pool", type=int, default=None)
+    _add_oracle_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="selected item ids CSV")
     p.set_defaults(func=cmd_retrieve)
@@ -270,11 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho-grid", dest="rho_grid", required=True,
                    help="comma-separated descending rho values")
-    p.add_argument("--oracle", choices=["linear", "tree", "mlp", "finite"], default="linear")
-    p.add_argument("--feature-view", dest="feature_view",
-                   choices=["labels", "embedding", "concat"], default="labels")
-    p.add_argument("--iterations", type=int, default=50)
-    p.add_argument("--curation-pool", dest="curation_pool", type=int, default=None)
+    _add_oracle_args(p)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; the sweep always runs serially")
     p.add_argument("--seed", type=int, default=0)

@@ -34,23 +34,10 @@ from mopr.statclasses import (
 SV_CUTOFF_REL = 1e-10
 
 
-@dataclass(frozen=True)
-class TildeA:
-    """Signed weight vector: a_i/k on retrieval entries, -1/m on curated ones."""
-
-    values: np.ndarray
-    n: int
-    m: int
-    k: int
-
-
 def signed_weights(a: np.ndarray, k: int, m: int) -> np.ndarray:
-    """a/k on the retrieval entries followed by -1/m on the curated ones."""
+    """The signed weight vector ã: a/k on the retrieval entries followed by
+    -1/m on the curated ones."""
     return np.concatenate([a / k, np.full(m, -1.0 / m)])
-
-
-def build_tilde_a(sel: Selection, m: int) -> TildeA:
-    return TildeA(signed_weights(sel.indicator, sel.k, m), n=sel.indicator.size, m=m, k=sel.k)
 
 
 @dataclass
@@ -109,7 +96,6 @@ class FiniteTable:
     """A finite statistic list: its values on the retrieval items, one row per
     statistic, and each statistic's mean over the curated items."""
 
-    stats: list
     on_retrieval: np.ndarray
     curated_means: np.ndarray
 
@@ -118,18 +104,18 @@ class FiniteTable:
         if not stats:
             raise ValueError("indicator list must be nonempty")
         return cls(
-            list(stats),
             np.stack([st.values(d_r) for st in stats]),
             np.array([float(np.mean(st.values(d_c))) for st in stats]),
         )
 
-    def worst(self, a: np.ndarray, k: int) -> tuple[float, RepStatistic]:
+    def worst(self, a: np.ndarray, k: int) -> tuple[float, int]:
         """Largest |selection mean - curated mean| for selection weights ``a``
-        summing to k, and its statistic; ties to the first.  The selection mean
-        is (values @ a) / k, which for ±1 values and a binary ``a`` is exact."""
+        summing to k, and the index of its statistic in the list the table was
+        built from; ties to the first.  The selection mean is (values @ a) / k,
+        which for ±1 values and a binary ``a`` is exact."""
         gaps = np.abs(self.on_retrieval @ a / k - self.curated_means)
         best = int(np.argmax(gaps))
-        return float(gaps[best]), self.stats[best]
+        return float(gaps[best]), best
 
     def cuts(self, k: int, rho: float) -> list[Cut]:
         """One cut |mean over the selection - curated mean| <= rho per statistic."""
@@ -143,11 +129,11 @@ def mpr_exact_finite(
     sel: Selection, d_r: Dataset, d_c: Dataset, indicators: list[RepStatistic]
 ) -> MprReport:
     """Exact supremum over an explicit finite statistic list; ties to the first."""
-    value, witness = FiniteTable.build(indicators, d_r, d_c).worst(sel.indicator, sel.k)
+    value, best = FiniteTable.build(indicators, d_r, d_c).worst(sel.indicator, sel.k)
     return MprReport(
         value=value,
         method="exact-finite",
-        witness=witness,
+        witness=indicators[best],
         diagnostics={"class_size": len(indicators)},
     )
 
@@ -164,15 +150,17 @@ def oracle_gap(
     mlp_epochs: int = 500,
     mlp_step: float = 0.05,
     seed: int = 0,
-) -> tuple[float, NormalizedStatistic, float]:
-    """(gap, witness, mse) of the best regression fit of the signed weights.
+) -> tuple[float, NormalizedStatistic, float, np.ndarray]:
+    """(gap, witness, mse, values) of the best regression fit of the signed
+    weights.
 
     ``X`` holds the feature rows of D_R over D_C and ``tilde`` the signed
-    weights.  The gap is an absolute value, so the fit of ``-tilde`` counts
-    too; the larger normalized correlation wins, ties to ``+tilde``.  The
-    least-squares and tree fits of ``-tilde`` are exactly the negated fits of
-    ``tilde``, so those two oracles fit ``tilde`` alone.  The MLP's random
-    start breaks that symmetry, so it fits both signs.
+    weights; ``values`` are the witness's values over the rows of ``X``.  The
+    gap is an absolute value, so the fit of ``-tilde`` counts too; the larger
+    normalized correlation wins, ties to ``+tilde``.  The least-squares and
+    tree fits of ``-tilde`` are exactly the negated fits of ``tilde``, so those
+    two oracles fit ``tilde`` alone.  The MLP's random start breaks that
+    symmetry, so it fits both signs.
     """
     fits = {
         "linear": lambda y: fit_linear_ls(X, y, feature_view),
@@ -182,7 +170,7 @@ def oracle_gap(
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
-    best: tuple[float, NormalizedStatistic, float] | None = None
+    best: tuple[float, NormalizedStatistic, float, np.ndarray] | None = None
     for sign in (1.0, -1.0) if oracle == "mlp" else (1.0,):
         target = sign * tilde
         stat = fits[oracle](target)
@@ -194,7 +182,7 @@ def oracle_gap(
         fitted = norm_stat.scale * values
         value = abs(float(fitted @ tilde))
         if best is None or value > best[0]:
-            best = (value, norm_stat, float(np.mean((fitted - target) ** 2)))
+            best = (value, norm_stat, float(np.mean((fitted - target) ** 2)), fitted)
     if best is None:
         raise DegenerateStatisticError("no identifiable statistic: every fit is degenerate")
     return best
@@ -214,9 +202,9 @@ def mpr_via_oracle(
 ) -> MprReport:
     """Estimate the gap by regressing the signed weight vector over the class."""
     X = combined_features(d_r, d_c, feature_view)
-    ta = build_tilde_a(sel, len(d_c))
-    value, witness, mse = oracle_gap(
-        X, ta.values, ta.m, ta.k, oracle, feature_view,
+    m = len(d_c)
+    value, witness, mse, _ = oracle_gap(
+        X, signed_weights(sel.indicator, sel.k, m), m, sel.k, oracle, feature_view,
         tree_depth, mlp_hidden, mlp_epochs, mlp_step, seed,
     )
     return MprReport(
@@ -240,9 +228,9 @@ def mpr_closed_form_linear(
     """Exact gap for normalized linear statistics via the truncated SVD."""
     X = combined_features(d_r, d_c, feature_view)
     ctx = svd_context(X)
-    ta = build_tilde_a(sel, len(d_c))
-    value, z = closed_form_gap(ctx, ta.values, ta.m, ta.k)
-    scale = target_norm(ta.m, ta.k)
+    m = len(d_c)
+    value, z = closed_form_gap(ctx, signed_weights(sel.indicator, sel.k, m), m, sel.k)
+    scale = target_norm(m, sel.k)
     zn = float(np.linalg.norm(z))
     if zn > 0.0:
         w_opt = ctx.V @ (z / ctx.singular_values) * (scale / zn)

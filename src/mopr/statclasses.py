@@ -215,7 +215,9 @@ def _grow_tree(
         k = int(np.argmin(sse))  # the first minimum: lowest feature, then lowest threshold
         if best is None or sse[k] < best[0]:  # strict: an earlier block wins a tie
             c, i = int(cols[k]), int(nl[k]) - 1
-            best = (sse[k], j0 + c, 0.5 * (xs[c, i] + xs[c, i + 1]))
+            lo, hi = xs[c, i], xs[c, i + 1]
+            mid = 0.5 * (lo + hi)  # rounds up to hi between adjacent floats
+            best = (sse[k], j0 + c, mid if mid < hi else lo)
     if best is None:
         return TreeNode(value=float(np.mean(ys)))
     _, j, thr = best
@@ -231,7 +233,8 @@ def _grow_tree(
 def fit_tree(
     X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels"
 ) -> RepStatistic:
-    """Greedy CART regression tree with midpoint thresholds.
+    """Greedy CART regression tree with midpoint thresholds (the lower value
+    where the midpoint of two adjacent floats rounds up to the upper one).
 
     Each node takes the lowest-SSE split between two distinct values of one
     column; ties go to the lower feature index, then to the lower threshold.

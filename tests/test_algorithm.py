@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, random_pair
 from mopr.algorithm import (
     MoprConfig,
     SWEEP_CSV_HEADER,
@@ -22,14 +24,17 @@ from mopr.datamodel import (
     generate_synthetic,
 )
 from mopr.metric import (
+    FiniteTable,
     combined_features,
     mpr_closed_form_linear,
     mpr_exact_finite,
+    oracle_gap,
+    signed_weights,
     svd_context,
 )
 from mopr.similarity import similarity_vector, top_k
 from mopr.solver import HalfSpaceCut, round_top_k, solve_ip_exact, solve_lp, Cut
-from mopr.statclasses import all_cell_indicators, target_norm
+from mopr.statclasses import DegenerateStatisticError, all_cell_indicators, target_norm
 
 
 def binary_instance(rng, n=15, m=40, d=3, guaranteed_each=4):
@@ -292,6 +297,71 @@ class TestMmr:
         with pytest.raises(ValueError, match="lambda"):
             mmr_retrieve(d_r, q, 3, 1.5)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, rng, k):
+        d_r, _, q = binary_instance(rng)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            mmr_retrieve(d_r, q, k, 0.5)
+
+
+class TestOracleCut:
+    """The oracle's cut is built from the witness's values that the search
+    computed over the stacked D_R and D_C rows, bit for bit.  Tree leaves and
+    cell indicators are copied, not computed, so those cuts also equal,
+    bit for bit, the cut built by evaluating the witness on D_R and on D_C.
+    Linear and MLP values are dot products, and BLAS may sum the last rows of
+    a matrix in another order than the same rows inside a taller one, so
+    there the two cuts agree to rounding."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "tree", "mlp"]),
+           st.sampled_from(["labels", "embedding", "concat"]))
+    def test_regression_cut_matches_witness_values(self, seed, kind, view):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 200)), int(rng.integers(2, 150))
+        k = int(rng.integers(1, n + 1))
+        d_r, d_c = random_pair(rng, n, m, int(rng.integers(1, 6)), int(rng.integers(2, 5)))
+        a = np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        cfg = MoprConfig(rho=0.05, oracle_kind=kind, feature_view=view, tree_depth=3,
+                         mlp_hidden=4, mlp_epochs=20, seed=seed % 7)
+        oracle = _Oracle(d_r, d_c, k, cfg)
+        X = combined_features(d_r, d_c, view)
+        try:
+            _, w, _, _ = oracle_gap(X, signed_weights(a, k, m), m, k, kind, view,
+                                    cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
+                                    cfg.mlp_step, cfg.seed)
+        except DegenerateStatisticError:
+            with pytest.raises(DegenerateStatisticError):
+                oracle(a)
+            return
+        cut = oracle.cut_for(oracle(a)[1], cfg.rho)
+        searched = w.values_from_features(X)
+        assert np.array_equal(cut.coefficients, searched[:n] / k)
+        assert cut.offset == float(np.mean(searched[n:]))
+        assert cut.bound == cfg.rho
+        coef, offset = w.values(d_r) / k, float(np.mean(w.values(d_c)))
+        if kind == "tree":
+            assert np.array_equal(cut.coefficients, coef) and cut.offset == offset
+        else:
+            assert np.allclose(cut.coefficients, coef, rtol=1e-12, atol=1e-12)
+            assert cut.offset == pytest.approx(offset, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_finite_cut_is_table_cut(self, seed):
+        d_r, d_c, q = grid_instance(seed)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, len(d_r) + 1))
+        a = np.zeros(len(d_r))
+        a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
+        oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="finite"))
+        table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
+        _, i = table.worst(a, k)
+        cut = oracle.cut_for(oracle(a)[1], 0.1)
+        expected = table.cuts(k, 0.1)[i]
+        assert np.array_equal(cut.coefficients, expected.coefficients)
+        assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
+
 
 class TestParetoSweep:
     def test_anchor_point(self, rng):
@@ -314,6 +384,13 @@ class TestParetoSweep:
         assert point.halted_by == "constraint-satisfied" and point.iterations == 1
         assert point.sim_frac_topk == 1.0
         assert point.mpr_frac_topk == 1.0
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("kind", ["finite", "linear"])
+    def test_k_below_one(self, rng, k, kind):
+        d_r, d_c, q = binary_instance(rng)
+        with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+            pareto_sweep(d_r, d_c, q, k, MoprConfig(oracle_kind=kind), [0.1])
 
     def test_grid_must_descend(self, rng):
         d_r, d_c, q = binary_instance(rng)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, random_pair
 from mopr.metric import (
-    build_tilde_a,
     combined_features,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -36,16 +35,15 @@ def random_selection(rng, n, k):
 
 class TestTildeA:
     def test_direct_definition(self):
-        ta = build_tilde_a(Selection(np.array([1, 0]), 1), m=2)
-        assert ta.values.tolist() == [1.0, 0.0, -0.5, -0.5]
+        assert signed_weights(np.array([1, 0]), 1, 2).tolist() == [1.0, 0.0, -0.5, -0.5]
 
     def test_all_selected_symmetric(self):
-        ta = build_tilde_a(Selection(np.ones(3, dtype=int), 3), m=3)
-        assert ta.values == pytest.approx([1 / 3] * 3 + [-1 / 3] * 3)
+        assert signed_weights(np.ones(3, dtype=int), 3, 3) == pytest.approx(
+            [1 / 3] * 3 + [-1 / 3] * 3)
 
     def test_mass_balance(self, rng):
-        ta = build_tilde_a(random_selection(rng, 9, 4), m=6)
-        assert float(ta.values.sum()) == pytest.approx(0.0, abs=1e-12)
+        sel = random_selection(rng, 9, 4)
+        assert float(signed_weights(sel.indicator, sel.k, 6).sum()) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSvdContext:
@@ -156,7 +154,7 @@ class TestClosedFormLinear:
         d_r, d_c = random_pair(rng, 10, 7, 3)
         sel = random_selection(rng, 10, 4)
         rep = mpr_closed_form_linear(sel, d_r, d_c, "embedding")
-        ta = build_tilde_a(sel, 7).values
+        ta = signed_weights(sel.indicator, sel.k, 7)
         X = combined_features(d_r, d_c, "embedding")
         attained = abs(float(rep.witness.values_from_features(X) @ ta))
         assert attained == pytest.approx(rep.value, abs=1e-9)
@@ -204,7 +202,7 @@ class TestOneSignFit:
                     oracle_gap(X, tilde, m, k, oracle, view, tree_depth=depth)
                 continue
             expected = minus if minus[0] > plus[0] else plus
-            value, witness, mse = oracle_gap(X, tilde, m, k, oracle, view, tree_depth=depth)
+            value, witness, mse, _ = oracle_gap(X, tilde, m, k, oracle, view, tree_depth=depth)
             assert value == expected[0]
             assert witness.to_dict() == expected[1].to_dict()
             assert mse == expected[2]
@@ -221,8 +219,8 @@ class TestOneSignFit:
         plus, minus = two_sign_fits(
             X, tilde, 6, 3, lambda y: fit_mlp(X, y, 4, epochs=30, seed=0, feature_view="concat"))
         assert minus[0] > plus[0] + 0.1
-        value, witness, mse = oracle_gap(X, tilde, 6, 3, "mlp", "concat", mlp_hidden=4,
-                                         mlp_epochs=30, seed=0)
+        value, witness, mse, _ = oracle_gap(X, tilde, 6, 3, "mlp", "concat", mlp_hidden=4,
+                                            mlp_epochs=30, seed=0)
         assert (value, mse) == (minus[0], minus[2])
         assert witness.to_dict() == minus[1].to_dict()
 
@@ -257,7 +255,7 @@ class TestOracle:
         from mopr.statclasses import normalize_to_cprime
 
         normalized_ind = normalize_to_cprime(norm, d_r, d_c, sel.k)
-        ta = build_tilde_a(sel, 15).values
+        ta = signed_weights(sel.indicator, sel.k, 15)
         ind_val = abs(float(
             np.concatenate([normalized_ind.values(d_r), normalized_ind.values(d_c)])
             @ ta

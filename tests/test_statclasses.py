@@ -159,6 +159,16 @@ class TestTreeFit:
         pred = fit_tree(X, y, 1, "embedding").values_from_features(X)
         assert float(np.sum((pred - y) ** 2)) == pytest.approx(best_sse)
 
+    def test_adjacent_floats_split_apart(self):
+        # the midpoint of two adjacent floats rounds up to the upper one, which
+        # as a threshold would send both rows left and leave a NaN right leaf
+        u = np.spacing(1.0)
+        X = np.array([[1.0 + u], [1.0 + 2.0 * u]])
+        stat = fit_tree(X, np.array([0.0, 1.0]), 1, "embedding")
+        root = stat.params["root"]
+        assert not np.isnan([root.left.value, root.right.value]).any()
+        assert stat.values_from_features(X).tolist() == [0.0, 1.0]
+
     def test_depth_zero_node_predicts_value(self):
         node = TreeNode(value=0.25)
         assert node.predict(np.zeros((3, 2))).tolist() == [0.25] * 3
