@@ -2,12 +2,12 @@
 
 One loop, ``_cutting_plane``, does the retrieval.  Each iteration re-solves
 the similarity LP under the cuts found so far, warm-started from the previous
-basis and with the target gap relaxed geometrically if the LP is infeasible,
-rounds the LP point to its k largest coordinates, and hands the rounded
-selection to a separator.  The separator returns the selection's violation
-and, only when asked, a cut that the selection violates.  The loop stops when
-the selection is certified, when the new cut duplicates an old one (the LP
-would not change), or after T iterations.
+basis and with the target gap relaxed to the smallest feasible one if the LP
+is infeasible, rounds the LP point to its k largest coordinates, and hands the
+rounded selection to a separator.  The separator returns the selection's
+violation and, only when asked, a cut that the selection violates.  The loop
+stops when the selection is certified, when the new cut duplicates an old one
+(the LP would not change), or after T iterations.
 
 Two separators plug into it.  ``mopr_retrieve`` uses ``_Oracle``, which finds
 the statistic with the most disproportionate representation (exactly over
@@ -40,12 +40,13 @@ from mopr.statclasses import all_cell_indicators, target_norm
 
 HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
-RELAX_FACTOR = 1.05
-MAX_RELAX = 5
+RELAX_FLOOR = 1e-6  # the first target gap tried when relaxing from rho = 0
+RELAX_RTOL = 1e-6  # relative tolerance of the smallest feasible target gap
+MAX_RHO = 2.0  # the largest gap of a +-1 cell indicator; a normalized statistic's is at most 1
 
 
 class InfeasibleRetrievalError(RuntimeError):
-    """LP stayed infeasible after the constraint-relaxation policy."""
+    """LP stayed infeasible with the target gap relaxed to MAX_RHO."""
 
     def __init__(self, message: str, trace: "MoprTrace"):
         super().__init__(message)
@@ -87,6 +88,7 @@ class IterationRecord:
     violation: float
     lp_objective: float
     n_fractional: int
+    lp_pivots: int  # dual simplex pivots, summed over any relaxation probes
     cut_added: bool
     duplicate_cut: bool = False
 
@@ -169,18 +171,42 @@ class _SupportingHyperplane:
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
-    """Solve the LP from ``start``, relaxing the target gap geometrically if infeasible."""
-    for attempt in range(MAX_RELAX + 1):
-        lp = solve_lp(s, cuts, k, start=start)
-        if lp.status == "optimal":
-            return lp, cuts, rho_eff
-        start = lp.basis
-        new_rho = rho_eff * RELAX_FACTOR if rho_eff > 0 else 1e-6
-        cuts = [c.relaxed(rho_eff, new_rho) for c in cuts]
-        rho_eff = new_rho
-    raise InfeasibleRetrievalError(
-        f"LP infeasible after {MAX_RELAX} relaxations (rho={rho_eff})", trace
-    )
+    """Solve the LP from ``start``, relaxing the target gap to the smallest feasible one.
+
+    An infeasible LP has its gap doubled, from RELAX_FLOOR when it is 0, until
+    the LP is feasible; bisection then narrows the gap to the smallest feasible
+    one, to RELAX_RTOL relative.  Every probe warm-starts from the basis of the
+    one before.  Returns (lp, cuts, rho_eff, pivots summed over the probes).
+    """
+    lp = solve_lp(s, cuts, k, start=start)
+    pivots = lp.diagnostics["pivots"]
+    if lp.status == "optimal":
+        return lp, cuts, rho_eff, pivots
+    basis = lp.basis
+
+    def probe(rho):
+        nonlocal basis, pivots
+        relaxed = [c.relaxed(rho_eff, rho) for c in cuts]
+        lp = solve_lp(s, relaxed, k, start=basis)
+        basis = lp.basis
+        pivots += lp.diagnostics["pivots"]
+        return (lp, relaxed) if lp.status == "optimal" else None
+
+    lo = hi = rho_eff
+    best = None
+    while best is None:
+        if hi >= MAX_RHO:
+            raise InfeasibleRetrievalError(f"LP infeasible even at rho={hi}", trace)
+        lo, hi = hi, min(max(2.0 * hi, RELAX_FLOOR), MAX_RHO)
+        best = probe(hi)
+    while hi - lo > RELAX_RTOL * hi:
+        mid = 0.5 * (lo + hi)
+        found = probe(mid)
+        if found is None:
+            lo = mid
+        else:
+            hi, best = mid, found
+    return *best, hi, pivots
 
 
 def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
@@ -201,7 +227,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
     basis = None
     stalled = False
     for it in range(1, T + 1):
-        lp, cuts, rho_eff = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
+        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
         basis = lp.basis
         trace.effective_rho = rho_eff
         sel = round_top_k(lp.a, k)
@@ -211,6 +237,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
             violation=violation,
             lp_objective=lp.objective,
             n_fractional=lp.n_fractional,
+            lp_pivots=pivots,
             cut_added=False,
         )
         trace.iterations.append(record)

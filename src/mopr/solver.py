@@ -9,9 +9,13 @@ k most similar free items at their upper bound, one of them basic in the
 cardinality row and every cut slack basic.  That basis is dual feasible, so
 no phase 1 is needed.  The final basis is returned, and a later solve whose
 cuts extend the earlier ones (and whose bounds may differ) re-optimizes from
-it, which in a cutting-plane loop takes a few pivots per new cut.  Pivots
-follow Bland-style lowest-index rules, which keeps runs deterministic.
-Small instances can also be solved exactly as integer programs.
+it, which in a cutting-plane loop takes a few pivots per new cut.  The ratio
+test is the long-step (bound-flipping) one of Maros 2003 and Koberstein 2005:
+a boxed variable whose breakpoint the dual step passes flips to its other
+bound instead of entering, so a cut that moves many items of one cell costs
+one pivot, not one per item.  The leaving row and ties among breakpoints go
+to the lowest index, which keeps runs deterministic.  Small instances can
+also be solved exactly as integer programs.
 """
 
 from __future__ import annotations
@@ -106,8 +110,17 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
 
     Starts from a dual feasible basis and updates ``status`` and ``basis`` in
     place.  The leaving variable is the lowest-index basic variable outside
-    its bounds; the entering one has the smallest |reduced cost| / |alpha|,
-    ties to the lowest index.  Returns (x, pivots, feasible).
+    its bounds.  The ratio test walks the breakpoints |reduced cost| / |alpha|
+    in ascending order, ties to the lowest index, with the dual slope starting
+    at the leaving variable's infeasibility and falling by |alpha| times the
+    width at each one.  Breakpoints passed while the slope stays above TOL
+    flip to their other bound; of the rest, the one with the smallest ratio
+    enters, ties within TOL to the lowest index, so a pivot without flips is
+    the textbook one.  A slack without a lower bound has infinite width and
+    always stops the walk.  If the slope is still positive after the last
+    breakpoint the LP is infeasible, and the basis is returned unflipped.
+    ``x`` is rebuilt from ``status`` on every pass.  Returns (x, pivots,
+    feasible).
     """
     movable = lower < upper
     for pivots in range(MAX_PIVOTS):
@@ -128,11 +141,21 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
         candidates = np.flatnonzero(movable & (
             ((status == AT_LOWER) & (alpha < -TOL)) | ((status == AT_UPPER) & (alpha > TOL))
         ))
-        if candidates.size == 0:
-            return x, pivots, False
         ratios = np.abs(reduced[candidates] / alpha[candidates])
-        entering = int(candidates[np.argmax(ratios <= ratios.min() + TOL)])
-        status[basis[p]] = AT_LOWER if below[p] else AT_UPPER
+        order = np.argsort(ratios, kind="stable")
+        walk = candidates[order]
+        # the dual slope after each breakpoint: how far x[basis[p]] would still
+        # be outside its bound with every variable up to that one flipped
+        leaving = basis[p]
+        infeasibility = lower[leaving] - x[leaving] if below[p] else x[leaving] - upper[leaving]
+        slope = infeasibility - np.cumsum(np.abs(alpha[walk]) * (upper - lower)[walk])
+        turn = np.flatnonzero(slope <= TOL)
+        if turn.size == 0:
+            return x, pivots, False
+        flip, rest = walk[: turn[0]], order[turn[0]:]
+        status[flip] = np.where(status[flip] == AT_LOWER, AT_UPPER, AT_LOWER)
+        entering = int(candidates[rest][ratios[rest] <= ratios[rest[0]] + TOL].min())
+        status[leaving] = AT_LOWER if below[p] else AT_UPPER
         status[entering] = BASIC
         basis[p] = entering
     raise RuntimeError("simplex iteration limit exceeded")

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import make_dataset, random_pair
 from mopr.algorithm import (
+    InfeasibleRetrievalError,
     MoprConfig,
+    MoprTrace,
     SWEEP_CSV_HEADER,
     _Oracle,
+    _solve_with_relaxation,
     mmr_retrieve,
     mopr_qp_linear,
     mopr_retrieve,
@@ -33,7 +37,7 @@ from mopr.metric import (
     svd_context,
 )
 from mopr.similarity import similarity_vector, top_k
-from mopr.solver import HalfSpaceCut, round_top_k, solve_ip_exact, solve_lp, Cut
+from mopr.solver import HalfSpaceCut, check_cuts, round_top_k, solve_ip_exact, solve_lp, Cut
 from mopr.statclasses import DegenerateStatisticError, all_cell_indicators, target_norm
 
 
@@ -177,6 +181,13 @@ class TestMoprRetrieve:
         _, t2 = mopr_retrieve(d_r, d_c, q, 5, cfg)
         assert t1.to_dict() == t2.to_dict()
 
+    def test_trace_counts_lp_pivots(self):
+        d_r, d_c, q = grid_instance()
+        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.05, oracle_kind="finite"))
+        pivots = [rec["lp_pivots"] for rec in trace.to_dict()["iterations"]]
+        assert pivots[0] == 0  # the first LP has no cuts: its start is optimal
+        assert all(isinstance(p, int) and p >= 0 for p in pivots) and sum(pivots) > 0
+
     def test_linear_oracle_achieved_matches_closed_form(self, rng):
         d_r, d_c, q = binary_instance(rng, n=30)
         cfg = MoprConfig(rho=0.2, T=50, oracle_kind="linear", feature_view="labels")
@@ -302,6 +313,57 @@ class TestMmr:
         d_r, _, q = binary_instance(rng)
         with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
             mmr_retrieve(d_r, q, k, 0.5)
+
+
+def smallest_feasible_rho(s, cuts, k):
+    """HiGHS: min t over a in [0,1]^n, sum(a) = k, with every cut (built for
+    target gap 0) relaxed to gap t: |c.a - offset| <= t, or c.a <= rhs + t."""
+    n = s.size
+    A_ub, b_ub = [], []
+    for cut in cuts:
+        if isinstance(cut, Cut):
+            A_ub += [np.append(cut.coefficients, -1.0), np.append(-cut.coefficients, -1.0)]
+            b_ub += [cut.offset, -cut.offset]
+        else:
+            A_ub.append(np.append(cut.coefficients, -1.0))
+            b_ub.append(cut.rhs)
+    res = linprog(np.append(np.zeros(n), 1.0), A_ub=np.array(A_ub), b_ub=b_ub,
+                  A_eq=[np.append(np.ones(n), 0.0)], b_eq=[k],
+                  bounds=[(0, 1)] * n + [(0, None)], method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestRelaxation:
+    def test_relaxes_from_rho_zero(self):
+        # the cuts found at rho = 0 leave the LP infeasible at the sixth solve
+        d_r, d_c, q = grid_instance(seed=2)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.0, oracle_kind="finite"))
+        assert trace.effective_rho > 0.0
+        indicators = all_cell_indicators(d_r.schema.label_cards)
+        assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_relaxed_rho_is_the_smallest_feasible(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = 12, 4
+        s = rng.uniform(0.1, 1.0, size=n)
+        cuts = []
+        for _ in range(5):
+            coef = rng.choice([-1.0, 1.0], size=n) / k
+            offset = float(rng.uniform(-0.8, 0.8))
+            two_sided = rng.random() < 0.5
+            cuts.append(Cut(coef, offset, 0.0) if two_sided else HalfSpaceCut(coef, offset))
+        lp, relaxed, rho, pivots = _solve_with_relaxation(s, cuts, k, 0.0, MoprTrace(), None)
+        assert lp.status == "optimal"
+        assert rho == pytest.approx(smallest_feasible_rho(s, cuts, k), rel=3e-6, abs=1e-8)
+        assert not check_cuts(lp.a, relaxed, tol=1e-7)
+        assert pivots >= lp.diagnostics["pivots"]
+
+    def test_infeasible_at_rho_two_raises(self):
+        cut = Cut(np.ones(3), 10.0, 0.0)  # any pair sums to 2, a gap of 8
+        with pytest.raises(InfeasibleRetrievalError, match="rho=2.0"):
+            _solve_with_relaxation(np.ones(3), [cut], 2, 0.0, MoprTrace(), None)
 
 
 class TestOracleCut:

@@ -250,11 +250,35 @@ def lp_instances(draw, min_cuts=0):
             cuts.append(Cut(coef, draw(GRID), abs(draw(GRID))))
         else:
             cuts.append(HalfSpaceCut(coef, draw(GRID)))
-    var_bounds = None
-    if draw(st.booleans()):
-        fixings = [(0.0, 1.0)] * 4 + [(0.0, 0.0), (1.0, 1.0)]
-        var_bounds = draw(st.lists(st.sampled_from(fixings), min_size=n, max_size=n))
-    return s, cuts, k, var_bounds
+    return s, cuts, k, draw(box_fixings(n))
+
+
+def box_fixings(n):
+    fixings = [(0.0, 1.0)] * 4 + [(0.0, 0.0), (1.0, 1.0)]
+    return st.none() | st.lists(st.sampled_from(fixings), min_size=n, max_size=n)
+
+
+@st.composite
+def cell_lp_instances(draw):
+    """LPs whose cuts give all items of a cell one coefficient, as a labels-view
+    cut does.  Each cut is centred near its value on a random k-subset, so most
+    instances are feasible yet cut off the top-k vertex, and re-optimizing
+    swaps whole runs of a cell's items."""
+    n = draw(st.integers(6, 14))
+    k = draw(st.integers(2, n - 2))
+    s = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    cell = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    anchor = np.zeros(n)
+    anchor[draw(st.permutations(range(n)))[:k]] = 1.0
+    cuts = []
+    for _ in range(draw(st.integers(1, 3))):
+        coef = np.array(draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))[cell] / k
+        centre = float(coef @ anchor) + draw(GRID) / 4
+        if draw(st.booleans()):
+            cuts.append(Cut(coef, centre, abs(draw(GRID)) / 4))
+        else:
+            cuts.append(HalfSpaceCut(coef, centre))
+    return s, cuts, k, draw(box_fixings(n))
 
 
 def assert_matches_highs(lp, s, cuts, k, var_bounds):
@@ -302,6 +326,48 @@ class TestSolveLpProperties:
         if cold.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
         assert_matches_highs(warm, s, after, k, var_bounds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cell_lp_instances(), st.sampled_from(["cold", "append", "loosen"]))
+    def test_cell_structured_matches_highs(self, instance, change):
+        # re-optimizing swaps whole runs of a cell's items, so many bounds flip
+        # in one pivot; a half-space slack (no lower bound) must stop the walk
+        s, cuts, k, var_bounds = instance
+        if change == "cold":
+            lp = solve_lp(s, cuts, k, var_bounds)
+        else:
+            before = cuts[:-1] if change == "append" else cuts
+            after = cuts if change == "append" else [loosened(c) for c in cuts]
+            first = solve_lp(s, before, k, var_bounds)
+            lp, cuts = solve_lp(s, after, k, var_bounds, start=first.basis), after
+        assert_matches_highs(lp, s, cuts, k, var_bounds)
+
+    def test_group_cut_is_one_pivot_of_many_flips(self):
+        # items 0-9 form group A and fill the top 5; the cut admits one of them,
+        # so four A items swap out for four others: bound flips, not pivots
+        s = np.linspace(1.0, 0.1, 20)
+        group_a = np.zeros(20)
+        group_a[:10] = 1.0
+        cut = Cut(group_a / 5, 0.2, 0.0)
+        first = solve_lp(s, [], 5)
+        warm = solve_lp(s, [cut], 5, start=first.basis)
+        cold = solve_lp(s, [cut], 5)
+        assert warm.diagnostics["pivots"] <= 2
+        assert cold.diagnostics["pivots"] <= 2
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert_matches_highs(cold, s, [cut], 5, None)
+
+    def test_half_space_slack_stops_the_walk(self):
+        # the first cut's slack sits at its upper bound with no lower bound; the
+        # second cut's ratio test reaches it with the slope still positive, so
+        # it must enter: flipping it would send it to -inf
+        s = np.array([1.0, 0.7, 0.4, 0.1])
+        group_a = np.array([1.0, 1.0, 0.0, 0.0])
+        cuts = [HalfSpaceCut(group_a - 1.0, -0.5), HalfSpaceCut(group_a - 0.5, -0.75)]
+        first = solve_lp(s, cuts[:1], 2)
+        warm = solve_lp(s, cuts, 2, start=first.basis)
+        assert warm.a == pytest.approx([0.25, 0.0, 1.0, 0.75])
+        assert_matches_highs(warm, s, cuts, 2, None)
 
     def test_warm_start_after_new_cut_takes_one_pivot(self):
         # the cut removes the top-k vertex; re-optimizing from its basis is one pivot
