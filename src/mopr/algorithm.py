@@ -30,6 +30,7 @@ from mopr.metric import (
     FiniteTable,
     closed_form_gap,
     combined_features,
+    feature_groups,
     oracle_gap,
     signed_weights,
     svd_context,
@@ -89,6 +90,7 @@ class IterationRecord:
     lp_objective: float
     n_fractional: int
     lp_pivots: int  # dual simplex pivots, summed over any relaxation probes
+    rho_eff: float  # the target gap this iteration's LP was solved at
     cut_added: bool
     duplicate_cut: bool = False
 
@@ -127,7 +129,7 @@ class _Oracle:
         if cfg.oracle_kind == "finite":
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
         else:
-            self.X = combined_features(d_r, d_c, cfg.feature_view)
+            self.groups = feature_groups(d_r, d_c, cfg.feature_view)
 
     def __call__(self, a: np.ndarray):
         cfg = self.cfg
@@ -135,7 +137,7 @@ class _Oracle:
             value, i = self.table.worst(a, self.k)
             return value, (self.table.on_retrieval[i], float(self.table.curated_means[i]))
         value, _, _, values = oracle_gap(
-            self.X, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
+            self.groups, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
             cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
             cfg.seed,
         )
@@ -238,6 +240,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
             lp_objective=lp.objective,
             n_fractional=lp.n_fractional,
             lp_pivots=pivots,
+            rho_eff=rho_eff,
             cut_added=False,
         )
         trace.iterations.append(record)

@@ -6,6 +6,11 @@ mean on the curated dataset.  It can be evaluated exactly for finite indicator
 lists, estimated through a regression oracle, computed in closed form for
 linear statistics via the SVD, or computed for kernel classes as a maximum
 mean discrepancy.
+
+The regression oracles and the kernel distance work on the distinct feature
+rows of D_R over D_C (``feature_groups``).  On the labels view those are the
+intersectional cells present, found from the label codes; the oracles fit on
+them with their counts and map the fitted values back to every row.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from mopr.statclasses import (
     fit_mlp,
     fit_tree,
     normalize_values,
+    one_hot,
     target_norm,
 )
 
@@ -80,6 +86,44 @@ def combined_features(d_r: Dataset, d_c: Dataset, view: str) -> np.ndarray:
     """Feature rows of D_R stacked over D_C."""
     _check_compatible(d_r, d_c, view)
     return np.vstack([feature_matrix(d_r, view), feature_matrix(d_c, view)])
+
+
+@dataclass(frozen=True)
+class FeatureGroups:
+    """The distinct feature rows of D_R over D_C: row i of the stack is
+    ``rows[inverse[i]]``.  Rows are numbered in order of first appearance, so
+    a stack without repeated rows has the identity ``inverse``."""
+
+    rows: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def identity(cls, X: np.ndarray) -> "FeatureGroups":
+        return cls(X, np.arange(len(X)))
+
+
+def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
+    """Distinct feature rows of D_R stacked over D_C.
+
+    On the labels view a row is a function of the item's intersectional cell,
+    so the rows are grouped by a mixed-radix code of the label codes.  The
+    embedding and concat views take the stacked rows as they are."""
+    if view != "labels":
+        return FeatureGroups.identity(combined_features(d_r, d_c, view))
+    _check_compatible(d_r, d_c, view)
+    labels = np.vstack([d_r.labels, d_c.labels])
+    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
+    code, span = np.zeros(len(labels), dtype=np.int64), 1
+    for j, card in enumerate(cards):
+        if span * card >= 2**62:  # renumber the codes so far before they overflow
+            code = np.unique(code, return_inverse=True)[1]
+            span = len(labels)
+        code, span = code * card + labels[:, j], span * card
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(by_first.size)
+    return FeatureGroups(one_hot(labels[first[by_first]], cards), renumber[inverse])
 
 
 def svd_context(X: np.ndarray) -> SvdContext:
@@ -139,7 +183,7 @@ def mpr_exact_finite(
 
 
 def oracle_gap(
-    X: np.ndarray,
+    groups: FeatureGroups,
     tilde: np.ndarray,
     m: int,
     k: int,
@@ -154,19 +198,26 @@ def oracle_gap(
     """(gap, witness, mse, values) of the best regression fit of the signed
     weights.
 
-    ``X`` holds the feature rows of D_R over D_C and ``tilde`` the signed
-    weights; ``values`` are the witness's values over the rows of ``X``.  The
-    gap is an absolute value, so the fit of ``-tilde`` counts too; the larger
-    normalized correlation wins, ties to ``+tilde``.  The least-squares and
-    tree fits of ``-tilde`` are exactly the negated fits of ``tilde``, so those
-    two oracles fit ``tilde`` alone.  The MLP's random start breaks that
-    symmetry, so it fits both signs.
+    ``groups`` holds the feature rows of D_R over D_C and ``tilde`` the signed
+    weights; ``values`` are the witness's values over every row of the stack.
+    The fit runs on the distinct rows with their counts; the gap, the
+    normalization and the mse are taken over every row.  The gap is an
+    absolute value, so the fit of ``-tilde`` counts too; the larger normalized
+    correlation wins, ties to ``+tilde``.  The least-squares and tree fits of
+    ``-tilde`` are exactly the negated fits of ``tilde``, so those two oracles
+    fit ``tilde`` alone.  The MLP's random start breaks that symmetry, so it
+    fits both signs.  If every fit is zero over the stack, no statistic the
+    oracle finds separates the two sets: the gap is 0, and the witness is the
+    zero fit with scale and context norm 0, as in the closed form.
     """
+    X = groups.rows
+    # without repeated rows the grouping is the identity: fit the rows as they are
+    inverse = groups.inverse if len(X) < len(groups.inverse) else None
     fits = {
-        "linear": lambda y: fit_linear_ls(X, y, feature_view),
-        "tree": lambda y: fit_tree(X, y, tree_depth, feature_view),
+        "linear": lambda y: fit_linear_ls(X, y, feature_view, inverse),
+        "tree": lambda y: fit_tree(X, y, tree_depth, feature_view, inverse),
         "mlp": lambda y: fit_mlp(X, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
-                                 seed=seed, feature_view=feature_view),
+                                 seed=seed, feature_view=feature_view, inverse=inverse),
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
@@ -175,6 +226,8 @@ def oracle_gap(
         target = sign * tilde
         stat = fits[oracle](target)
         values = stat.values_from_features(X)
+        if inverse is not None:
+            values = values[inverse]
         try:
             norm_stat = normalize_values(stat, values, m, k)
         except DegenerateStatisticError:
@@ -184,7 +237,8 @@ def oracle_gap(
         if best is None or value > best[0]:
             best = (value, norm_stat, float(np.mean((fitted - target) ** 2)), fitted)
     if best is None:
-        raise DegenerateStatisticError("no identifiable statistic: every fit is degenerate")
+        zero = NormalizedStatistic(stat, 0.0, 0.0)
+        return 0.0, zero, float(np.mean(tilde**2)), np.zeros(len(tilde))
     return best
 
 
@@ -201,11 +255,10 @@ def mpr_via_oracle(
     seed: int = 0,
 ) -> MprReport:
     """Estimate the gap by regressing the signed weight vector over the class."""
-    X = combined_features(d_r, d_c, feature_view)
     m = len(d_c)
     value, witness, mse, _ = oracle_gap(
-        X, signed_weights(sel.indicator, sel.k, m), m, sel.k, oracle, feature_view,
-        tree_depth, mlp_hidden, mlp_epochs, mlp_step, seed,
+        feature_groups(d_r, d_c, feature_view), signed_weights(sel.indicator, sel.k, m), m,
+        sel.k, oracle, feature_view, tree_depth, mlp_hidden, mlp_epochs, mlp_step, seed,
     )
     return MprReport(
         value=value,
@@ -273,12 +326,18 @@ def mpr_rkhs(
     feature_view: str = "labels",
 ) -> MprReport:
     """Kernel mean-embedding distance between retrieved and curated samples."""
-    _check_compatible(d_r, d_c, feature_view)
     # the kernel is evaluated once per pair of distinct rows, weighted by their
     # multiplicities: a label view has a few distinct rows, while full Gram
     # matrices over hundreds of rows are megabytes page-faulted in on every call
-    R, r_counts = np.unique(feature_matrix(d_r, feature_view)[sel.indices], axis=0, return_counts=True)
-    C, c_counts = np.unique(feature_matrix(d_c, feature_view), axis=0, return_counts=True)
+    groups = feature_groups(d_r, d_c, feature_view)
+
+    def distinct(inverse):
+        counts = np.bincount(inverse, minlength=len(groups.rows))
+        present = np.flatnonzero(counts)
+        return groups.rows[present], counts[present]
+
+    R, r_counts = distinct(groups.inverse[sel.indices])
+    C, c_counts = distinct(groups.inverse[len(d_r):])
     k, m = int(r_counts.sum()), int(c_counts.sum())
 
     def gram_sum(A, a_counts, B, b_counts):

@@ -10,6 +10,14 @@ mk/(m+k), which bounds the representation gap in [0, 1].
 The tree fit sorts each feature column once and filters the sort orders down
 the tree (SLIQ), scoring the columns of a node in small blocks; splits tie to
 the lower feature, then the lower threshold.
+
+Every fit also takes its rows as distinct rows with an ``inverse`` index: the
+data are then the rows ``X[inverse]``, and the fit runs on the distinct rows
+with their counts.  Least squares on repeated rows is weighted least squares
+on the distinct ones, the MLP's count-weighted loss has the full loss's
+gradient, and the tree scores its splits from per-row counts, target sums and
+sums of squares.  The fitted values equal the fit on the expanded rows up to
+rounding; a tree split that ties exactly may go the other way.
 """
 
 from __future__ import annotations
@@ -29,18 +37,21 @@ class DegenerateStatisticError(ValueError):
     """The statistic is identically zero over the evaluation context."""
 
 
-def one_hot_labels(dataset: Dataset) -> np.ndarray:
-    """One-hot encode all label axes (all categories kept, none dropped)."""
-    cards = dataset.schema.label_cards
-    names = dataset.schema.label_names
-    total = sum(cards[n] for n in names)
-    out = np.zeros((len(dataset), total))
+def one_hot(labels: np.ndarray, cards: list[int]) -> np.ndarray:
+    """One-hot encode label code rows whose column j has cardinality cards[j]
+    (all categories kept, none dropped)."""
+    out = np.zeros((len(labels), sum(cards)))
     offset = 0
-    for j, name in enumerate(names):
-        codes = dataset.labels[:, j]
-        out[np.arange(len(dataset)), offset + codes] = 1.0
-        offset += cards[name]
+    for j, card in enumerate(cards):
+        out[np.arange(len(labels)), offset + labels[:, j]] = 1.0
+        offset += card
     return out
+
+
+def one_hot_labels(dataset: Dataset) -> np.ndarray:
+    """One-hot encode all label axes of a dataset."""
+    cards = dataset.schema.label_cards
+    return one_hot(dataset.labels, [cards[n] for n in dataset.schema.label_names])
 
 
 def feature_matrix(dataset: Dataset, view: str) -> np.ndarray:
@@ -166,8 +177,29 @@ def all_cell_indicators(schema_cards: dict[str, int]) -> list[RepStatistic]:
     return [cell_indicator(c) for c in cells]
 
 
-def fit_linear_ls(X: np.ndarray, targets: np.ndarray, feature_view: str = "labels") -> RepStatistic:
-    """Minimum-norm least-squares linear fit of targets on feature rows X."""
+def _group_sums(X: np.ndarray, y: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row counts and target sums of the rows ``X[inverse]``, checking that
+    ``inverse`` indexes every row of X and has one entry per target."""
+    inverse = np.asarray(inverse)
+    if inverse.shape != y.shape:
+        raise ValueError(f"inverse needs one entry per target; got {inverse.shape}, {y.shape}")
+    counts = np.bincount(inverse, minlength=len(X))
+    if counts.size != len(X) or counts.min(initial=1) < 1:
+        raise ValueError(f"inverse must index each of the {len(X)} rows of X")
+    return counts, np.bincount(inverse, y, len(X))
+
+
+def fit_linear_ls(
+    X: np.ndarray, targets: np.ndarray, feature_view: str = "labels", inverse=None
+) -> RepStatistic:
+    """Minimum-norm least-squares linear fit of targets on feature rows X, or
+    on ``X[inverse]``.  With counts c and target sums s per row, the latter
+    solves lstsq(sqrt(c) X, s / sqrt(c)), whose normal equations are those of
+    the expanded rows, and so has the same minimum-norm solution."""
+    if inverse is not None:
+        counts, sums = _group_sums(X, np.asarray(targets, dtype=float), inverse)
+        root = np.sqrt(counts)
+        X, targets = X * root[:, None], sums / root
     w, *_ = np.linalg.lstsq(X, targets, rcond=None)
     return RepStatistic("linear", {"w": w}, feature_view)
 
@@ -180,16 +212,32 @@ _BLOCK_ELEMS = 4096
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, in_node: np.ndarray, order: np.ndarray, depth_left: int
+    X: np.ndarray, y: np.ndarray, in_node: np.ndarray, order: np.ndarray, depth_left: int,
+    groups: tuple | None = None,
 ) -> TreeNode:
     """Subtree over the rows flagged by ``in_node``.  ``order[j]`` lists all
     rows sorted stably by column j, and filtering it by ``in_node`` keeps it
-    sorted.  The columns are scored a block at a time."""
+    sorted.  The columns are scored a block at a time.
+
+    ``groups`` is None when row i has the one target y[i].  Otherwise it is
+    (counts, sq, lo, hi): row i stands for counts[i] rows whose targets sum to
+    y[i], whose squares sum to sq[i], and which lie in [lo[i], hi[i]]."""
     rows = np.flatnonzero(in_node)
-    ys = y[rows]
     n = rows.size
-    if depth_left == 0 or n < 2 or ys.min() == ys.max():
-        return TreeNode(value=float(np.mean(ys)))
+    if groups is None:
+        ys = y[rows]
+        size = n
+        pure = n < 2 or ys.min() == ys.max()
+    else:
+        counts, sq, lo, hi = groups
+        size = int(counts[rows].sum())
+        pure = size < 2 or lo[rows].min() == hi[rows].max()
+
+    def leaf() -> TreeNode:
+        return TreeNode(value=float(np.mean(ys)) if groups is None else float(np.sum(y[rows]) / size))
+
+    if depth_left == 0 or pure:
+        return leaf()
     n_all, p = X.shape
     width = max(1, _BLOCK_ELEMS // n)
     best = None  # (sse, column, threshold)
@@ -203,35 +251,37 @@ def _grow_tree(
             continue
         yo = y.take(blk)
         csum = np.cumsum(yo, axis=1).ravel()
-        csq = np.cumsum(yo * yo, axis=1).ravel()
+        csq = np.cumsum(yo * yo if groups is None else sq.take(blk), axis=1).ravel()
         cols = at // (n - 1)
-        nl = at - cols * (n - 1) + 1
+        pos = at - cols * (n - 1)  # the split follows this position of its column
         at += cols  # the same (column, position) in the flattened (width, n) sums
         end = (cols + 1) * n - 1
-        nr = n - nl
+        nl = pos + 1 if groups is None else np.cumsum(counts.take(blk), axis=1).ravel()[at]
+        nr = size - nl
         sum_l = csum[at]
         sq_l = csq[at]
         sse = (sq_l - sum_l**2 / nl) + ((csq[end] - sq_l) - (csum[end] - sum_l) ** 2 / nr)
         k = int(np.argmin(sse))  # the first minimum: lowest feature, then lowest threshold
         if best is None or sse[k] < best[0]:  # strict: an earlier block wins a tie
-            c, i = int(cols[k]), int(nl[k]) - 1
-            lo, hi = xs[c, i], xs[c, i + 1]
-            mid = 0.5 * (lo + hi)  # rounds up to hi between adjacent floats
-            best = (sse[k], j0 + c, mid if mid < hi else lo)
+            c, i = int(cols[k]), int(pos[k])
+            lo_x, hi_x = xs[c, i], xs[c, i + 1]
+            mid = 0.5 * (lo_x + hi_x)  # rounds up to hi_x between adjacent floats
+            best = (sse[k], j0 + c, mid if mid < hi_x else lo_x)
     if best is None:
-        return TreeNode(value=float(np.mean(ys)))
+        return leaf()
     _, j, thr = best
     go_left = X[:, j] <= thr
     return TreeNode(
         feature=j,
         threshold=float(thr),
-        left=_grow_tree(X, y, in_node & go_left, order, depth_left - 1),
-        right=_grow_tree(X, y, in_node & ~go_left, order, depth_left - 1),
+        left=_grow_tree(X, y, in_node & go_left, order, depth_left - 1, groups),
+        right=_grow_tree(X, y, in_node & ~go_left, order, depth_left - 1, groups),
     )
 
 
 def fit_tree(
-    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels"
+    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels",
+    inverse=None,
 ) -> RepStatistic:
     """Greedy CART regression tree with midpoint thresholds (the lower value
     where the midpoint of two adjacent floats rounds up to the upper one).
@@ -240,15 +290,29 @@ def fit_tree(
     column; ties go to the lower feature index, then to the lower threshold.
     Leaves hold the mean target of their rows.  The columns are sorted once,
     stably, at the root, and each node filters those sort orders to its rows.
+
+    With ``inverse`` the data are the rows ``X[inverse]``: the splits are
+    scored from the counts, target sums and sums of squares of X's rows, and
+    a node stops when all its targets are equal, read from their minima and
+    maxima.
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
+    if X.ndim != 2 or (inverse is None and y.shape != X.shape[:1]):
         raise ValueError(f"fit_tree needs X of shape (N, p), targets (N,); got {X.shape}, {y.shape}")
+    groups = None
+    if inverse is not None:
+        counts, sums = _group_sums(X, y, inverse)
+        lo = np.full(len(X), np.inf)
+        hi = np.full(len(X), -np.inf)
+        np.minimum.at(lo, inverse, y)
+        np.maximum.at(hi, inverse, y)
+        groups = (counts, np.bincount(inverse, y * y, len(X)), lo, hi)
+        y = sums
     order = np.argsort(X.T, axis=1, kind="stable")
-    root = _grow_tree(X, y, np.ones(y.size, dtype=bool), order, depth_limit)
+    root = _grow_tree(X, y, np.ones(len(X), dtype=bool), order, depth_limit, groups)
     return RepStatistic("tree", {"root": root}, feature_view)
 
 
@@ -261,8 +325,12 @@ def fit_mlp(
     seed: int = 0,
     feature_view: str = "labels",
     zero_output_init: bool = False,
+    inverse=None,
 ) -> RepStatistic:
-    """One-hidden-layer ReLU network trained by full-batch gradient descent.
+    """One-hidden-layer ReLU network trained by full-batch gradient descent on
+    the mean squared error over X's rows, or over ``X[inverse]``: the latter
+    weights each row's error from its mean target by its count, which has the
+    same gradient.
 
     Deterministic given the seed; returns whatever the run produces, with no
     optimality claim.
@@ -271,7 +339,12 @@ def fit_mlp(
         raise ValueError("hidden must be >= 1")
     X = np.asarray(X, dtype=float)
     y = np.asarray(targets, dtype=float)
-    n, p = X.shape
+    n = y.size
+    p = X.shape[1]
+    counts = None
+    if inverse is not None:
+        counts, sums = _group_sums(X, y, inverse)
+        y = sums / counts
     rng = np.random.default_rng(seed)
     lim1 = 1.0 / math.sqrt(p)
     lim2 = 1.0 / math.sqrt(hidden)
@@ -289,12 +362,12 @@ def fit_mlp(
         pred = h @ W2 + b2
         err = pred - y
         with np.errstate(over="ignore"):
-            loss = float(np.mean(err**2))
+            loss = float(np.mean(err**2) if counts is None else counts @ err**2)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite training loss at epoch {epoch}; reduce step_size ({step_size})"
             )
-        g_pred = 2.0 * err / n
+        g_pred = 2.0 * (err if counts is None else counts * err) / n
         gW2 = h.T @ g_pred
         gb2 = float(np.sum(g_pred))
         g_h = np.outer(g_pred, W2) * (z > 0)

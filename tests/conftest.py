@@ -48,3 +48,30 @@ def rng():
 @pytest.fixture
 def unit_query():
     return Query("q", np.array([1.0, 0.0, 0.0]))
+
+
+def trees_agree(a, b, X, y, rows=None, rel=1e-12):
+    """Whether trees ``a`` and ``b``, fitted to rows of X with targets y, make
+    the same splits (children may be mirrored) with leaf values equal to
+    ``rel``.  Returns False if they first part at a node where both splits
+    have the same SSE to ``rel``, a tie that rounding decides; any other
+    difference fails an assertion."""
+    rows = np.ones(len(y), dtype=bool) if rows is None else rows
+    if a.is_leaf or b.is_leaf:
+        assert a.is_leaf and b.is_leaf, "one tree splits where the other stops"
+        assert a.value == pytest.approx(b.value, rel=rel, abs=rel * np.abs(y).max())
+        return True
+    left_a = rows & (X[:, a.feature] <= a.threshold)
+    left_b = rows & (X[:, b.feature] <= b.threshold)
+    if np.array_equal(left_a, left_b):
+        pairs = ((a.left, b.left, left_a), (a.right, b.right, rows & ~left_a))
+    elif np.array_equal(left_a, rows & ~left_b):
+        pairs = ((a.left, b.right, left_a), (a.right, b.left, rows & ~left_a))
+    else:
+        def sse(left):
+            return sum(float(np.sum((y[part] - y[part].mean()) ** 2))
+                       for part in (left, rows & ~left))
+        assert sse(left_a) == pytest.approx(sse(left_b), rel=rel, abs=rel * float(np.sum(y**2)))
+        return False
+    # both halves are compared even when the first already parted at a tie
+    return all([trees_agree(p, q, X, y, part, rel) for p, q, part in pairs])

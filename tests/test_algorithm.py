@@ -30,6 +30,7 @@ from mopr.datamodel import (
 from mopr.metric import (
     FiniteTable,
     combined_features,
+    feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
     oracle_gap,
@@ -38,7 +39,7 @@ from mopr.metric import (
 )
 from mopr.similarity import similarity_vector, top_k
 from mopr.solver import HalfSpaceCut, check_cuts, round_top_k, solve_ip_exact, solve_lp, Cut
-from mopr.statclasses import DegenerateStatisticError, all_cell_indicators, target_norm
+from mopr.statclasses import all_cell_indicators, target_norm
 
 
 def binary_instance(rng, n=15, m=40, d=3, guaranteed_each=4):
@@ -336,12 +337,21 @@ def smallest_feasible_rho(s, cuts, k):
 
 class TestRelaxation:
     def test_relaxes_from_rho_zero(self):
-        # the cuts found at rho = 0 leave the LP infeasible at the sixth solve
+        # the six cuts found at rho = 0 leave the LP infeasible at the seventh solve
         d_r, d_c, q = grid_instance(seed=2)
         sel, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.0, oracle_kind="finite"))
         assert trace.effective_rho > 0.0
         indicators = all_cell_indicators(d_r.schema.label_cards)
         assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
+
+    def test_records_carry_the_relaxed_rho(self):
+        # the same instance: rho stays 0 until an LP turns infeasible, and from
+        # that iteration on each record holds the relaxed value it solved at
+        d_r, d_c, q = grid_instance(seed=2)
+        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.0, oracle_kind="finite"))
+        rhos = [rec["rho_eff"] for rec in trace.to_dict()["iterations"]]
+        assert rhos[0] == 0.0 and rhos[-1] == trace.effective_rho > 0.0
+        assert rhos == sorted(rhos)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_relaxed_rho_is_the_smallest_feasible(self, seed):
@@ -388,17 +398,12 @@ class TestOracleCut:
         cfg = MoprConfig(rho=0.05, oracle_kind=kind, feature_view=view, tree_depth=3,
                          mlp_hidden=4, mlp_epochs=20, seed=seed % 7)
         oracle = _Oracle(d_r, d_c, k, cfg)
-        X = combined_features(d_r, d_c, view)
-        try:
-            _, w, _, _ = oracle_gap(X, signed_weights(a, k, m), m, k, kind, view,
-                                    cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
-                                    cfg.mlp_step, cfg.seed)
-        except DegenerateStatisticError:
-            with pytest.raises(DegenerateStatisticError):
-                oracle(a)
-            return
+        groups = feature_groups(d_r, d_c, view)
+        _, w, _, _ = oracle_gap(groups, signed_weights(a, k, m), m, k, kind, view,
+                                cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
+                                cfg.mlp_step, cfg.seed)
         cut = oracle.cut_for(oracle(a)[1], cfg.rho)
-        searched = w.values_from_features(X)
+        searched = w.values_from_features(groups.rows)[groups.inverse]
         assert np.array_equal(cut.coefficients, searched[:n] / k)
         assert cut.offset == float(np.mean(searched[n:]))
         assert cut.bound == cfg.rho

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_pair
+from conftest import make_dataset, random_pair, trees_agree
 from mopr import statclasses
 from mopr.statclasses import (
     DegenerateStatisticError,
@@ -281,6 +281,91 @@ class TestTreeFitMatchesReference:
     def test_shape_errors_name_both_sizes(self, X, y, shapes):
         with pytest.raises(ValueError, match=re.escape(shapes)):
             fit_tree(X, y, 2)
+
+
+def distinct_rows(X):
+    """Distinct rows of X and the index mapping each row of X to its copy."""
+    U, inverse = np.unique(X, axis=0, return_inverse=True)
+    return U, inverse.reshape(-1)
+
+
+@st.composite
+def grouped_problems(draw):
+    """Distinct rows U, an inverse index over them, targets and a depth limit."""
+    X, y, depth = draw(tree_problems())
+    U, inverse = distinct_rows(X)
+    return U, inverse, y, depth
+
+
+class TestGroupedFits:
+    """A fit on distinct rows with an inverse index against the plain fit on
+    the expanded rows ``U[inverse]``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_problems())
+    def test_tree_matches_expanded_rows(self, problem):
+        U, inverse, y, depth = problem
+        X = U[inverse]
+        grouped = fit_tree(U, y, depth, "embedding", inverse=inverse)
+        full = fit_tree(X, y, depth, "embedding")
+        if trees_agree(grouped.params["root"], full.params["root"], X, y):
+            scale = max(np.abs(y).max(), 1e-300)
+            assert np.allclose(grouped.values_from_features(X), full.values_from_features(X),
+                               rtol=1e-12, atol=1e-12 * scale)
+
+    def test_tree_splits_groups_with_equal_means(self):
+        # below the root, rows 1 and 2 both have mean target 0, but row 1's
+        # targets differ, so the node is not pure and must split
+        U = np.array([[0.0], [1.0], [2.0]])
+        inverse = np.array([0, 1, 0, 1, 2, 2])
+        y = np.array([5.0, -1.0, 5.0, 1.0, 0.0, 0.0])
+        grouped = fit_tree(U, y, 2, "embedding", inverse=inverse).params["root"]
+        full = fit_tree(U[inverse], y, 2, "embedding").params["root"]
+        assert not grouped.right.is_leaf
+        assert grouped.to_dict() == full.to_dict()
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_problems())
+    def test_linear_matches_expanded_rows(self, problem):
+        U, inverse, y, _ = problem
+        U = np.hstack([U, U[:, :1]])  # a repeated column: the minimum-norm w is the one wanted
+        X = U[inverse]
+        grouped = fit_linear_ls(U, y, "embedding", inverse=inverse).params["w"]
+        full = fit_linear_ls(X, y, "embedding").params["w"]
+        assert np.allclose(X @ grouped, X @ full, rtol=1e-9, atol=1e-9 * np.abs(y).max())
+        assert np.allclose(grouped, full, rtol=1e-8, atol=1e-8 * np.abs(full).max())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(0, 500))
+    def test_mlp_matches_expanded_rows(self, seed, hidden, epochs):
+        # the gradients sum the same terms in another order; over 1500 random
+        # labels-view instances, predictions differed by at most 1e-11 of the
+        # larger of the target and prediction scales
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        d_r, _ = random_pair(rng, n, 2, 1, n_groups=int(rng.integers(2, 5)))
+        X = feature_matrix(d_r, "labels")
+        y = rng.standard_normal(n) * 0.1
+        U, inverse = distinct_rows(X)
+        grouped = fit_mlp(U, y, hidden, epochs=epochs, seed=seed % 7, inverse=inverse)
+        full = fit_mlp(X, y, hidden, epochs=epochs, seed=seed % 7)
+        p_grouped, p_full = grouped.values_from_features(X), full.values_from_features(X)
+        scale = max(np.abs(y).max(), np.abs(p_full).max())
+        assert np.abs(p_grouped - p_full).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("fit", [
+        lambda U, y, inv: fit_linear_ls(U, y, "embedding", inverse=inv),
+        lambda U, y, inv: fit_tree(U, y, 2, "embedding", inverse=inv),
+        lambda U, y, inv: fit_mlp(U, y, 2, epochs=1, feature_view="embedding", inverse=inv),
+    ])
+    def test_inverse_must_cover_the_rows_once_per_target(self, fit):
+        U = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="one entry per target"):
+            fit(U, np.zeros(3), np.array([0, 1, 2, 2]))
+        with pytest.raises(ValueError, match="each of the 3 rows"):
+            fit(U, np.zeros(3), np.array([0, 1, 1]))
+        with pytest.raises(ValueError, match="each of the 3 rows"):
+            fit(U, np.zeros(3), np.array([0, 1, 3]))
 
 
 class TestMlpFit:
