@@ -211,13 +211,15 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTra
     return *best, hi, pivots
 
 
-def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
-                   ) -> tuple[Selection, MoprTrace]:
+def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float,
+                   carry: _SweepCarry | None = None) -> tuple[Selection, MoprTrace]:
     """The cutting-plane loop shared by both retrievals; see the module docstring.
 
     A duplicate cut leaves the LP unchanged, and re-solving it from its own
     optimal basis returns the same point, so every later iteration would
-    return the same selection: the loop halts there.
+    return the same selection: the loop halts there.  With a ``carry`` the
+    loop starts from its cuts, each bounded by rho, and its basis, and on
+    return leaves its own final cuts and basis in their place.
     """
     _check_k(k)
     if k > s.size:
@@ -227,6 +229,9 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
     cuts: list = []
     rho_eff = rho
     basis = None
+    if carry is not None:
+        cuts = [c.with_bound(rho) for c in carry.cuts]
+        basis = carry.basis
     stalled = False
     for it in range(1, T + 1):
         lp, cuts, rho_eff, pivots = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
@@ -253,6 +258,8 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
             break
         cuts.append(cut)
         record.cut_added = True
+    if carry is not None:
+        carry.cuts, carry.basis = cuts, basis
     trace.selection = sel
     trace.achieved_mpr = violation
     trace.mean_similarity = float(np.mean(s[sel.indices]))
@@ -263,10 +270,54 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float
     return sel, trace
 
 
+class _SweepCarry:
+    """What a sweep passes from one grid value's retrieval to the next.
+
+    Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
+    every ``MoprConfig`` field but rho and T.  It holds that instance's
+    similarity vector and ``_Oracle``, and the cut pool and LP basis where
+    the last retrieval from it ended.  A cut is a necessary condition of
+    MPR <= rho at any rho once its bound is set to that rho, because its
+    witness is a member of the class, so the pool stays valid down the grid;
+    only row bounds change, which ``solve_lp(start=)`` allows.
+    """
+
+    def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
+        self.instance = (d_r, d_c, q, k, self._fixed(cfg))
+        if cfg.curation_pool_size is not None:
+            d_c = condition_curation(d_c, q, cfg.curation_pool_size)
+        self.s = similarity_vector(d_r, q)
+        self.oracle = _Oracle(d_r, d_c, k, cfg)
+        self.cuts: list = []
+        self.basis = None
+
+    @staticmethod
+    def _fixed(cfg: MoprConfig) -> MoprConfig:
+        return replace(cfg, rho=0.0, T=1)
+
+    def check(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig) -> None:
+        d_r0, d_c0, q0, k0, cfg0 = self.instance
+        if not (d_r is d_r0 and d_c is d_c0 and q is q0 and k == k0
+                and self._fixed(cfg) == cfg0):
+            raise ValueError(
+                "carry was built for a different instance: d_r, d_c and q must be the "
+                "same objects, and k and every MoprConfig field but rho and T equal"
+            )
+
+
 def mopr_retrieve(
-    d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig
+    d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig,
+    *, carry: _SweepCarry | None = None,
 ) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane retrieval of k items under a representation bound."""
+    """Cutting-plane retrieval of k items under a representation bound.
+
+    ``carry`` is a sweep's state for this instance: the retrieval reuses its
+    oracle and similarity vector, starts from its cuts and basis, and leaves
+    its own there.  ``ValueError`` if it was built for another instance.
+    """
+    if carry is not None:
+        carry.check(d_r, d_c, q, k, cfg)
+        return _cutting_plane(carry.s, k, carry.oracle, cfg.T, cfg.rho, carry)
     if cfg.curation_pool_size is not None:
         d_c = condition_curation(d_c, q, cfg.curation_pool_size)
     s = similarity_vector(d_r, q)
@@ -320,6 +371,9 @@ def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
 
 @dataclass
 class ParetoPoint:
+    """One grid value of a sweep.  ``iterations`` counts only this value's
+    own cutting-plane iterations, not those of the values before it."""
+
     rho_target: float
     mpr_achieved: float
     mean_similarity: float
@@ -343,25 +397,30 @@ def pareto_sweep(
     cfg_template: MoprConfig,
     rho_grid: list[float],
 ) -> list[ParetoPoint]:
-    """One constrained retrieval per grid value, normalized against plain top-k."""
+    """One constrained retrieval per grid value, normalized against plain top-k.
+
+    The sweep is one warm-started computation.  It builds one similarity
+    vector and one ``_Oracle``, which also measure the top-k reference, and
+    each grid value's retrieval starts from the cuts and LP basis the
+    previous value ended with, the cuts bounded by the new rho.  The first
+    value starts from nothing, as a plain ``mopr_retrieve`` does.
+    """
     _check_k(k)
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
     if list(rho_grid) != sorted(rho_grid, reverse=True):
         raise ValueError("rho grid must be descending")
-    if cfg_template.curation_pool_size is not None:
-        # the reference is measured against the curated set every retrieval
-        # uses; conditioning is idempotent, so mopr_retrieve may repeat it
-        d_c = condition_curation(d_c, q, cfg_template.curation_pool_size)
-    s = similarity_vector(d_r, q)
+    carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
+    s = carry.s
     sel0 = round_top_k(s, k)
-    mpr0, _ = _Oracle(d_r, d_c, k, cfg_template)(sel0.indicator.astype(float))
+    mpr0, _ = carry.oracle(sel0.indicator.astype(float))
     sim0 = float(np.mean(s[sel0.indices]))
     points: list[ParetoPoint] = []
     for rho in rho_grid:
         cfg = replace(cfg_template, rho=rho)
         try:
-            _, trace = mopr_retrieve(d_r, d_c, q, k, cfg)
+            # through the module attribute, so a wrapper sees every retrieval
+            _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, carry=carry)
         except InfeasibleRetrievalError:
             points.append(
                 ParetoPoint(rho, float("nan"), float("nan"), float("nan"),

@@ -208,7 +208,8 @@ def solve_lp(
 
     ``var_bounds`` optionally overrides per-variable bounds (used for
     branch-and-bound fixing).  ``start`` is the ``basis`` of an earlier
-    solution whose cuts are a prefix of ``cuts``; its bounds may differ.  The
+    solution whose cuts are a prefix of ``cuts``; its row bounds may differ,
+    and its variable bounds may only have been tightened.  The
     returned point is a vertex, so the number of fractional coordinates is at
     most the number of active cut rows + 1.
     """
@@ -246,6 +247,15 @@ def solve_lp(
     lower = np.concatenate([lo_a, [k], [lo for _, lo, _ in rows]])
     upper = np.concatenate([hi_a, [k], [hi for _, _, hi in rows]])
     x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
+    fixed = [i for i, (_, lo, hi) in enumerate(rows, start=1) if lo == hi]
+    if fixed:
+        # a fixed slack is dual feasible at either bound; put each nonbasic one
+        # at the bound its reduced cost (the row's dual) favours, so that a
+        # later solve from this basis that gives the row room starts dual feasible
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+        fixed = np.array(fixed)
+        fixed = fixed[status[n + fixed] != BASIC]
+        status[n + fixed] = np.where(y[fixed] > 0, AT_UPPER, AT_LOWER)
     a = np.clip(x[:n], lo_a, hi_a)
     if not feasible or abs(float(a.sum()) - k) > 1e-6:
         return LpSolution(a=a, objective=float("nan"), status="infeasible",

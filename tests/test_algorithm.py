@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import make_dataset, random_pair
+from mopr import algorithm
 from mopr.algorithm import (
     InfeasibleRetrievalError,
     MoprConfig,
     MoprTrace,
     SWEEP_CSV_HEADER,
     _Oracle,
+    _SweepCarry,
     _solve_with_relaxation,
     mmr_retrieve,
     mopr_qp_linear,
@@ -96,10 +99,12 @@ def qp_separator(d_r, d_c, k, rho):
     return separate
 
 
-def run_to_cap(s, k, rho, T, separate):
+def run_to_cap(s, k, rho, T, separate, cuts=(), basis=None):
     """The cutting-plane loop without the stall halt: a duplicate cut is
-    skipped and the loop goes on until the constraint holds or T is reached."""
-    cuts, basis = [], None
+    skipped and the loop goes on until the constraint holds or T is reached.
+    Starts from ``cuts`` and ``basis``; returns the selection, its violation,
+    and the cuts and basis where the loop ended."""
+    cuts = list(cuts)
     for _ in range(T):
         lp = solve_lp(s, cuts, k, start=basis)
         basis = lp.basis
@@ -109,7 +114,7 @@ def run_to_cap(s, k, rho, T, separate):
             break
         if not any(np.max(np.abs(cut.coefficients - old.coefficients)) < 1e-9 for old in cuts):
             cuts.append(cut)
-    return sel, separate(sel.indicator.astype(float))[0]
+    return sel, separate(sel.indicator.astype(float))[0], cuts, basis
 
 
 @pytest.mark.parametrize("kind, rho", [("finite", 0.05), ("linear", 0.02), ("qp", 0.02)])
@@ -128,9 +133,44 @@ def test_stall_halt_matches_run_to_cap(kind, rho):
     assert trace.halted_by == "stalled"
     assert len(trace.iterations) < T
     assert trace.iterations[-1].duplicate_cut and not trace.iterations[-1].cut_added
-    ref_sel, ref_achieved = run_to_cap(s, k, rho, T, separate)
+    ref_sel, ref_achieved, _, _ = run_to_cap(s, k, rho, T, separate)
     assert np.array_equal(sel.indicator, ref_sel.indicator)
     assert trace.achieved_mpr == ref_achieved
+
+
+def record_retrievals(monkeypatch):
+    """Wrap ``algorithm.mopr_retrieve``; returns the list its traces go to."""
+    traces = []
+    inner = algorithm.mopr_retrieve
+
+    def recording(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        traces.append(result[1])
+        return result
+
+    monkeypatch.setattr(algorithm, "mopr_retrieve", recording)
+    return traces
+
+
+@pytest.mark.parametrize("kind", ["finite", "tree"])
+def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
+    # the stall halt holds across grid values: a loop that never halts on a
+    # duplicate, handed the cuts and basis of the value before, selects the same
+    d_r, d_c, q = grid_instance()
+    k, T, grid = 10, 30, [0.2, 0.1, 0.05, 0.02]
+    cfg = MoprConfig(T=T, oracle_kind=kind)
+    traces = record_retrievals(monkeypatch)
+    pareto_sweep(d_r, d_c, q, k, cfg, grid)
+    assert [t.effective_rho for t in traces] == grid  # no relaxation, which run_to_cap leaves out
+    assert all(t.halted_by == "stalled" for t in traces[1:])
+    s = similarity_vector(d_r, q)
+    cuts, basis = [], None
+    for rho, trace in zip(grid, traces):
+        separate = oracle_separator(d_r, d_c, k, replace(cfg, rho=rho))
+        sel, achieved, cuts, basis = run_to_cap(
+            s, k, rho, T, separate, [c.with_bound(rho) for c in cuts], basis)
+        assert np.array_equal(trace.selection.indicator, sel.indicator)
+        assert trace.achieved_mpr == achieved
 
 
 class TestMoprRetrieve:
@@ -464,6 +504,81 @@ class TestParetoSweep:
         cfg = MoprConfig(oracle_kind="finite")
         with pytest.raises(ValueError, match="descending"):
             pareto_sweep(d_r, d_c, q, 5, cfg, [0.1, 0.5])
+
+    @pytest.mark.parametrize("kind, pool", [("finite", None), ("tree", None), ("tree", 30),
+                                            ("linear", None)])
+    def test_first_point_is_a_fresh_retrieval(self, kind, pool, monkeypatch):
+        d_r, d_c, q = grid_instance()
+        cfg = MoprConfig(T=30, oracle_kind=kind, curation_pool_size=pool)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 10, replace(cfg, rho=0.1))
+        traces = record_retrievals(monkeypatch)
+        first = pareto_sweep(d_r, d_c, q, 10, cfg, [0.1, 0.05])[0]
+        assert np.array_equal(traces[0].selection.indicator, sel.indicator)
+        assert first.mpr_achieved == trace.achieved_mpr
+        assert first.iterations == len(trace.iterations)
+        assert traces[0].to_dict() == trace.to_dict()
+
+    @pytest.mark.parametrize("name, value", [
+        ("d_r", None), ("d_c", None), ("q", None), ("k", 9),
+        ("oracle_kind", "finite"), ("feature_view", "embedding"), ("tree_depth", 2),
+        ("curation_pool_size", 30), ("seed", 1), ("mlp_hidden", 8),
+    ])
+    def test_carry_for_another_instance_is_rejected(self, name, value):
+        d_r, d_c, q = grid_instance()
+        cfg = MoprConfig(rho=0.1, T=5, oracle_kind="tree")
+        carry = _SweepCarry(d_r, d_c, q, 10, cfg)
+        args = dict(d_r=d_r, d_c=d_c, q=q, k=10, cfg=cfg)
+        other = dict(zip(("d_r", "d_c", "q"), grid_instance(seed=1)))
+        if name in other:
+            args[name] = other[name]
+        elif name == "k":
+            args[name] = value
+        else:
+            args["cfg"] = replace(cfg, **{name: value})
+        with pytest.raises(ValueError, match="carry was built for a different instance"):
+            mopr_retrieve(**args, carry=carry)
+        assert carry.cuts == [] and carry.basis is None
+
+    def test_carry_takes_any_rho_and_T(self):
+        d_r, d_c, q = grid_instance()
+        cfg = MoprConfig(rho=0.1, T=5, oracle_kind="tree")
+        carry = _SweepCarry(d_r, d_c, q, 10, cfg)
+        mopr_retrieve(d_r, d_c, q, 10, cfg, carry=carry)
+        first = [c.coefficients for c in carry.cuts]
+        assert first
+        mopr_retrieve(d_r, d_c, q, 10, replace(cfg, rho=0.05, T=7), carry=carry)
+        assert len(carry.cuts) >= len(first)
+        assert all(np.array_equal(a, c.coefficients) for a, c in zip(first, carry.cuts))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 20), k=st.integers(3, 8),
+           grid=st.lists(st.floats(0.2, 0.8), min_size=2, max_size=4, unique=True))
+    def test_carried_cuts_hold_at_the_ip_optimum(self, seed, n, k, grid):
+        # a carried cut bounded by the new rho is a necessary condition of
+        # MPR <= rho: the exact optimum under every cell cut satisfies it
+        d_r, d_c, q = grid_instance(seed, n=n, m=30)
+        grid = sorted(grid, reverse=True)
+        cfg = MoprConfig(T=10, oracle_kind="finite")
+        carry = _SweepCarry(d_r, d_c, q, k, cfg)
+        table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
+        lp_cuts = []
+
+        def spy(s, cuts, k, **kwargs):
+            lp_cuts.append(list(cuts))
+            return solve_lp(s, cuts, k, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithm, "solve_lp", spy)
+            for rho in grid:
+                start = len(lp_cuts)
+                mopr_retrieve(d_r, d_c, q, k, replace(cfg, rho=rho), carry=carry)
+                carried = lp_cuts[start]  # the cuts of the first LP at this rho
+                assert all(c.bound == rho for c in carried)
+                try:
+                    opt = solve_ip_exact(carry.s, table.cuts(k, rho), k)
+                except ValueError:  # no selection reaches rho
+                    continue
+                assert check_cuts(opt.indicator.astype(float), carried, tol=1e-9) == []
 
     def test_row_order_and_csv(self, rng, tmp_path):
         d_r, d_c, q = binary_instance(rng)

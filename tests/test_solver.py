@@ -379,6 +379,20 @@ class TestSolveLpProperties:
         assert warm.a == pytest.approx(solve_lp(s, [cut], 2).a)
         assert warm.diagnostics == {"rows": 1, "pivots": 1}
 
+    def test_warm_start_after_a_fixed_row_is_loosened(self):
+        # the cut's slack is fixed (bound 0) in the infeasible first solve and
+        # nonbasic at a bound its reduced cost points away from once loosened
+        s = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        e2, e8 = np.eye(9)[2], np.eye(9)[8]
+        cuts = [Cut(0.5 * (e8 - e2), 0.5, 0.0), HalfSpaceCut(np.zeros(9), 0.0),
+                HalfSpaceCut(-0.5 * e8, -0.53125)]
+        first = solve_lp(s, cuts, 2)
+        assert first.status == "infeasible"
+        after = [loosened(c) for c in cuts]
+        warm = solve_lp(s, after, 2, start=first.basis)
+        assert warm.objective == pytest.approx(solve_lp(s, after, 2).objective, abs=1e-12)
+        assert_matches_highs(warm, s, after, 2, None)
+
     def test_start_that_does_not_fit_rejected(self):
         first = solve_lp(np.ones(4), [], 2)
         with pytest.raises(ValueError, match="start"):
