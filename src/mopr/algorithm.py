@@ -314,14 +314,13 @@ def mopr_retrieve(
     ``carry`` is a sweep's state for this instance: the retrieval reuses its
     oracle and similarity vector, starts from its cuts and basis, and leaves
     its own there.  ``ValueError`` if it was built for another instance.
+    Without one the retrieval builds a fresh carry of its own.
     """
-    if carry is not None:
+    if carry is None:
+        carry = _SweepCarry(d_r, d_c, q, k, cfg)
+    else:
         carry.check(d_r, d_c, q, k, cfg)
-        return _cutting_plane(carry.s, k, carry.oracle, cfg.T, cfg.rho, carry)
-    if cfg.curation_pool_size is not None:
-        d_c = condition_curation(d_c, q, cfg.curation_pool_size)
-    s = similarity_vector(d_r, q)
-    return _cutting_plane(s, k, _Oracle(d_r, d_c, k, cfg), cfg.T, cfg.rho)
+    return _cutting_plane(carry.s, k, carry.oracle, cfg.T, cfg.rho, carry)
 
 
 def mopr_qp_linear(

@@ -247,13 +247,12 @@ def solve_lp(
     lower = np.concatenate([lo_a, [k], [lo for _, lo, _ in rows]])
     upper = np.concatenate([hi_a, [k], [hi for _, _, hi in rows]])
     x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
-    fixed = [i for i, (_, lo, hi) in enumerate(rows, start=1) if lo == hi]
-    if fixed:
+    fixed = 1 + np.flatnonzero(lower[n + 1:] == upper[n + 1:])
+    if fixed.size:
         # a fixed slack is dual feasible at either bound; put each nonbasic one
         # at the bound its reduced cost (the row's dual) favours, so that a
         # later solve from this basis that gives the row room starts dual feasible
         y = np.linalg.solve(A[:, basis].T, c[basis])
-        fixed = np.array(fixed)
         fixed = fixed[status[n + fixed] != BASIC]
         status[n + fixed] = np.where(y[fixed] > 0, AT_UPPER, AT_LOWER)
     a = np.clip(x[:n], lo_a, hi_a)

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_pair, trees_agree
@@ -326,17 +326,25 @@ class TestGroupedFits:
 
     @settings(max_examples=100, deadline=None)
     @given(grouped_problems())
+    # exact fits of zero, each w rounding noise: +-8.6e-18 against 0, and
+    # +8.6e-18 against -8.6e-18
+    @example((np.array([[1.0]]), np.array([0, 0]), np.array([-1.0, 1.0]) / 7.0, 1))
+    @example((np.array([[-2.0], [2.0]]), np.array([1, 0]), np.array([0.3, 0.3]), 1))
     def test_linear_matches_expanded_rows(self, problem):
         U, inverse, y, _ = problem
         U = np.hstack([U, U[:, :1]])  # a repeated column: the minimum-norm w is the one wanted
         X = U[inverse]
         grouped = fit_linear_ls(U, y, "embedding", inverse=inverse).params["w"]
         full = fit_linear_ls(X, y, "embedding").params["w"]
-        assert np.allclose(X @ grouped, X @ full, rtol=1e-9, atol=1e-9 * np.abs(y).max())
-        # a w that is zero to rounding (y constant, or summing to zero in every
-        # group) has no scale of its own: below 1e-12 of y's scale it is zero
-        atol = max(1e-8 * np.abs(full).max(), 1e-12 * np.abs(y).max())
-        assert np.allclose(grouped, full, rtol=1e-8, atol=atol)
+        scale = np.abs(y).max()
+        assert np.allclose(X @ grouped, X @ full, rtol=1e-9, atol=1e-9 * scale)
+        if np.abs(X @ full).max() <= 1e-12 * scale:
+            # the exact fit is zero (y constant against columns that cancel, or
+            # summing to zero in every group), so each w is rounding noise with
+            # no scale of its own: compare it at y's
+            assert np.allclose(grouped, full, rtol=0.0, atol=1e-12 * scale)
+        else:
+            assert np.allclose(grouped, full, rtol=1e-8, atol=1e-8 * np.abs(full).max())
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(0, 500))
