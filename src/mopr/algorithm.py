@@ -9,6 +9,16 @@ violation and, only when asked, a cut that the selection violates.  The loop
 stops when the selection is certified, when the new cut duplicates an old one
 (the LP would not change), or after T iterations.
 
+The LP has a column only for the items an optimum can choose.  Each
+separator names the class of every retrieval item, the distinct feature row
+its cuts are constant on: the label cell on the labels view and for the
+finite class, the item itself otherwise.  Moving LP weight within a class to
+a more similar item keeps every cut row and raises the objective, so an
+optimum takes at most k items of a class, and the most similar ones (the
+cell-count argument of Celis, Straszak & Vishnoi 2018).  ``_selectable``
+keeps those, at most k per class; at n = 3000 over 8 cells that is 160
+columns, while singleton classes keep every column.
+
 Two separators plug into it.  ``mopr_retrieve`` uses ``_Oracle``, which finds
 the statistic with the most disproportionate representation (exactly over
 the cell indicators, or by a regression oracle) and cuts on its mean.
@@ -31,6 +41,7 @@ from mopr.metric import (
     closed_form_gap,
     combined_features,
     feature_groups,
+    label_cells,
     oracle_gap,
     signed_weights,
     svd_context,
@@ -120,7 +131,11 @@ class _Oracle:
     ``oracle(a)`` returns (violation, witness) for a binary selection.  The
     witness is the worst statistic's values on the D_R items and its mean over
     D_C, as the search computed them; ``cut_for(witness, rho)`` bounds the gap
-    between its selection mean and that curated mean by rho.
+    between its selection mean and that curated mean by rho.  ``classes[i]``
+    is the distinct feature row of retrieval item i, on which every cut is
+    constant.  The oracle is deterministic and remembers its last evaluation:
+    a loop whose new cut leaves the rounded selection as it was asks again,
+    and so does a sweep's first retrieval after its top-k reference.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
@@ -128,10 +143,20 @@ class _Oracle:
         self.cfg = cfg
         if cfg.oracle_kind == "finite":
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
+            self.classes = label_cells(d_r)
         else:
             self.groups = feature_groups(d_r, d_c, cfg.feature_view)
+            self.classes = self.groups.inverse[: self.n]
+        self._last: tuple[np.ndarray, tuple] | None = None
 
     def __call__(self, a: np.ndarray):
+        if self._last is not None and np.array_equal(self._last[0], a):
+            return self._last[1]
+        result = self._evaluate(a)
+        self._last = (a.copy(), result)
+        return result
+
+    def _evaluate(self, a: np.ndarray):
         cfg = self.cfg
         if cfg.oracle_kind == "finite":
             value, i = self.table.worst(a, self.k)
@@ -143,9 +168,9 @@ class _Oracle:
         )
         return value, (values[: self.n], float(np.mean(values[self.n :])))
 
-    def cut_for(self, witness, rho: float) -> Cut:
+    def cut_for(self, witness, rho: float, columns=slice(None)) -> Cut:
         on_retrieval, curated_mean = witness
-        return Cut(on_retrieval / self.k, curated_mean, rho)
+        return Cut(on_retrieval[columns] / self.k, curated_mean, rho)
 
 
 class _SupportingHyperplane:
@@ -153,23 +178,28 @@ class _SupportingHyperplane:
 
     ``sep(a)`` returns (constraint value, witness) for a binary selection;
     ``cut_for(witness, rho)`` is the supporting hyperplane of the convex
-    constraint at that selection, built from its analytic gradient.
+    constraint at that selection, built from its analytic gradient.  The
+    gradient is a function of an item's feature row, up to the rounding of
+    the SVD, so ``classes`` are the label cells on the labels view and the
+    items themselves on the others.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, feature_view: str):
         self.ctx = svd_context(combined_features(d_r, d_c, feature_view))
         self.n, self.m, self.k = len(d_r), len(d_c), k
+        self.classes = label_cells(d_r) if feature_view == "labels" else np.arange(self.n)
 
     def __call__(self, a: np.ndarray):
         value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
         return value, (a, value, z)
 
-    def cut_for(self, witness, rho: float) -> HalfSpaceCut:
-        # only asked for when the value exceeds rho >= 0, so z is nonzero
+    def cut_for(self, witness, rho: float, columns=slice(None)) -> HalfSpaceCut:
+        # only asked for when the value exceeds rho >= 0, so z is nonzero; the
+        # selection lies in the LP's columns, so the rhs is the same on them
         a, value, z = witness
         tn = target_norm(self.m, self.k)
         grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[: self.n] / self.k
-        return HalfSpaceCut(grad, rho - value + float(grad @ a))
+        return HalfSpaceCut(grad[columns], rho - value + float(grad @ a))
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
@@ -211,17 +241,38 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTra
     return *best, hi, pivots
 
 
-def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float,
+def _selectable(s: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+    """The k most similar items of each class, in ascending index.
+
+    ``classes`` numbers the classes 0, 1, ...  A class of at most k items
+    keeps them all.  In a larger one, similarity ties at its k-th place go to
+    the lower index, as in the LP's top-k start.
+    """
+    counts = np.bincount(classes)
+    keep = counts[classes] <= k
+    for c in np.flatnonzero(counts > k):
+        members = np.flatnonzero(classes == c)
+        values = s[members]
+        kth = np.partition(values, values.size - k)[values.size - k]
+        above = members[values > kth]
+        keep[above] = True
+        keep[members[values == kth][: k - above.size]] = True
+    return np.flatnonzero(keep)
+
+
+def _cutting_plane(s: np.ndarray, keep: np.ndarray, k: int, separate, T: int, rho: float,
                    carry: _SweepCarry | None = None) -> tuple[Selection, MoprTrace]:
     """The cutting-plane loop shared by both retrievals; see the module docstring.
 
+    The LP is solved over the items ``keep`` (``_selectable`` of the
+    separator's classes), with every cut restricted to them, and its top k
+    are the selection.  The separator sees the selection over all n items.
     A duplicate cut leaves the LP unchanged, and re-solving it from its own
     optimal basis returns the same point, so every later iteration would
     return the same selection: the loop halts there.  With a ``carry`` the
     loop starts from its cuts, each bounded by rho, and its basis, and on
     return leaves its own final cuts and basis in their place.
     """
-    _check_k(k)
     if k > s.size:
         raise ValueError(f"k={k} exceeds retrieval pool size {s.size}")
     _check_run(T, rho)
@@ -232,13 +283,15 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float,
     if carry is not None:
         cuts = [c.with_bound(rho) for c in carry.cuts]
         basis = carry.basis
+    s_keep = s[keep]
     stalled = False
     for it in range(1, T + 1):
-        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s, cuts, k, rho_eff, trace, basis)
+        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s_keep, cuts, k, rho_eff, trace, basis)
         basis = lp.basis
         trace.effective_rho = rho_eff
-        sel = round_top_k(lp.a, k)
-        violation, witness = separate(sel.indicator.astype(float))
+        chosen = np.zeros(s.size)
+        chosen[keep[round_top_k(lp.a, k).indices]] = 1.0
+        violation, witness = separate(chosen)
         record = IterationRecord(
             iteration=it,
             violation=violation,
@@ -251,7 +304,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float,
         trace.iterations.append(record)
         if violation <= rho_eff + HALT_TOL or it == T:
             break
-        cut = separate.cut_for(witness, rho_eff)
+        cut = separate.cut_for(witness, rho_eff, keep)
         if any(np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
                for old in cuts):
             record.duplicate_cut = stalled = True
@@ -260,6 +313,7 @@ def _cutting_plane(s: np.ndarray, k: int, separate, T: int, rho: float,
         record.cut_added = True
     if carry is not None:
         carry.cuts, carry.basis = cuts, basis
+    sel = Selection(chosen.astype(int), k)
     trace.selection = sel
     trace.achieved_mpr = violation
     trace.mean_similarity = float(np.mean(s[sel.indices]))
@@ -275,19 +329,22 @@ class _SweepCarry:
 
     Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
     every ``MoprConfig`` field but rho and T.  It holds that instance's
-    similarity vector and ``_Oracle``, and the cut pool and LP basis where
-    the last retrieval from it ended.  A cut is a necessary condition of
-    MPR <= rho at any rho once its bound is set to that rho, because its
-    witness is a member of the class, so the pool stays valid down the grid;
-    only row bounds change, which ``solve_lp(start=)`` allows.
+    similarity vector, ``_Oracle`` and LP columns ``keep`` (the items an
+    optimum can choose), and the cut pool (restricted to ``keep``) and LP
+    basis where the last retrieval from it ended.  A cut is a necessary
+    condition of MPR <= rho at any rho once its bound is set to that rho,
+    because its witness is a member of the class, so the pool stays valid
+    down the grid; only row bounds change, which ``solve_lp(start=)`` allows.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
+        _check_k(k)
         self.instance = (d_r, d_c, q, k, self._fixed(cfg))
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
         self.s = similarity_vector(d_r, q)
         self.oracle = _Oracle(d_r, d_c, k, cfg)
+        self.keep = _selectable(self.s, self.oracle.classes, k)
         self.cuts: list = []
         self.basis = None
 
@@ -320,7 +377,7 @@ def mopr_retrieve(
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
     else:
         carry.check(d_r, d_c, q, k, cfg)
-    return _cutting_plane(carry.s, k, carry.oracle, cfg.T, cfg.rho, carry)
+    return _cutting_plane(carry.s, carry.keep, k, carry.oracle, cfg.T, cfg.rho, carry)
 
 
 def mopr_qp_linear(
@@ -333,8 +390,10 @@ def mopr_qp_linear(
     feature_view: str = "labels",
 ) -> tuple[Selection, MoprTrace]:
     """Cutting-plane on the closed-form norm constraint for linear statistics."""
+    _check_k(k)
     s = similarity_vector(d_r, q)
-    return _cutting_plane(s, k, _SupportingHyperplane(d_r, d_c, k, feature_view), T, rho)
+    separate = _SupportingHyperplane(d_r, d_c, k, feature_view)
+    return _cutting_plane(s, _selectable(s, separate.classes, k), k, separate, T, rho)
 
 
 def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
@@ -404,7 +463,6 @@ def pareto_sweep(
     previous value ended with, the cuts bounded by the new rho.  The first
     value starts from nothing, as a plain ``mopr_retrieve`` does.
     """
-    _check_k(k)
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
     if list(rho_grid) != sorted(rho_grid, reverse=True):

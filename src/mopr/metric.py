@@ -102,6 +102,26 @@ class FeatureGroups:
         return cls(X, np.arange(len(X)))
 
 
+def _label_cards(dataset: Dataset) -> list[int]:
+    return [dataset.schema.label_cards[name] for name in dataset.schema.label_names]
+
+
+def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
+    """A mixed-radix code of each row of label codes, so equal rows get equal codes."""
+    code, span = np.zeros(len(labels), dtype=np.int64), 1
+    for j, card in enumerate(cards):
+        if span * card >= 2**62:  # renumber the codes so far before they overflow
+            code = np.unique(code, return_inverse=True)[1]
+            span = len(labels)
+        code, span = code * card + labels[:, j], span * card
+    return code
+
+
+def label_cells(dataset: Dataset) -> np.ndarray:
+    """Each item's intersectional cell, numbered 0, 1, ... over the cells present."""
+    return np.unique(_cell_codes(dataset.labels, _label_cards(dataset)), return_inverse=True)[1]
+
+
 def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
     """Distinct feature rows of D_R stacked over D_C.
 
@@ -112,14 +132,9 @@ def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
         return FeatureGroups.identity(combined_features(d_r, d_c, view))
     _check_compatible(d_r, d_c, view)
     labels = np.vstack([d_r.labels, d_c.labels])
-    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
-    code, span = np.zeros(len(labels), dtype=np.int64), 1
-    for j, card in enumerate(cards):
-        if span * card >= 2**62:  # renumber the codes so far before they overflow
-            code = np.unique(code, return_inverse=True)[1]
-            span = len(labels)
-        code, span = code * card + labels[:, j], span * card
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    cards = _label_cards(d_r)
+    _, first, inverse = np.unique(_cell_codes(labels, cards), return_index=True,
+                                  return_inverse=True)
     by_first = np.argsort(first)
     renumber = np.empty_like(by_first)
     renumber[by_first] = np.arange(by_first.size)

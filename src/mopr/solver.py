@@ -30,6 +30,10 @@ from mopr.similarity import Selection
 TOL = 1e-9
 FRACTIONAL_TOL = 1e-8
 MAX_PIVOTS = 200000
+# a pivot element below this gives a near-singular basis; a basic variable
+# that only such a pivot would repair, and that lies within this of its
+# bounds, stays where it is, its bound shifted
+PIVOT_TOL = 1e-7
 
 # status of a variable in a basis
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -118,11 +122,16 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
     enters, ties within TOL to the lowest index, so a pivot without flips is
     the textbook one.  A slack without a lower bound has infinite width and
     always stops the walk.  If the slope is still positive after the last
-    breakpoint the LP is infeasible, and the basis is returned unflipped.
-    ``x`` is rebuilt from ``status`` on every pass.  Returns (x, pivots,
-    feasible).
+    breakpoint the LP is infeasible, and the basis is returned unflipped.  If
+    the entering pivot element is below PIVOT_TOL and the leaving variable
+    lies within PIVOT_TOL of its given bounds, its bound is shifted to its
+    value instead: near-duplicate rows would otherwise pivot on rounding
+    noise into a near-singular basis.  ``x`` is rebuilt from ``status`` on
+    every pass.  Returns (x, pivots, feasible).
     """
     movable = lower < upper
+    given = lower, upper
+    lower, upper = lower.copy(), upper.copy()  # the shifted bounds stay local
     for pivots in range(MAX_PIVOTS):
         x = np.where(status == AT_UPPER, upper, lower)
         x[basis] = 0.0
@@ -153,8 +162,13 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
         if turn.size == 0:
             return x, pivots, False
         flip, rest = walk[: turn[0]], order[turn[0]:]
-        status[flip] = np.where(status[flip] == AT_LOWER, AT_UPPER, AT_LOWER)
         entering = int(candidates[rest][ratios[rest] <= ratios[rest[0]] + TOL].min())
+        off = max(given[0][leaving] - x[leaving], x[leaving] - given[1][leaving])
+        if abs(alpha[entering]) < PIVOT_TOL and off <= PIVOT_TOL:
+            lower[leaving] = min(lower[leaving], x[leaving])
+            upper[leaving] = max(upper[leaving], x[leaving])
+            continue
+        status[flip] = np.where(status[flip] == AT_LOWER, AT_UPPER, AT_LOWER)
         status[leaving] = AT_LOWER if below[p] else AT_UPPER
         status[entering] = BASIC
         basis[p] = entering

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from mopr.datamodel import Dataset, DatasetSchema, Item, Query
 
@@ -38,6 +39,31 @@ def random_pair(rng, n, m, d, n_groups=2):
         prefix="c",
     )
     return d_r, d_c
+
+
+def scipy_reference(s, cuts, k, var_bounds=None):
+    """Independent LP oracle via scipy (HiGHS): max s.a over the box, with
+    sum(a) = k and every cut row."""
+    n = s.size
+    A_ub, b_ub = [], []
+    for cut in cuts:
+        for coef, lo, hi in cut.rows():
+            if np.isfinite(hi):
+                A_ub.append(coef)
+                b_ub.append(hi)
+            if np.isfinite(lo):
+                A_ub.append(-coef)
+                b_ub.append(-lo)
+    res = linprog(
+        -s,
+        A_ub=np.array(A_ub) if A_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.ones((1, n)),
+        b_eq=[k],
+        bounds=var_bounds or [(0, 1)] * n,
+        method="highs",
+    )
+    return res
 
 
 @pytest.fixture

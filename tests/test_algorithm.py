@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import make_dataset, random_pair
+from conftest import make_dataset, random_pair, scipy_reference
 from mopr import algorithm
 from mopr.algorithm import (
     InfeasibleRetrievalError,
@@ -15,7 +15,9 @@ from mopr.algorithm import (
     MoprTrace,
     SWEEP_CSV_HEADER,
     _Oracle,
+    _SupportingHyperplane,
     _SweepCarry,
+    _selectable,
     _solve_with_relaxation,
     mmr_retrieve,
     mopr_qp_linear,
@@ -470,6 +472,149 @@ class TestOracleCut:
         assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
 
 
+def selectable_reference(s, classes, k):
+    """The first k items of each class in (descending similarity, index) order."""
+    keep = []
+    for c in set(classes.tolist()):
+        members = sorted(np.flatnonzero(classes == c), key=lambda i: (-s[i], i))
+        keep += members[:k]
+    return np.sort(np.array(keep, dtype=int))
+
+
+@st.composite
+def tied_label_instances(draw):
+    """A labels-view pool whose similarities tie often: every retrieval
+    embedding is one of three vectors, so the items of a cell share few
+    similarity values and ties fall at a cell's k-th place.  The 2 x 3 cells
+    are drawn at random, so some hold fewer than k items or none."""
+    n = draw(st.integers(4, 16))
+    k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((3, 3))
+    base[:, 0] = np.abs(base[:, 0]) + 0.5
+    cards = {"a": 2, "b": 3}
+
+    def labels(count):
+        return [{"a": int(rng.integers(2)), "b": int(rng.integers(3))} for _ in range(count)]
+
+    d_r = make_dataset(base[rng.integers(0, 3, size=n)], labels(n), cards=cards, prefix="r")
+    d_c = make_dataset(rng.standard_normal((12, 3)), labels(12), cards=cards,
+                       role="curated", prefix="c")
+    rho = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.3, 0.999, 1.0]))
+    return d_r, d_c, Query("q", np.eye(3)[0]), k, rho, rng
+
+
+class TestPrunedLp:
+    """The loop's LP has a column only for the k most similar items of each
+    class (``_selectable``): an optimum takes no other item."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_selectable_is_the_top_k_of_each_class(self, data):
+        n = data.draw(st.integers(1, 30))
+        k = data.draw(st.sampled_from([1, n]) | st.integers(1, n))
+        s = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5]),
+                                        min_size=n, max_size=n)))
+        classes = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        assert np.array_equal(_selectable(s, classes, k), selectable_reference(s, classes, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_label_instances(), st.sampled_from(["finite", "linear", "qp"]))
+    def test_pruned_lp_matches_highs_over_every_column(self, instance, kind):
+        # the QP gradient is constant on a cell only up to the SVD's rounding,
+        # so the objectives agree to a relative tolerance
+        d_r, d_c, q, k, rho, rng = instance
+        s = similarity_vector(d_r, q)
+        if kind == "qp":
+            separate = _SupportingHyperplane(d_r, d_c, k, "labels")
+        else:
+            separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind))
+        keep = _selectable(s, separate.classes, k)
+        assert np.array_equal(keep, selectable_reference(s, separate.classes, k))
+        full, pruned = [], []
+        for _ in range(3):
+            a = np.zeros(len(d_r))
+            a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
+            value, witness = separate(a)
+            if value > rho:
+                full.append(separate.cut_for(witness, rho))
+                pruned.append(separate.cut_for(witness, rho, keep))
+        lp = solve_lp(s[keep], pruned, k)
+        ref = scipy_reference(s, full, k)
+        assert ref.status in (0, 2)
+        assert lp.status == ("optimal" if ref.status == 0 else "infeasible")
+        if ref.status == 0:
+            assert lp.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-7)
+            on_all = np.zeros(len(d_r))
+            on_all[keep] = lp.a
+            assert check_cuts(on_all, full, tol=1e-7) == []
+
+    @staticmethod
+    def assert_selects_as_run_to_cap(d_r, d_c, q, k, rho, kind, T=15):
+        if kind == "qp":
+            sel, trace = mopr_qp_linear(d_r, d_c, q, k, rho=rho, T=T)
+            separate = qp_separator(d_r, d_c, k, rho)
+        else:
+            cfg = MoprConfig(rho=rho, T=T, oracle_kind=kind)
+            sel, trace = mopr_retrieve(d_r, d_c, q, k, cfg)
+            separate = oracle_separator(d_r, d_c, k, cfg)
+        assume(trace.effective_rho == rho)  # no relaxation, which run_to_cap leaves out
+        ref_sel, ref_achieved, _, _ = run_to_cap(similarity_vector(d_r, q), k, rho, T, separate)
+        assert np.array_equal(sel.indicator, ref_sel.indicator)
+        assert trace.achieved_mpr == ref_achieved
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(30, 90), k=st.integers(2, 12),
+           rho=st.sampled_from([0.02, 0.05, 0.1, 0.3]),
+           kind=st.sampled_from(["finite", "linear", "qp"]))
+    def test_loop_selects_as_run_to_cap_over_every_column(self, seed, n, k, rho, kind):
+        d_r, d_c, q = grid_instance(seed, n=n, m=40)
+        self.assert_selects_as_run_to_cap(d_r, d_c, q, k, rho, kind)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tied_label_instances(), st.sampled_from(["finite", "linear", "qp"]))
+    def test_tied_loop_selects_as_run_to_cap_over_every_column(self, instance, kind):
+        d_r, d_c, q, k, rho, _ = instance
+        self.assert_selects_as_run_to_cap(d_r, d_c, q, k, rho, kind)
+
+    @pytest.mark.parametrize("view", ["embedding", "concat"])
+    def test_other_views_keep_every_column(self, view):
+        d_r, d_c, q = grid_instance(n=80)
+        carry = _SweepCarry(d_r, d_c, q, 3, MoprConfig(oracle_kind="linear", feature_view=view))
+        assert np.array_equal(carry.keep, np.arange(80))
+        qp = _SupportingHyperplane(d_r, d_c, 3, view)
+        assert np.array_equal(_selectable(carry.s, qp.classes, 3), np.arange(80))
+
+    @pytest.mark.parametrize("kind", ["finite", "linear", "tree"])
+    def test_labels_view_keeps_k_per_cell(self, kind):
+        d_r, d_c, q = grid_instance(n=300, m=100)
+        carry = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind=kind))
+        assert carry.keep.size == 8 * 10  # every one of the 2 x 4 cells holds more than k
+        assert np.array_equal(carry.keep, selectable_reference(carry.s, carry.oracle.classes, 10))
+
+
+class TestOracleMemo:
+    def test_repeats_the_last_evaluation_only(self, monkeypatch):
+        d_r, d_c, q = grid_instance()
+        oracle = _Oracle(d_r, d_c, 10, MoprConfig(oracle_kind="linear"))
+        calls = []
+        inner = algorithm.oracle_gap
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm, "oracle_gap", counting)
+        a, b = np.zeros(len(d_r)), np.zeros(len(d_r))
+        a[:10], b[10:20] = 1.0, 1.0
+        first = oracle(a)
+        assert oracle(a.copy()) is first and len(calls) == 1
+        oracle(b)
+        assert len(calls) == 2
+        a[:2], a[20:22] = 0.0, 1.0  # the oracle kept a copy, not this array
+        assert oracle(a)[0] != first[0] and len(calls) == 3
+
+
 class TestParetoSweep:
     def test_anchor_point(self, rng):
         d_r, d_c, q = binary_instance(rng)
@@ -555,7 +700,9 @@ class TestParetoSweep:
            grid=st.lists(st.floats(0.2, 0.8), min_size=2, max_size=4, unique=True))
     def test_carried_cuts_hold_at_the_ip_optimum(self, seed, n, k, grid):
         # a carried cut bounded by the new rho is a necessary condition of
-        # MPR <= rho: the exact optimum under every cell cut satisfies it
+        # MPR <= rho: the exact optimum under every cell cut satisfies it.  The
+        # LP's cuts span the carry's columns, which hold all of that optimum's
+        # items: it takes the most similar items of each cell
         d_r, d_c, q = grid_instance(seed, n=n, m=30)
         grid = sorted(grid, reverse=True)
         cfg = MoprConfig(T=10, oracle_kind="finite")
@@ -578,7 +725,9 @@ class TestParetoSweep:
                     opt = solve_ip_exact(carry.s, table.cuts(k, rho), k)
                 except ValueError:  # no selection reaches rho
                     continue
-                assert check_cuts(opt.indicator.astype(float), carried, tol=1e-9) == []
+                assert np.isin(opt.indices, carry.keep).all()
+                on_keep = opt.indicator[carry.keep].astype(float)
+                assert check_cuts(on_keep, carried, tol=1e-9) == []
 
     def test_row_order_and_csv(self, rng, tmp_path):
         d_r, d_c, q = binary_instance(rng)

@@ -1,11 +1,12 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
+from conftest import scipy_reference
 from mopr.solver import (
     Cut,
     HalfSpaceCut,
@@ -14,30 +15,6 @@ from mopr.solver import (
     solve_ip_exact,
     solve_lp,
 )
-
-
-def scipy_reference(s, cuts, k, var_bounds=None):
-    """Independent LP oracle via scipy (HiGHS)."""
-    n = s.size
-    A_ub, b_ub = [], []
-    for cut in cuts:
-        for coef, lo, hi in cut.rows():
-            if np.isfinite(hi):
-                A_ub.append(coef)
-                b_ub.append(hi)
-            if np.isfinite(lo):
-                A_ub.append(-coef)
-                b_ub.append(-lo)
-    res = linprog(
-        -s,
-        A_ub=np.array(A_ub) if A_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.ones((1, n)),
-        b_eq=[k],
-        bounds=var_bounds or [(0, 1)] * n,
-        method="highs",
-    )
-    return res
 
 
 def random_cut_instance(rng, n, n_cuts, rho):
@@ -296,6 +273,51 @@ def assert_matches_highs(lp, s, cuts, k, var_bounds):
         assert np.all((lp.a >= lo) & (lp.a <= hi))
 
 
+@st.composite
+def near_duplicate_instances(draw):
+    """LPs in which every cut row comes with a near copy: the same range, and
+    coefficients moved by at most 1e-12 (or not at all), well inside both
+    solvers' tolerances.  Both rows of a pair can be active at once, which is
+    where a basis could turn singular; the last cut is always a copy."""
+    n = draw(st.integers(3, 10))
+    k = draw(st.sampled_from([1, n - 1]) | st.integers(1, n - 1))
+    s = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    rho = draw(st.sampled_from([0.0, 1e-9, 0.5, 1.0]))
+    cuts = []
+    for _ in range(draw(st.integers(1, 3))):
+        coef = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) / 4
+        offset = draw(GRID)
+        cut = Cut(coef, offset, rho) if draw(st.booleans()) else HalfSpaceCut(coef, offset + rho)
+        nudge = np.array(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        scale = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
+        cuts += [cut, replace(cut, coefficients=coef + scale * nudge)]
+    return s, cuts, k
+
+
+def near_copy(cut, nudge):
+    """``cut`` with its coefficients moved by 1e-9 times ``nudge``."""
+    return replace(cut, coefficients=cut.coefficients + 1e-9 * np.asarray(nudge, dtype=float))
+
+
+def _near_copy_regressions():
+    band = Cut(np.array([2, -1, 2, 0, -2, -1, 0, -2, 1, 2]) / 4, -0.625, 0.0)
+    singular = (np.array([0.8, 0.17, 0.62, 0.6, 0.13, 0.42, 0.9, 0.92, 0.66, 0.35]),
+                [band, near_copy(band, [0, 1, 0, 1, 0, 0, 0, 1, 1, 1])], 3)
+    band = Cut(np.array([0, 0, 2, -1, 2, -2, 0]) / 4, -0.625, 0.0)
+    cycling = (np.array([0.7, 0.4, 0.9, 0.9, 0.1, 0.5, 0.2]),
+               [band, near_copy(band, [0, 1, 1, -1, -1, 0, -1])], 2)
+    half = HalfSpaceCut(np.array([-1, -1, 1, -1, 0, 2, 0, -2, 0, 2]) / 4, -0.25)
+    band = Cut(np.array([2, 2, 0, -1, 0, 0, 2, 0, 2, -2]) / 4, 0.375, 0.0)
+    other = HalfSpaceCut(np.array([2, 0, 0, -1, -1, -1, -2, -1, 1, -1]) / 4, -0.5)
+    ill = (np.array([0.5, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 0.5, 0.5]),
+           [half, half, band, near_copy(band, [-1, 0, 0, 0, 1, -1, 1, 1, -1, -1]),
+            other, near_copy(other, [0, 1, 1, 0, -1, -1, -1, 1, 0, 1])], 3)
+    return [singular, cycling, ill]
+
+
+NEAR_COPY_REGRESSIONS = _near_copy_regressions()
+
+
 def loosened(cut):
     if isinstance(cut, Cut):
         return cut.with_bound(cut.bound + 0.25)
@@ -341,6 +363,29 @@ class TestSolveLpProperties:
             first = solve_lp(s, before, k, var_bounds)
             lp, cuts = solve_lp(s, after, k, var_bounds, start=first.basis), after
         assert_matches_highs(lp, s, cuts, k, var_bounds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_duplicate_instances(), st.sampled_from(["cold", "append"]))
+    def test_near_duplicate_rows_match_highs(self, instance, change):
+        # the warm start re-optimizes after the near copy of a row is added
+        s, cuts, k = instance
+        if change == "cold":
+            lp = solve_lp(s, cuts, k)
+        else:
+            lp = solve_lp(s, cuts, k, start=solve_lp(s, cuts[:-1], k).basis)
+        assert_matches_highs(lp, s, cuts, k, None)
+
+    @pytest.mark.parametrize("instance", NEAR_COPY_REGRESSIONS,
+                             ids=["singular", "cycling", "ill-conditioned"])
+    def test_near_copies_beyond_tolerance_match_highs(self, instance):
+        # each copy is out of range by rounding noise that only a pivot on an
+        # element of about 1e-9 repairs; such pivots raised LinAlgError on a
+        # singular basis, cycled to the pivot limit, or left a basis of
+        # condition 5e9 whose vertex broke two rows by 1.2e-7 and fell 0.375
+        # short of the optimum
+        s, cuts, k = instance
+        for start in (None, solve_lp(s, cuts[:-1], k).basis):
+            assert_matches_highs(solve_lp(s, cuts, k, start=start), s, cuts, k, None)
 
     def test_group_cut_is_one_pivot_of_many_flips(self):
         # items 0-9 form group A and fill the top 5; the cut admits one of them,
