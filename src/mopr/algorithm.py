@@ -11,13 +11,14 @@ stops when the selection is certified, when the new cut duplicates an old one
 
 The LP has a column only for the items an optimum can choose.  Each
 separator names the class of every retrieval item, the distinct feature row
-its cuts are constant on: the label cell on the labels view and for the
-finite class, the item itself otherwise.  Moving LP weight within a class to
-a more similar item keeps every cut row and raises the objective, so an
-optimum takes at most k items of a class, and the most similar ones (the
-cell-count argument of Celis, Straszak & Vishnoi 2018).  ``_selectable``
-keeps those, at most k per class; at n = 3000 over 8 cells that is 160
-columns, while singleton classes keep every column.
+its cuts are constant on: ``classes`` is its ``feature_groups`` inverse over
+D_R, the label cell on the labels view and for the finite class, the item
+itself otherwise.  Moving LP weight within a class to a more similar item
+keeps every cut row and raises the objective, so an optimum takes at most k
+items of a class, and the most similar ones (the cell-count argument of
+Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k per
+class; at n = 3000 over 8 cells that is 160 columns, while singleton classes
+keep every column.
 
 Two separators plug into it.  ``mopr_retrieve`` uses ``_Oracle``, which finds
 the statistic with the most disproportionate representation (exactly over
@@ -39,9 +40,7 @@ from mopr.datamodel import Dataset, Query
 from mopr.metric import (
     FiniteTable,
     closed_form_gap,
-    combined_features,
     feature_groups,
-    label_cells,
     oracle_gap,
     signed_weights,
     svd_context,
@@ -141,12 +140,11 @@ class _Oracle:
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
-        if cfg.oracle_kind == "finite":
+        finite = cfg.oracle_kind == "finite"
+        if finite:
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-            self.classes = label_cells(d_r)
-        else:
-            self.groups = feature_groups(d_r, d_c, cfg.feature_view)
-            self.classes = self.groups.inverse[: self.n]
+        self.groups = feature_groups(d_r, d_c, "labels" if finite else cfg.feature_view)
+        self.classes = self.groups.inverse[: self.n]
         self._last: tuple[np.ndarray, tuple] | None = None
 
     def __call__(self, a: np.ndarray):
@@ -179,15 +177,14 @@ class _SupportingHyperplane:
     ``sep(a)`` returns (constraint value, witness) for a binary selection;
     ``cut_for(witness, rho)`` is the supporting hyperplane of the convex
     constraint at that selection, built from its analytic gradient.  The
-    gradient is a function of an item's feature row, up to the rounding of
-    the SVD, so ``classes`` are the label cells on the labels view and the
-    items themselves on the others.
+    gradient is computed once per distinct feature row and gathered to the
+    items, so it is exactly constant on each of the ``classes``.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, feature_view: str):
-        self.ctx = svd_context(combined_features(d_r, d_c, feature_view))
+        self.ctx = svd_context(feature_groups(d_r, d_c, feature_view))
         self.n, self.m, self.k = len(d_r), len(d_c), k
-        self.classes = label_cells(d_r) if feature_view == "labels" else np.arange(self.n)
+        self.classes = self.ctx.inverse[: self.n]
 
     def __call__(self, a: np.ndarray):
         value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
@@ -198,7 +195,7 @@ class _SupportingHyperplane:
         # selection lies in the LP's columns, so the rhs is the same on them
         a, value, z = witness
         tn = target_norm(self.m, self.k)
-        grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[: self.n] / self.k
+        grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[self.classes] / self.k
         return HalfSpaceCut(grad[columns], rho - value + float(grad @ a))
 
 

@@ -89,6 +89,8 @@ def _selection_from_args(args, d_r, q):
         for item_id in ids:
             if item_id not in index:
                 raise ValueError(f"selection id {item_id!r} not in retrieval dataset")
+            if indicator[index[item_id]]:
+                raise ValueError(f"selection id {item_id!r} appears more than once")
             indicator[index[item_id]] = 1
         return similarity.Selection(indicator, len(ids))
     sel, _ = similarity.top_k(d_r, q, args.k)
@@ -276,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", dest="rho_grid", required=True,
                    help="comma-separated descending rho values")
     _add_oracle_args(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the sweep always runs serially")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)

@@ -7,10 +7,11 @@ lists, estimated through a regression oracle, computed in closed form for
 linear statistics via the SVD, or computed for kernel classes as a maximum
 mean discrepancy.
 
-The regression oracles and the kernel distance work on the distinct feature
-rows of D_R over D_C (``feature_groups``).  On the labels view those are the
-intersectional cells present, found from the label codes; the oracles fit on
-them with their counts and map the fitted values back to every row.
+Every evaluator but the finite one works on the distinct feature rows of D_R
+over D_C (``feature_groups``): the intersectional cells present on the labels
+view, found from the label codes, and every row elsewhere.  Each weighs a row
+by its count (the closed form factors it scaled by the root of its count) and
+maps its values back to every row.
 """
 
 from __future__ import annotations
@@ -67,12 +68,17 @@ class MprReport:
 
 @dataclass(frozen=True)
 class SvdContext:
-    """Thin SVD of the concatenated feature rows, truncated to effective rank."""
+    """Thin SVD of the stacked feature rows ``rows[inverse]``, truncated to
+    effective rank.  It factors sqrt(c) * ``rows``, c each distinct row's
+    count, which has the stack's singular values and right vectors; ``U_l``
+    is that matrix's left vectors divided by sqrt(c), one row per distinct
+    row, so the stack's orthonormal left vectors are ``U_l[inverse]``."""
 
     U_l: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
     l: int
+    inverse: np.ndarray
 
 
 def _check_compatible(d_r: Dataset, d_c: Dataset, view: str) -> None:
@@ -102,10 +108,6 @@ class FeatureGroups:
         return cls(X, np.arange(len(X)))
 
 
-def _label_cards(dataset: Dataset) -> list[int]:
-    return [dataset.schema.label_cards[name] for name in dataset.schema.label_names]
-
-
 def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
     """A mixed-radix code of each row of label codes, so equal rows get equal codes."""
     code, span = np.zeros(len(labels), dtype=np.int64), 1
@@ -115,11 +117,6 @@ def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
             span = len(labels)
         code, span = code * card + labels[:, j], span * card
     return code
-
-
-def label_cells(dataset: Dataset) -> np.ndarray:
-    """Each item's intersectional cell, numbered 0, 1, ... over the cells present."""
-    return np.unique(_cell_codes(dataset.labels, _label_cards(dataset)), return_inverse=True)[1]
 
 
 def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
@@ -132,7 +129,7 @@ def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
         return FeatureGroups.identity(combined_features(d_r, d_c, view))
     _check_compatible(d_r, d_c, view)
     labels = np.vstack([d_r.labels, d_c.labels])
-    cards = _label_cards(d_r)
+    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
     _, first, inverse = np.unique(_cell_codes(labels, cards), return_index=True,
                                   return_inverse=True)
     by_first = np.argsort(first)
@@ -141,13 +138,18 @@ def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
     return FeatureGroups(one_hot(labels[first[by_first]], cards), renumber[inverse])
 
 
-def svd_context(X: np.ndarray) -> SvdContext:
+def svd_context(groups: FeatureGroups) -> SvdContext:
+    X, root = groups.rows, 1.0  # without repeated rows the stack is factored as it is
+    if len(X) < len(groups.inverse):
+        root = np.sqrt(np.bincount(groups.inverse))[:, None]
+        X = root * X
     U, S, Vt = np.linalg.svd(X, full_matrices=False)
     if S.size == 0 or S[0] <= 0.0:
         raise ValueError("all-zero feature matrix")
     keep = S > SV_CUTOFF_REL * S[0]
-    l = int(np.count_nonzero(keep))
-    return SvdContext(U_l=U[:, keep], singular_values=S[keep], V=Vt[keep].T, l=l)
+    U_l = U[:, keep]
+    U_l /= root
+    return SvdContext(U_l, S[keep], Vt[keep].T, int(np.count_nonzero(keep)), groups.inverse)
 
 
 @dataclass(frozen=True)
@@ -285,8 +287,8 @@ def mpr_via_oracle(
 
 def closed_form_gap(ctx: SvdContext, tilde: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray]:
     """Gap over normalized linear statistics for signed weights ``tilde``, and
-    the coordinates ``z = U_l' tilde`` the gap is the scaled norm of."""
-    z = ctx.U_l.T @ tilde
+    the coordinates ``z = U_l[inverse]' tilde`` the gap is the scaled norm of."""
+    z = ctx.U_l.T @ np.bincount(ctx.inverse, tilde, len(ctx.U_l))
     return target_norm(m, k) * float(np.linalg.norm(z)), z
 
 
@@ -294,8 +296,7 @@ def mpr_closed_form_linear(
     sel: Selection, d_r: Dataset, d_c: Dataset, feature_view: str = "labels"
 ) -> MprReport:
     """Exact gap for normalized linear statistics via the truncated SVD."""
-    X = combined_features(d_r, d_c, feature_view)
-    ctx = svd_context(X)
+    ctx = svd_context(feature_groups(d_r, d_c, feature_view))
     m = len(d_c)
     value, z = closed_form_gap(ctx, signed_weights(sel.indicator, sel.k, m), m, sel.k)
     scale = target_norm(m, sel.k)

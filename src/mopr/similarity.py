@@ -17,6 +17,8 @@ class Selection:
     k: int
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"a selection holds at least one item, got k={self.k}")
         raw = np.asarray(self.indicator)
         if not np.all((raw == 0) | (raw == 1)):
             raise ValueError("indicator must be binary")

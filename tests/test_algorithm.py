@@ -34,7 +34,6 @@ from mopr.datamodel import (
 )
 from mopr.metric import (
     FiniteTable,
-    combined_features,
     feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -89,13 +88,14 @@ def oracle_separator(d_r, d_c, k, cfg):
 
 def qp_separator(d_r, d_c, k, rho):
     # the supporting hyperplane of mopr_qp_linear, in the same arithmetic
-    ctx = svd_context(combined_features(d_r, d_c, "labels"))
+    ctx = svd_context(feature_groups(d_r, d_c, "labels"))
     n, m, tn = len(d_r), len(d_c), target_norm(len(d_c), k)
 
     def separate(a):
-        z = ctx.U_l.T @ np.concatenate([a / k, np.full(m, -1.0 / m)])
+        tilde = np.concatenate([a / k, np.full(m, -1.0 / m)])
+        z = ctx.U_l.T @ np.bincount(ctx.inverse, tilde, len(ctx.U_l))
         zn = float(np.linalg.norm(z))
-        grad = (tn * (ctx.U_l @ z) / zn)[:n] / k
+        grad = (tn * (ctx.U_l @ z) / zn)[ctx.inverse[:n]] / k
         return tn * zn, HalfSpaceCut(grad, rho - tn * zn + float(grad @ a))
 
     return separate
@@ -521,8 +521,6 @@ class TestPrunedLp:
     @settings(max_examples=150, deadline=None)
     @given(tied_label_instances(), st.sampled_from(["finite", "linear", "qp"]))
     def test_pruned_lp_matches_highs_over_every_column(self, instance, kind):
-        # the QP gradient is constant on a cell only up to the SVD's rounding,
-        # so the objectives agree to a relative tolerance
         d_r, d_c, q, k, rho, rng = instance
         s = similarity_vector(d_r, q)
         if kind == "qp":
@@ -584,6 +582,22 @@ class TestPrunedLp:
         assert np.array_equal(carry.keep, np.arange(80))
         qp = _SupportingHyperplane(d_r, d_c, 3, view)
         assert np.array_equal(_selectable(carry.s, qp.classes, 3), np.arange(80))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_qp_cut_is_constant_on_each_class(self, seed):
+        # the gradient is computed per label cell and gathered to the items
+        d_r, d_c, _ = grid_instance(seed)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, len(d_r)))
+        a = np.zeros(len(d_r))
+        a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
+        separate = _SupportingHyperplane(d_r, d_c, k, "labels")
+        value, witness = separate(a)
+        assert value > 0.0
+        coefficients = separate.cut_for(witness, 0.0).coefficients
+        for c in np.unique(separate.classes):
+            on_class = coefficients[separate.classes == c]
+            assert np.all(on_class == on_class[0])
 
     @pytest.mark.parametrize("kind", ["finite", "linear", "tree"])
     def test_labels_view_keeps_k_per_cell(self, kind):

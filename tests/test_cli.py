@@ -111,6 +111,25 @@ class TestMprCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["oracle", "closed-form", "rkhs", "finite"])
+    def test_empty_selection_fails(self, tmp_path, capsys, method):
+        write_fixture(tmp_path)
+        sel_file = tmp_path / "sel.csv"
+        sel_file.write_text("id\n")
+        code = main(["mpr"] + io_args(tmp_path) + [
+            "--k", "1", "--selection", str(sel_file), "--method", method])
+        assert code == 1
+        assert "at least one item" in capsys.readouterr().err
+
+    def test_duplicate_selection_id_fails(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        sel_file = tmp_path / "sel.csv"
+        sel_file.write_text("id\nr0\nr1\nr0\n")
+        code = main(["mpr"] + io_args(tmp_path) + [
+            "--k", "3", "--selection", str(sel_file)])
+        assert code == 1
+        assert "'r0' appears more than once" in capsys.readouterr().err
+
 
 def write_label_pair(tmp_path, retrieval_codes, curated_codes, curated_axis="g"):
     """Retrieval and curated CSVs whose label codes are given; returns both
@@ -228,16 +247,6 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["sim_frac_topk"]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows[0]["mpr_frac_topk"]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        write_fixture(tmp_path)
-        grid = "0.4,0.2,0.1"
-        out1, out2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        base = ["sweep"] + io_args(tmp_path) + ["--k", "10", "--rho-grid", grid,
-                                                "--oracle", "finite"]
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestBoundsCommand:

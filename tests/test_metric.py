@@ -29,6 +29,7 @@ from mopr.statclasses import (
     fit_mlp,
     fit_tree,
     normalize_values,
+    target_norm,
 )
 
 
@@ -53,7 +54,7 @@ class TestTildeA:
 
 class TestSvdContext:
     def test_orthonormal_columns(self, rng):
-        ctx = svd_context(rng.standard_normal((8, 3)))
+        ctx = svd_context(FeatureGroups.identity(rng.standard_normal((8, 3))))
         gram = ctx.U_l.T @ ctx.U_l
         assert gram == pytest.approx(np.eye(ctx.l), abs=1e-8)
         assert np.all(np.diff(ctx.singular_values) <= 0)
@@ -62,11 +63,40 @@ class TestSvdContext:
     def test_rank_deficiency_truncated(self, rng):
         col = rng.standard_normal((6, 1))
         X = np.hstack([col, 2 * col])
-        assert svd_context(X).l == 1
+        assert svd_context(FeatureGroups.identity(X)).l == 1
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            svd_context(np.zeros((4, 2)))
+            svd_context(FeatureGroups.identity(np.zeros((4, 2))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["labels", "embedding", "concat"]))
+    def test_grouped_matches_expanded_rows(self, seed, view):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 120)), int(rng.integers(2, 100))
+        k = int(rng.integers(1, n + 1))
+        d_r, d_c = random_pair(rng, n, m, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+        groups = feature_groups(d_r, d_c, view)
+        X = combined_features(d_r, d_c, view)
+        ctx = svd_context(groups)
+        U, S, Vt = np.linalg.svd(X, full_matrices=False)
+        assert np.allclose(ctx.singular_values, S[: ctx.l], rtol=1e-12, atol=0.0)
+        assert np.allclose(ctx.U_l[ctx.inverse].T @ ctx.U_l[ctx.inverse], np.eye(ctx.l),
+                           rtol=0.0, atol=1e-12)
+        a = np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        tilde = signed_weights(a, k, m)
+        value, z = metric.closed_form_gap(ctx, tilde, m, k)
+        projection = X @ np.linalg.lstsq(X, tilde, rcond=None)[0]
+        assert value == pytest.approx(target_norm(m, k) * np.linalg.norm(projection),
+                                      rel=1e-9, abs=1e-12)
+        if view != "labels":
+            # no repeated rows: the factorization of the stack itself, bit for bit
+            keep = S > metric.SV_CUTOFF_REL * S[0]
+            assert np.array_equal(ctx.U_l, U[:, keep])
+            assert np.array_equal(ctx.singular_values, S[keep])
+            assert np.array_equal(ctx.V, Vt[keep].T)
+            assert np.array_equal(z, U[:, keep].T @ tilde)
 
 
 class TestExactFinite:
@@ -158,11 +188,12 @@ class TestClosedFormLinear:
     def test_witness_attains_value(self, rng):
         d_r, d_c = random_pair(rng, 10, 7, 3)
         sel = random_selection(rng, 10, 4)
-        rep = mpr_closed_form_linear(sel, d_r, d_c, "embedding")
         ta = signed_weights(sel.indicator, sel.k, 7)
-        X = combined_features(d_r, d_c, "embedding")
-        attained = abs(float(rep.witness.values_from_features(X) @ ta))
-        assert attained == pytest.approx(rep.value, abs=1e-9)
+        for view in ("labels", "embedding", "concat"):
+            rep = mpr_closed_form_linear(sel, d_r, d_c, view)
+            X = combined_features(d_r, d_c, view)
+            attained = abs(float(rep.witness.values_from_features(X) @ ta))
+            assert attained == pytest.approx(rep.value, abs=1e-9)
 
 
 def two_sign_fits(X, tilde, m, k, fit):

@@ -65,6 +65,10 @@ class TestSelection:
         with pytest.raises(ValueError, match="binary"):
             Selection(np.array([0.5, 0.5]), 1)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one item"):
+            Selection(np.zeros(3, dtype=int), 0)
+
 
 class TestTopK:
     def test_direct_sort(self):
