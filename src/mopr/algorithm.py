@@ -20,13 +20,16 @@ Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k per
 class; at n = 3000 over 8 cells that is 160 columns, while singleton classes
 keep every column.
 
-Two separators plug into it.  ``mopr_retrieve`` uses ``_Oracle``, which finds
-the statistic with the most disproportionate representation (exactly over
-the cell indicators, or by a regression oracle) and cuts on its mean.
-``mopr_qp_linear`` uses ``_SupportingHyperplane``, which evaluates the
-closed-form norm constraint of the linear class and cuts on its supporting
-hyperplane.  A greedy maximal-marginal-relevance baseline and a Pareto sweep
-harness round out the module.
+The linear class is separated in closed form.  Its least-squares witness is
+the projection of the signed weights onto the feature columns, so its cut is
+the supporting hyperplane of the closed-form norm, and
+``_SupportingHyperplane`` builds that cut from the norm's gradient without a
+fit (Prop. ``closed_form_MPR``).  Every other class uses ``_Oracle``, which
+finds the statistic with the most disproportionate representation (exactly
+over the cell indicators, or by a tree or MLP oracle) and cuts on its mean.
+Both emit the same two-sided ``Cut``.  ``mopr_qp_linear`` is the linear
+retrieval under its older name.  A greedy maximal-marginal-relevance baseline
+and a Pareto sweep harness round out the module.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from mopr.metric import (
     svd_context,
 )
 from mopr.similarity import Selection, condition_curation, similarity_vector
-from mopr.solver import Cut, HalfSpaceCut, round_top_k, solve_lp
+from mopr.solver import Cut, round_top_k, solve_lp
 from mopr.statclasses import all_cell_indicators, target_norm
 
 HALT_TOL = 1e-8
@@ -172,17 +175,22 @@ class _Oracle:
 
 
 class _SupportingHyperplane:
-    """Separator by the closed-form norm constraint of the linear class.
+    """Separator of the linear class by its closed-form norm.
 
-    ``sep(a)`` returns (constraint value, witness) for a binary selection;
-    ``cut_for(witness, rho)`` is the supporting hyperplane of the convex
-    constraint at that selection, built from its analytic gradient.  The
+    ``sep(a)`` returns (MPR, witness) for a binary selection: the MPR is
+    tn * ||z||, z the signed weights in the stack's left singular vectors U.
+    The worst statistic is tn * U z / ||z||, the normalized least-squares fit
+    of the signed weights; its values on the D_R items over k are the norm's
+    gradient at ``a``, and its curated mean is gradient . a - MPR.
+    ``cut_for`` bounds the gap between the two means by rho, the oracle's
+    cut: its upper side is the norm's supporting hyperplane, and the class
+    is closed under negation, so both sides are necessary conditions.  The
     gradient is computed once per distinct feature row and gathered to the
     items, so it is exactly constant on each of the ``classes``.
     """
 
-    def __init__(self, d_r: Dataset, d_c: Dataset, k: int, feature_view: str):
-        self.ctx = svd_context(feature_groups(d_r, d_c, feature_view))
+    def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
+        self.ctx = svd_context(feature_groups(d_r, d_c, cfg.feature_view))
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.classes = self.ctx.inverse[: self.n]
 
@@ -190,13 +198,13 @@ class _SupportingHyperplane:
         value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
         return value, (a, value, z)
 
-    def cut_for(self, witness, rho: float, columns=slice(None)) -> HalfSpaceCut:
+    def cut_for(self, witness, rho: float, columns=slice(None)) -> Cut:
         # only asked for when the value exceeds rho >= 0, so z is nonzero; the
-        # selection lies in the LP's columns, so the rhs is the same on them
+        # selection lies in the LP's columns, so the offset is the same on them
         a, value, z = witness
         tn = target_norm(self.m, self.k)
         grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[self.classes] / self.k
-        return HalfSpaceCut(grad[columns], rho - value + float(grad @ a))
+        return Cut(grad[columns], float(grad @ a) - value, rho)
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
@@ -215,7 +223,7 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTra
 
     def probe(rho):
         nonlocal basis, pivots
-        relaxed = [c.relaxed(rho_eff, rho) for c in cuts]
+        relaxed = [c.with_bound(rho) for c in cuts]
         lp = solve_lp(s, relaxed, k, start=basis)
         basis = lp.basis
         pivots += lp.diagnostics["pivots"]
@@ -326,7 +334,8 @@ class _SweepCarry:
 
     Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
     every ``MoprConfig`` field but rho and T.  It holds that instance's
-    similarity vector, ``_Oracle`` and LP columns ``keep`` (the items an
+    similarity vector, separator (``_SupportingHyperplane`` for the linear
+    class, ``_Oracle`` otherwise) and LP columns ``keep`` (the items an
     optimum can choose), and the cut pool (restricted to ``keep``) and LP
     basis where the last retrieval from it ended.  A cut is a necessary
     condition of MPR <= rho at any rho once its bound is set to that rho,
@@ -340,8 +349,9 @@ class _SweepCarry:
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
         self.s = similarity_vector(d_r, q)
-        self.oracle = _Oracle(d_r, d_c, k, cfg)
-        self.keep = _selectable(self.s, self.oracle.classes, k)
+        linear = cfg.oracle_kind == "linear"
+        self.separator = (_SupportingHyperplane if linear else _Oracle)(d_r, d_c, k, cfg)
+        self.keep = _selectable(self.s, self.separator.classes, k)
         self.cuts: list = []
         self.basis = None
 
@@ -366,7 +376,7 @@ def mopr_retrieve(
     """Cutting-plane retrieval of k items under a representation bound.
 
     ``carry`` is a sweep's state for this instance: the retrieval reuses its
-    oracle and similarity vector, starts from its cuts and basis, and leaves
+    separator and similarity vector, starts from its cuts and basis, and leaves
     its own there.  ``ValueError`` if it was built for another instance.
     Without one the retrieval builds a fresh carry of its own.
     """
@@ -374,7 +384,7 @@ def mopr_retrieve(
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
     else:
         carry.check(d_r, d_c, q, k, cfg)
-    return _cutting_plane(carry.s, carry.keep, k, carry.oracle, cfg.T, cfg.rho, carry)
+    return _cutting_plane(carry.s, carry.keep, k, carry.separator, cfg.T, cfg.rho, carry)
 
 
 def mopr_qp_linear(
@@ -386,11 +396,15 @@ def mopr_qp_linear(
     T: int = 50,
     feature_view: str = "labels",
 ) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane on the closed-form norm constraint for linear statistics."""
-    _check_k(k)
-    s = similarity_vector(d_r, q)
-    separate = _SupportingHyperplane(d_r, d_c, k, feature_view)
-    return _cutting_plane(s, _selectable(s, separate.classes, k), k, separate, T, rho)
+    """The linear-class retrieval under its older name.
+
+    It returns what ``mopr_retrieve`` returns with ``oracle_kind="linear"``:
+    the linear class is separated in closed form, by the supporting
+    hyperplane of its norm, whichever name is called.
+    """
+    cfg = MoprConfig(rho=rho, T=T, oracle_kind="linear", feature_view=feature_view)
+    carry = _SweepCarry(d_r, d_c, q, k, cfg)
+    return _cutting_plane(carry.s, carry.keep, k, carry.separator, T, rho)
 
 
 def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
@@ -455,7 +469,7 @@ def pareto_sweep(
     """One constrained retrieval per grid value, normalized against plain top-k.
 
     The sweep is one warm-started computation.  It builds one similarity
-    vector and one ``_Oracle``, which also measure the top-k reference, and
+    vector and one separator, which also measure the top-k reference, and
     each grid value's retrieval starts from the cuts and LP basis the
     previous value ended with, the cuts bounded by the new rho.  The first
     value starts from nothing, as a plain ``mopr_retrieve`` does.
@@ -467,7 +481,7 @@ def pareto_sweep(
     carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
     s = carry.s
     sel0 = round_top_k(s, k)
-    mpr0, _ = carry.oracle(sel0.indicator.astype(float))
+    mpr0, _ = carry.separator(sel0.indicator.astype(float))
     sim0 = float(np.mean(s[sel0.indices]))
     points: list[ParetoPoint] = []
     for rho in rho_grid:

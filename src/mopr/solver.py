@@ -1,21 +1,22 @@
 """Linear and integer programs for constrained top-k selection.
 
 The relaxed retrieval problem is ``max s.a`` over ``a in [0,1]^n`` with
-``sum(a) = k`` plus accumulated representation cuts.  It is solved by a
-self-contained bounded dual simplex (no external solver).  Each row gets a
-slack, ``row.a - slack = 0``, whose bounds carry the row's range, so cuts and
-bound changes only move bounds.  A cold solve starts at the top-k vertex: the
-k most similar free items at their upper bound, one of them basic in the
-cardinality row and every cut slack basic.  That basis is dual feasible, so
-no phase 1 is needed.  The final basis is returned, and a later solve whose
-cuts extend the earlier ones (and whose bounds may differ) re-optimizes from
-it, which in a cutting-plane loop takes a few pivots per new cut.  The ratio
-test is the long-step (bound-flipping) one of Maros 2003 and Koberstein 2005:
-a boxed variable whose breakpoint the dual step passes flips to its other
-bound instead of entering, so a cut that moves many items of one cell costs
-one pivot, not one per item.  The leaving row and ties among breakpoints go
-to the lowest index, which keeps runs deterministic.  Small instances can
-also be solved exactly as integer programs.
+``sum(a) = k`` plus accumulated representation cuts.  There is one row type,
+the two-sided ``Cut``: ``offset - bound <= coefficients.a <= offset + bound``.
+It is solved by a self-contained bounded dual simplex (no external solver).
+Each row gets a slack, ``row.a - slack = 0``, whose bounds carry the row's
+range, so cuts and bound changes only move bounds.  A cold solve starts at the
+top-k vertex: the k most similar free items at their upper bound, one of them
+basic in the cardinality row and every cut slack basic.  That basis is dual
+feasible, so no phase 1 is needed.  The final basis is returned, and a later
+solve whose cuts extend the earlier ones (and whose bounds may differ)
+re-optimizes from it, which in a cutting-plane loop takes a few pivots per new
+cut.  The ratio test is the long-step (bound-flipping) one of Maros 2003 and
+Koberstein 2005: a boxed variable whose breakpoint the dual step passes flips
+to its other bound instead of entering, so a cut that moves many items of one
+cell costs one pivot, not one per item.  The leaving row and ties among
+breakpoints go to the lowest index, which keeps runs deterministic.  Small
+instances can also be solved exactly as integer programs.
 """
 
 from __future__ import annotations
@@ -39,13 +40,6 @@ PIVOT_TOL = 1e-7
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
 
-def _finite(coefficients) -> np.ndarray:
-    coef = np.asarray(coefficients, dtype=float)
-    if not np.all(np.isfinite(coef)):
-        raise ValueError("cut coefficients must be finite")
-    return coef
-
-
 @dataclass(frozen=True)
 class Cut:
     """Two-sided linear constraint |coefficients . a - offset| <= bound.
@@ -59,10 +53,10 @@ class Cut:
     bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", _finite(self.coefficients))
-
-    def rows(self) -> list[tuple[np.ndarray, float, float]]:
-        return [(self.coefficients, self.offset - self.bound, self.offset + self.bound)]
+        coef = np.asarray(self.coefficients, dtype=float)
+        if not np.all(np.isfinite(coef)):
+            raise ValueError("cut coefficients must be finite")
+        object.__setattr__(self, "coefficients", coef)
 
     def violation(self, a: np.ndarray) -> float:
         """How far ``a`` sits outside the cut (0 when satisfied)."""
@@ -70,31 +64,6 @@ class Cut:
 
     def with_bound(self, bound: float) -> "Cut":
         return Cut(self.coefficients, self.offset, bound)
-
-    def relaxed(self, rho: float, new_rho: float) -> "Cut":
-        """This cut, built for target gap ``rho``, at target ``new_rho``."""
-        return self.with_bound(new_rho)
-
-
-@dataclass(frozen=True)
-class HalfSpaceCut:
-    """One-sided linear constraint coefficients . a <= rhs."""
-
-    coefficients: np.ndarray
-    rhs: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _finite(self.coefficients))
-
-    def rows(self) -> list[tuple[np.ndarray, float, float]]:
-        return [(self.coefficients, -np.inf, self.rhs)]
-
-    def violation(self, a: np.ndarray) -> float:
-        return max(float(self.coefficients @ a) - self.rhs, 0.0)
-
-    def relaxed(self, rho: float, new_rho: float) -> "HalfSpaceCut":
-        """This cut, built for target gap ``rho``, with its rhs moved to ``new_rho``."""
-        return HalfSpaceCut(self.coefficients, self.rhs + (new_rho - rho))
 
 
 @dataclass
@@ -112,6 +81,9 @@ class LpSolution:
 def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, bool]:
     """Bounded dual simplex for max c.x, Ax = 0, lower <= x <= upper.
 
+    Each row of A past the first is one two-sided cut row, whose slack is
+    boxed by the cut's range, so every variable has two finite bounds.
+
     Starts from a dual feasible basis and updates ``status`` and ``basis`` in
     place.  The leaving variable is the lowest-index basic variable outside
     its bounds.  The ratio test walks the breakpoints |reduced cost| / |alpha|
@@ -120,8 +92,7 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
     width at each one.  Breakpoints passed while the slope stays above TOL
     flip to their other bound; of the rest, the one with the smallest ratio
     enters, ties within TOL to the lowest index, so a pivot without flips is
-    the textbook one.  A slack without a lower bound has infinite width and
-    always stops the walk.  If the slope is still positive after the last
+    the textbook one.  If the slope is still positive after the last
     breakpoint the LP is infeasible, and the basis is returned unflipped.  If
     the entering pivot element is below PIVOT_TOL and the leaving variable
     lies within PIVOT_TOL of its given bounds, its bound is shifted to its
@@ -201,16 +172,6 @@ def _top_k_start(s, lo_a, hi_a, k, n_rows):
     return status, basis
 
 
-def _build_rows(cuts, n: int):
-    rows = []
-    for cut in cuts:
-        for coef, lo, hi in cut.rows():
-            if coef.shape != (n,):
-                raise ValueError("cut coefficient length does not match pool size")
-            rows.append((coef, lo, hi))
-    return rows
-
-
 def solve_lp(
     s: np.ndarray,
     cuts,
@@ -231,7 +192,8 @@ def solve_lp(
     n = s.size
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
-    rows = _build_rows(cuts, n)
+    if any(cut.coefficients.shape != (n,) for cut in cuts):
+        raise ValueError("cut coefficient length does not match pool size")
     if var_bounds is None:
         lo_a = np.zeros(n)
         hi_a = np.ones(n)
@@ -239,7 +201,7 @@ def solve_lp(
         lo_a = np.array([b[0] for b in var_bounds], dtype=float)
         hi_a = np.array([b[1] for b in var_bounds], dtype=float)
     # one slack per row with row.a - slack = 0; row 0 is sum(a), slack fixed at k
-    n_rows = 1 + len(rows)
+    n_rows = 1 + len(cuts)
     if start is None:
         start = _top_k_start(s, lo_a, hi_a, k, n_rows)
         if start is None:
@@ -254,12 +216,12 @@ def solve_lp(
         status = np.concatenate([status, np.full(n_rows - basis.size, BASIC)])
         basis = np.concatenate([basis, n + np.arange(basis.size, n_rows)])
     A = np.hstack([
-        np.vstack([np.ones(n)] + [coef for coef, _, _ in rows]),
+        np.vstack([np.ones(n)] + [cut.coefficients for cut in cuts]),
         -np.eye(n_rows),
     ])
     c = np.concatenate([s, np.zeros(n_rows)])
-    lower = np.concatenate([lo_a, [k], [lo for _, lo, _ in rows]])
-    upper = np.concatenate([hi_a, [k], [hi for _, _, hi in rows]])
+    lower = np.concatenate([lo_a, [k], [cut.offset - cut.bound for cut in cuts]])
+    upper = np.concatenate([hi_a, [k], [cut.offset + cut.bound for cut in cuts]])
     x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
     fixed = 1 + np.flatnonzero(lower[n + 1:] == upper[n + 1:])
     if fixed.size:
@@ -279,7 +241,7 @@ def solve_lp(
         objective=float(s @ a),
         status="optimal",
         n_fractional=n_frac,
-        diagnostics={"rows": len(rows), "pivots": pivots},
+        diagnostics={"rows": len(cuts), "pivots": pivots},
         basis=(status, basis),
     )
 
@@ -311,12 +273,9 @@ def _enumerate_ip(s: np.ndarray, cuts, k: int) -> Selection:
     objectives = s[combos].sum(axis=1)
     feasible = np.ones(combos.shape[0], dtype=bool)
     for cut in cuts:
-        for coef, lo, hi in cut.rows():
-            vals = coef[combos].sum(axis=1)
-            if np.isfinite(lo):
-                feasible &= vals >= lo - 1e-9
-            if np.isfinite(hi):
-                feasible &= vals <= hi + 1e-9
+        vals = cut.coefficients[combos].sum(axis=1)
+        feasible &= vals >= cut.offset - cut.bound - 1e-9
+        feasible &= vals <= cut.offset + cut.bound + 1e-9
     if not np.any(feasible):
         raise ValueError("integer program infeasible")
     objectives = np.where(feasible, objectives, -np.inf)

@@ -47,13 +47,8 @@ def scipy_reference(s, cuts, k, var_bounds=None):
     n = s.size
     A_ub, b_ub = [], []
     for cut in cuts:
-        for coef, lo, hi in cut.rows():
-            if np.isfinite(hi):
-                A_ub.append(coef)
-                b_ub.append(hi)
-            if np.isfinite(lo):
-                A_ub.append(-coef)
-                b_ub.append(-lo)
+        A_ub += [cut.coefficients, -cut.coefficients]
+        b_ub += [cut.offset + cut.bound, -(cut.offset - cut.bound)]
     res = linprog(
         -s,
         A_ub=np.array(A_ub) if A_ub else None,

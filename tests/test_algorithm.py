@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from conftest import make_dataset, random_pair, scipy_reference
-from mopr import algorithm
+from mopr import algorithm, metric, statclasses
 from mopr.algorithm import (
     InfeasibleRetrievalError,
     MoprConfig,
@@ -42,7 +42,7 @@ from mopr.metric import (
     svd_context,
 )
 from mopr.similarity import similarity_vector, top_k
-from mopr.solver import HalfSpaceCut, check_cuts, round_top_k, solve_ip_exact, solve_lp, Cut
+from mopr.solver import check_cuts, round_top_k, solve_ip_exact, solve_lp, Cut
 from mopr.statclasses import all_cell_indicators, target_norm
 
 
@@ -76,12 +76,13 @@ def grid_instance(seed=0, n=80, m=60):
     return generate_synthetic(spec)
 
 
-def oracle_separator(d_r, d_c, k, cfg):
-    oracle = _Oracle(d_r, d_c, k, cfg)
+def loop_separator(d_r, d_c, q, k, cfg):
+    """The separator ``mopr_retrieve`` builds for ``cfg``, returning its cut."""
+    separator = _SweepCarry(d_r, d_c, q, k, cfg).separator
 
     def separate(a):
-        violation, witness = oracle(a)
-        return violation, oracle.cut_for(witness, cfg.rho)
+        violation, witness = separator(a)
+        return violation, separator.cut_for(witness, cfg.rho)
 
     return separate
 
@@ -96,7 +97,7 @@ def qp_separator(d_r, d_c, k, rho):
         z = ctx.U_l.T @ np.bincount(ctx.inverse, tilde, len(ctx.U_l))
         zn = float(np.linalg.norm(z))
         grad = (tn * (ctx.U_l @ z) / zn)[ctx.inverse[:n]] / k
-        return tn * zn, HalfSpaceCut(grad, rho - tn * zn + float(grad @ a))
+        return tn * zn, Cut(grad, float(grad @ a) - tn * zn, rho)
 
     return separate
 
@@ -130,7 +131,7 @@ def test_stall_halt_matches_run_to_cap(kind, rho):
     else:
         cfg = MoprConfig(rho=rho, T=T, oracle_kind=kind)
         sel, trace = mopr_retrieve(d_r, d_c, q, k, cfg)
-        separate = oracle_separator(d_r, d_c, k, cfg)
+        separate = loop_separator(d_r, d_c, q, k, cfg)
     assert trace.effective_rho == rho  # no relaxation, which run_to_cap leaves out
     assert trace.halted_by == "stalled"
     assert len(trace.iterations) < T
@@ -168,7 +169,7 @@ def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
     s = similarity_vector(d_r, q)
     cuts, basis = [], None
     for rho, trace in zip(grid, traces):
-        separate = oracle_separator(d_r, d_c, k, replace(cfg, rho=rho))
+        separate = loop_separator(d_r, d_c, q, k, replace(cfg, rho=rho))
         sel, achieved, cuts, basis = run_to_cap(
             s, k, rho, T, separate, [c.with_bound(rho) for c in cuts], basis)
         assert np.array_equal(trace.selection.indicator, sel.indicator)
@@ -359,17 +360,13 @@ class TestMmr:
 
 
 def smallest_feasible_rho(s, cuts, k):
-    """HiGHS: min t over a in [0,1]^n, sum(a) = k, with every cut (built for
-    target gap 0) relaxed to gap t: |c.a - offset| <= t, or c.a <= rhs + t."""
+    """HiGHS: min t over a in [0,1]^n, sum(a) = k, with every cut relaxed to
+    gap t: |c.a - offset| <= t."""
     n = s.size
     A_ub, b_ub = [], []
     for cut in cuts:
-        if isinstance(cut, Cut):
-            A_ub += [np.append(cut.coefficients, -1.0), np.append(-cut.coefficients, -1.0)]
-            b_ub += [cut.offset, -cut.offset]
-        else:
-            A_ub.append(np.append(cut.coefficients, -1.0))
-            b_ub.append(cut.rhs)
+        A_ub += [np.append(cut.coefficients, -1.0), np.append(-cut.coefficients, -1.0)]
+        b_ub += [cut.offset, -cut.offset]
     res = linprog(np.append(np.zeros(n), 1.0), A_ub=np.array(A_ub), b_ub=b_ub,
                   A_eq=[np.append(np.ones(n), 0.0)], b_eq=[k],
                   bounds=[(0, 1)] * n + [(0, None)], method="highs")
@@ -404,8 +401,7 @@ class TestRelaxation:
         for _ in range(5):
             coef = rng.choice([-1.0, 1.0], size=n) / k
             offset = float(rng.uniform(-0.8, 0.8))
-            two_sided = rng.random() < 0.5
-            cuts.append(Cut(coef, offset, 0.0) if two_sided else HalfSpaceCut(coef, offset))
+            cuts.append(Cut(coef, offset, 0.0))
         lp, relaxed, rho, pivots = _solve_with_relaxation(s, cuts, k, 0.0, MoprTrace(), None)
         assert lp.status == "optimal"
         assert rho == pytest.approx(smallest_feasible_rho(s, cuts, k), rel=3e-6, abs=1e-8)
@@ -472,6 +468,78 @@ class TestOracleCut:
         assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
 
 
+class TestLinearSeparator:
+    """The linear class has one separator, the closed form's supporting
+    hyperplane, whichever entry point runs it.  The least-squares witness is
+    the projection of the signed weights, so the regression oracle's cut is
+    that same hyperplane (Props. ``equiv`` and ``closed_form_MPR``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["labels", "embedding", "concat"]))
+    def test_closed_form_cut_is_the_oracle_cut(self, seed, view):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 200)), int(rng.integers(2, 150))
+        k = int(rng.integers(1, n + 1))
+        d_r, d_c = random_pair(rng, n, m, int(rng.integers(1, 6)), int(rng.integers(2, 5)))
+        a = np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        gap, _, _, values = oracle_gap(feature_groups(d_r, d_c, view), signed_weights(a, k, m),
+                                       m, k, "linear", view)
+        # a selection as representative as the curated set has gap 0, up to
+        # rounding, and both witnesses are then rounding noise
+        assume(gap > 1e-12)
+        separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
+        value, witness = separate(a)
+        cut = separate.cut_for(witness, 0.05)
+        coefficients, offset = values[:n] / k, float(np.mean(values[n:]))
+        assert value == pytest.approx(gap, rel=1e-9)
+        scale = np.abs(values).max()
+        assert np.allclose(cut.coefficients, coefficients, rtol=1e-9, atol=1e-9 * scale / k)
+        assert cut.offset == pytest.approx(offset, rel=1e-9, abs=1e-9 * scale)
+        assert cut.bound == 0.05
+
+    def test_linear_retrieval_and_sweep_fit_nothing(self, monkeypatch):
+        d_r, d_c, q = grid_instance()
+        calls = {"fit_linear_ls": 0, "svd_context": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counting(metric, "fit_linear_ls")
+        counting(statclasses, "fit_linear_ls")
+        counting(algorithm, "svd_context")
+        cfg = MoprConfig(rho=0.02, T=30, oracle_kind="linear")
+        mopr_retrieve(d_r, d_c, q, 10, cfg)
+        assert calls == {"fit_linear_ls": 0, "svd_context": 1}
+        pareto_sweep(d_r, d_c, q, 10, cfg, [0.2, 0.1, 0.05, 0.02])
+        assert calls == {"fit_linear_ls": 0, "svd_context": 2}
+        metric.mpr_via_oracle(top_k(d_r, q, 10)[0], d_r, d_c, "linear")  # the spy sees fits
+        assert calls["fit_linear_ls"] == 1
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    @pytest.mark.parametrize("view", ["labels", "embedding", "concat"])
+    @pytest.mark.parametrize("rho", [0.0, 0.02, 0.05, 0.1, 0.3])
+    def test_qp_name_is_the_linear_retrieval(self, seed, view, rho):
+        d_r, d_c, q = grid_instance(seed)
+
+        def run(retrieve):
+            try:
+                sel, trace = retrieve()
+            except InfeasibleRetrievalError as err:
+                return str(err), err.trace.to_dict()
+            return sel.indicator.tolist(), trace.to_dict()
+
+        cfg = MoprConfig(rho=rho, T=30, oracle_kind="linear", feature_view=view)
+        qp = run(lambda: mopr_qp_linear(d_r, d_c, q, 10, rho, T=30, feature_view=view))
+        assert qp == run(lambda: mopr_retrieve(d_r, d_c, q, 10, cfg))
+
+
 def selectable_reference(s, classes, k):
     """The first k items of each class in (descending similarity, index) order."""
     keep = []
@@ -524,7 +592,7 @@ class TestPrunedLp:
         d_r, d_c, q, k, rho, rng = instance
         s = similarity_vector(d_r, q)
         if kind == "qp":
-            separate = _SupportingHyperplane(d_r, d_c, k, "labels")
+            separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
         else:
             separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind))
         keep = _selectable(s, separate.classes, k)
@@ -555,7 +623,7 @@ class TestPrunedLp:
         else:
             cfg = MoprConfig(rho=rho, T=T, oracle_kind=kind)
             sel, trace = mopr_retrieve(d_r, d_c, q, k, cfg)
-            separate = oracle_separator(d_r, d_c, k, cfg)
+            separate = loop_separator(d_r, d_c, q, k, cfg)
         assume(trace.effective_rho == rho)  # no relaxation, which run_to_cap leaves out
         ref_sel, ref_achieved, _, _ = run_to_cap(similarity_vector(d_r, q), k, rho, T, separate)
         assert np.array_equal(sel.indicator, ref_sel.indicator)
@@ -580,8 +648,8 @@ class TestPrunedLp:
         d_r, d_c, q = grid_instance(n=80)
         carry = _SweepCarry(d_r, d_c, q, 3, MoprConfig(oracle_kind="linear", feature_view=view))
         assert np.array_equal(carry.keep, np.arange(80))
-        qp = _SupportingHyperplane(d_r, d_c, 3, view)
-        assert np.array_equal(_selectable(carry.s, qp.classes, 3), np.arange(80))
+        tree = _Oracle(d_r, d_c, 3, MoprConfig(oracle_kind="tree", feature_view=view))
+        assert np.array_equal(_selectable(carry.s, tree.classes, 3), np.arange(80))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_qp_cut_is_constant_on_each_class(self, seed):
@@ -591,7 +659,7 @@ class TestPrunedLp:
         k = int(rng.integers(1, len(d_r)))
         a = np.zeros(len(d_r))
         a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
-        separate = _SupportingHyperplane(d_r, d_c, k, "labels")
+        separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
         value, witness = separate(a)
         assert value > 0.0
         coefficients = separate.cut_for(witness, 0.0).coefficients
@@ -604,7 +672,8 @@ class TestPrunedLp:
         d_r, d_c, q = grid_instance(n=300, m=100)
         carry = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind=kind))
         assert carry.keep.size == 8 * 10  # every one of the 2 x 4 cells holds more than k
-        assert np.array_equal(carry.keep, selectable_reference(carry.s, carry.oracle.classes, 10))
+        classes = carry.separator.classes
+        assert np.array_equal(carry.keep, selectable_reference(carry.s, classes, 10))
 
 
 class TestOracleMemo:

@@ -390,9 +390,11 @@ class TestGroupedOracle:
 
         monkeypatch.setattr(metric, fit_name, spy)
         mpr_via_oracle(random_selection(rng, 300, 10), d_r, d_c, oracle, "labels")
+        assert len(seen) == 1
         q = Query("q", rng.standard_normal(3))
         mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.05, T=5, oracle_kind=oracle))
-        assert len(seen) >= 2 and max(seen) <= 4
+        # the linear class is separated in closed form: only the tree retrieval fits
+        assert (len(seen) > 1) == (oracle == "tree") and max(seen) <= 4
 
 
 class TestRkhs:

@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 from conftest import scipy_reference
 from mopr.solver import (
     Cut,
-    HalfSpaceCut,
     check_cuts,
     round_top_k,
     solve_ip_exact,
     solve_lp,
 )
+
+
+def half_space(coefficients, rhs):
+    """coefficients . a <= rhs as a two-sided cut whose lower side
+    coefficients . a >= rhs - 2w cannot bind on [0,1]^n, for
+    w = sum|coefficients| + |rhs| + 1."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    width = float(np.abs(coefficients).sum()) + abs(rhs) + 1.0
+    return Cut(coefficients, rhs - width, width)
 
 
 def random_cut_instance(rng, n, n_cuts, rho):
@@ -52,7 +60,7 @@ class TestSolveLpAgainstScipy:
 
     def test_halfspace_cuts(self, rng):
         s = rng.uniform(0.1, 1.0, size=8)
-        cuts = [HalfSpaceCut(np.ones(8) / 8, 0.3)]
+        cuts = [half_space(np.ones(8) / 8, 0.3)]
         ours = solve_lp(s, cuts, 3)
         ref = scipy_reference(s, cuts, 3)
         assert ours.status == "infeasible" if ref.status == 2 else (
@@ -195,19 +203,15 @@ class TestCuts:
         assert cut.with_bound(0.5).bound == 0.5
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Cut(np.array([np.inf]), 0.0, 0.1)
+        for coefficients in ([np.inf], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                Cut(np.array(coefficients), 0.0, 0.1)
 
     def test_check_cuts_report(self):
         cuts = [Cut(np.array([1.0, 0.0]), 0.0, 0.1), Cut(np.array([0.0, 1.0]), 0.0, 5.0)]
         report = check_cuts(np.array([1.0, 1.0]), cuts)
         assert [idx for idx, _ in report] == [0]
         assert report[0][1] == pytest.approx(0.9)
-
-
-def test_halfspace_non_finite_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        HalfSpaceCut(np.array([1.0, np.nan]), 0.5)
 
 
 # Constraint data on a grid of multiples of 1/8 keeps every instance either
@@ -226,7 +230,7 @@ def lp_instances(draw, min_cuts=0):
         if draw(st.booleans()):
             cuts.append(Cut(coef, draw(GRID), abs(draw(GRID))))
         else:
-            cuts.append(HalfSpaceCut(coef, draw(GRID)))
+            cuts.append(half_space(coef, draw(GRID)))
     return s, cuts, k, draw(box_fixings(n))
 
 
@@ -254,7 +258,7 @@ def cell_lp_instances(draw):
         if draw(st.booleans()):
             cuts.append(Cut(coef, centre, abs(draw(GRID)) / 4))
         else:
-            cuts.append(HalfSpaceCut(coef, centre))
+            cuts.append(half_space(coef, centre))
     return s, cuts, k, draw(box_fixings(n))
 
 
@@ -287,7 +291,7 @@ def near_duplicate_instances(draw):
     for _ in range(draw(st.integers(1, 3))):
         coef = np.array(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))) / 4
         offset = draw(GRID)
-        cut = Cut(coef, offset, rho) if draw(st.booleans()) else HalfSpaceCut(coef, offset + rho)
+        cut = Cut(coef, offset, rho) if draw(st.booleans()) else half_space(coef, offset + rho)
         nudge = np.array(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
         scale = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
         cuts += [cut, replace(cut, coefficients=coef + scale * nudge)]
@@ -306,9 +310,9 @@ def _near_copy_regressions():
     band = Cut(np.array([0, 0, 2, -1, 2, -2, 0]) / 4, -0.625, 0.0)
     cycling = (np.array([0.7, 0.4, 0.9, 0.9, 0.1, 0.5, 0.2]),
                [band, near_copy(band, [0, 1, 1, -1, -1, 0, -1])], 2)
-    half = HalfSpaceCut(np.array([-1, -1, 1, -1, 0, 2, 0, -2, 0, 2]) / 4, -0.25)
+    half = half_space(np.array([-1, -1, 1, -1, 0, 2, 0, -2, 0, 2]) / 4, -0.25)
     band = Cut(np.array([2, 2, 0, -1, 0, 0, 2, 0, 2, -2]) / 4, 0.375, 0.0)
-    other = HalfSpaceCut(np.array([2, 0, 0, -1, -1, -1, -2, -1, 1, -1]) / 4, -0.5)
+    other = half_space(np.array([2, 0, 0, -1, -1, -1, -2, -1, 1, -1]) / 4, -0.5)
     ill = (np.array([0.5, 0.5, 0.5, 0.5, 1.0, 0.0, 0.5, 0.5, 0.5, 0.5]),
            [half, half, band, near_copy(band, [-1, 0, 0, 0, 1, -1, 1, 1, -1, -1]),
             other, near_copy(other, [0, 1, 1, 0, -1, -1, -1, 1, 0, 1])], 3)
@@ -319,9 +323,7 @@ NEAR_COPY_REGRESSIONS = _near_copy_regressions()
 
 
 def loosened(cut):
-    if isinstance(cut, Cut):
-        return cut.with_bound(cut.bound + 0.25)
-    return HalfSpaceCut(cut.coefficients, cut.rhs + 0.25)
+    return cut.with_bound(cut.bound + 0.25)
 
 
 class TestSolveLpProperties:
@@ -353,7 +355,7 @@ class TestSolveLpProperties:
     @given(cell_lp_instances(), st.sampled_from(["cold", "append", "loosen"]))
     def test_cell_structured_matches_highs(self, instance, change):
         # re-optimizing swaps whole runs of a cell's items, so many bounds flip
-        # in one pivot; a half-space slack (no lower bound) must stop the walk
+        # in one pivot
         s, cuts, k, var_bounds = instance
         if change == "cold":
             lp = solve_lp(s, cuts, k, var_bounds)
@@ -402,18 +404,6 @@ class TestSolveLpProperties:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert_matches_highs(cold, s, [cut], 5, None)
 
-    def test_half_space_slack_stops_the_walk(self):
-        # the first cut's slack sits at its upper bound with no lower bound; the
-        # second cut's ratio test reaches it with the slope still positive, so
-        # it must enter: flipping it would send it to -inf
-        s = np.array([1.0, 0.7, 0.4, 0.1])
-        group_a = np.array([1.0, 1.0, 0.0, 0.0])
-        cuts = [HalfSpaceCut(group_a - 1.0, -0.5), HalfSpaceCut(group_a - 0.5, -0.75)]
-        first = solve_lp(s, cuts[:1], 2)
-        warm = solve_lp(s, cuts, 2, start=first.basis)
-        assert warm.a == pytest.approx([0.25, 0.0, 1.0, 0.75])
-        assert_matches_highs(warm, s, cuts, 2, None)
-
     def test_warm_start_after_new_cut_takes_one_pivot(self):
         # the cut removes the top-k vertex; re-optimizing from its basis is one pivot
         s = np.array([4.0, 3.0, 2.0, 1.0])
@@ -429,8 +419,8 @@ class TestSolveLpProperties:
         # nonbasic at a bound its reduced cost points away from once loosened
         s = np.array([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         e2, e8 = np.eye(9)[2], np.eye(9)[8]
-        cuts = [Cut(0.5 * (e8 - e2), 0.5, 0.0), HalfSpaceCut(np.zeros(9), 0.0),
-                HalfSpaceCut(-0.5 * e8, -0.53125)]
+        cuts = [Cut(0.5 * (e8 - e2), 0.5, 0.0), half_space(np.zeros(9), 0.0),
+                half_space(-0.5 * e8, -0.53125)]
         first = solve_lp(s, cuts, 2)
         assert first.status == "infeasible"
         after = [loosened(c) for c in cuts]
