@@ -8,7 +8,6 @@ to a bound on that mismatch via a cutting-plane algorithm (MOPR).
 from mopr.datamodel import (
     Dataset,
     DatasetSchema,
-    Item,
     Query,
     SyntheticSpec,
     build_balanced_curation,

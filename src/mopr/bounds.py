@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mopr.datamodel import Dataset, Item
+from mopr.datamodel import Dataset
 from mopr.statclasses import RepStatistic
 
 
@@ -45,11 +45,9 @@ class KnownPopulation:
 
     def sample(self, m: int, rng: np.random.Generator) -> Dataset:
         idx = rng.choice(len(self.support), size=m, p=self.probabilities)
-        items = [
-            Item(f"s{j}", self.support.items[i].embedding, dict(self.support.items[i].labels))
-            for j, i in enumerate(idx)
-        ]
-        return Dataset(items, self.support.schema, "curated")
+        support = self.support
+        return Dataset([f"s{j}" for j in range(m)], support.embeddings[idx], support.labels[idx],
+                       support.schema, "curated")
 
 
 @dataclass

@@ -39,7 +39,8 @@ def _load_inputs(args):
     # a CSV implies each axis's cardinality from its largest code, so a
     # category that one file lacks is still a category of the other
     cards = {n: max(d_r.schema.label_cards[n], d_c.schema.label_cards[n]) for n in names}
-    d_r, d_c = (datamodel.Dataset(d.items, replace(d.schema, label_cards=cards), d.role)
+    d_r, d_c = (datamodel.Dataset(d.ids, d.embeddings, d.labels,
+                                  replace(d.schema, label_cards=cards), d.role)
                 for d in (d_r, d_c))
     return d_r, d_c, datamodel.load_query(args.query)
 
@@ -126,8 +127,8 @@ def _write_ids(sel, d_r, path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"])
-        for i in sel.indices:
-            writer.writerow([d_r.ids[i]])
+        ids = d_r.ids
+        writer.writerows([ids[i]] for i in sel.indices)
 
 
 def cmd_retrieve(args) -> int:
@@ -190,8 +191,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare_ip(args) -> int:
     d_r, d_c, q = _load_inputs(args)
-    if len(d_r) > 25:
-        raise ValueError("compare-ip requires a retrieval pool of at most 25 items")
+    if len(d_r) > solver.IP_EXACT_MAX_N:
+        raise ValueError(
+            f"compare-ip requires a retrieval pool of at most {solver.IP_EXACT_MAX_N} items"
+        )
     s = similarity.similarity_vector(d_r, q)
     table = metric.FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
     grid = [float(v) for v in args.rho_grid.split(",")]
@@ -218,11 +221,10 @@ def cmd_compare_ip(args) -> int:
     return 0
 
 
-def _add_io_args(p, query=True):
+def _add_io_args(p):
     p.add_argument("--retrieval", required=True, help="retrieval pool CSV")
     p.add_argument("--curated", required=True, help="curated dataset CSV")
-    if query:
-        p.add_argument("--query", required=True, help="query CSV")
+    p.add_argument("--query", required=True, help="query CSV")
 
 
 def _add_oracle_args(p):

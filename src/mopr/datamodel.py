@@ -1,9 +1,10 @@
-"""Items, datasets, queries, synthetic generation, and balanced curation.
+"""Datasets, queries, synthetic generation, and balanced curation.
 
-A dataset is an ordered list of items, each carrying a d-dimensional embedding
-and a map of categorical group labels (dense integer codes).  Label names are
-ordered lexicographically everywhere so that serialized outputs are
-reproducible.
+A dataset is three row-aligned arrays: n item ids, an (n, d) float64
+embedding matrix and an (n, axes) int64 matrix of categorical group labels
+(dense integer codes), one column per label axis.  Label names are ordered
+lexicographically everywhere, the label columns included, so that serialized
+outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -23,13 +25,6 @@ FLOAT_FMT = "%.17g"
 
 class DataFormatError(ValueError):
     """Raised when an input file violates the dataset CSV schema."""
-
-
-@dataclass(frozen=True)
-class Item:
-    id: str
-    embedding: np.ndarray
-    labels: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -49,40 +44,51 @@ class DatasetSchema:
 
 
 class Dataset:
-    """Ordered, immutable collection of items with a consistent schema."""
+    """Ordered, immutable dataset with a consistent schema.
 
-    def __init__(self, items: Sequence[Item], schema: DatasetSchema, role: str = "retrieval"):
+    ``embeddings`` is (n, d) and ``labels`` is (n, axes) with columns in
+    ``schema.label_names`` order; the dataset keeps read-only copies of both.
+    """
+
+    def __init__(self, ids: Sequence[str], embeddings, labels, schema: DatasetSchema,
+                 role: str = "retrieval"):
         if role not in ("retrieval", "curated"):
             raise ValueError(f"unknown role {role!r}")
-        if not items:
+        ids = tuple(ids)
+        n = len(ids)
+        if n == 0:
             raise DataFormatError("empty dataset")
-        seen: set[str] = set()
-        for idx, item in enumerate(items):
-            if item.id in seen:
-                raise DataFormatError(f"duplicate id {item.id!r} at row {idx + 1}")
-            seen.add(item.id)
-            if item.embedding.shape != (schema.d,):
-                raise DataFormatError(
-                    f"row {idx + 1}: embedding has dimension {item.embedding.size}, expected {schema.d}"
-                )
-            if set(item.labels) != set(schema.label_cards):
-                raise DataFormatError(f"row {idx + 1}: label keys do not match schema")
-            for name, code in item.labels.items():
-                if not 0 <= code < schema.label_cards[name]:
-                    raise DataFormatError(
-                        f"row {idx + 1}: label {name}={code} outside cardinality {schema.label_cards[name]}"
-                    )
-        self.items = tuple(items)
+        names = schema.label_names
+        embeddings = np.array(embeddings, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
+        if embeddings.shape != (n, schema.d):
+            raise DataFormatError(
+                f"embeddings have shape {embeddings.shape}, expected {(n, schema.d)}"
+            )
+        if labels.shape != (n, len(names)):
+            raise DataFormatError(f"labels have shape {labels.shape}, expected {(n, len(names))}")
+        _, first = np.unique(np.asarray(ids), return_index=True)
+        if first.size < n:
+            row = int(np.setdiff1d(np.arange(n), first)[0])
+            raise DataFormatError(f"duplicate id {ids[row]!r} at row {row + 1}")
+        cards = np.array([schema.label_cards[name] for name in names], dtype=np.int64)
+        bad = (labels < 0) | (labels >= cards)
+        if bad.any():
+            row, axis = np.argwhere(bad)[0]
+            raise DataFormatError(
+                f"row {row + 1}: label {names[axis]}={labels[row, axis]} "
+                f"outside cardinality {cards[axis]}"
+            )
+        embeddings.setflags(write=False)
+        labels.setflags(write=False)
+        self._ids = ids
+        self._embeddings = embeddings
+        self._labels = labels
         self.schema = schema
         self.role = role
-        self._embeddings = np.array([it.embedding for it in items], dtype=float)
-        self._embeddings.setflags(write=False)
-        names = schema.label_names
-        self._labels = np.array([[it.labels[n] for n in names] for it in items], dtype=int)
-        self._labels.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self._ids)
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -96,12 +102,13 @@ class Dataset:
 
     @property
     def ids(self) -> list[str]:
-        return [it.id for it in self.items]
+        return list(self._ids)
 
     def subset(self, indices: Sequence[int], role: str | None = None) -> "Dataset":
-        """New dataset keeping items at ``indices``, preserving their order."""
-        items = [self.items[i] for i in indices]
-        return Dataset(items, self.schema, role or self.role)
+        """New dataset keeping the rows at ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        return Dataset([self._ids[i] for i in indices], self._embeddings[indices],
+                       self._labels[indices], self.schema, role or self.role)
 
 
 def _parse_header(header: list[str]) -> tuple[int, list[str]]:
@@ -124,6 +131,9 @@ def _parse_header(header: list[str]) -> tuple[int, list[str]]:
 
 def load_dataset(path, role: str = "retrieval") -> Dataset:
     """Load a dataset from the CSV format (see :func:`save_dataset`)."""
+    ids = []
+    # flat buffers of C doubles and int64s: a row costs its numbers and no object
+    embeddings, labels = array("d"), array("q")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,25 +141,26 @@ def load_dataset(path, role: str = "retrieval") -> Dataset:
         except StopIteration:
             raise DataFormatError("empty dataset") from None
         d, label_names = _parse_header(header)
-        items = []
         for row_no, row in enumerate(reader, start=1):
             if len(row) != 1 + d + len(label_names):
                 raise DataFormatError(
                     f"row {row_no}: expected {1 + d + len(label_names)} cells, got {len(row)}"
                 )
             try:
-                emb = np.array([float(v) for v in row[1:1 + d]], dtype=float)
+                embeddings.extend(map(float, row[1:1 + d]))
             except ValueError:
                 raise DataFormatError(f"row {row_no}: non-numeric embedding cell") from None
             try:
-                labels = {n: int(row[1 + d + j]) for j, n in enumerate(label_names)}
+                labels.extend(map(int, row[1 + d:]))
             except ValueError:
                 raise DataFormatError(f"row {row_no}: non-integer label cell") from None
-            items.append(Item(row[0], emb, labels))
-    if not items:
+            ids.append(row[0])
+    if not ids:
         raise DataFormatError("empty dataset")
-    cards = {n: max(it.labels[n] for it in items) + 1 for n in label_names}
-    return Dataset(items, DatasetSchema(d=d, label_cards=cards), role)
+    label_matrix = np.frombuffer(labels, dtype=np.int64).reshape(len(ids), len(label_names))
+    cards = dict(zip(label_names, (label_matrix.max(axis=0) + 1).tolist()))
+    return Dataset(ids, np.frombuffer(embeddings).reshape(len(ids), d), label_matrix,
+                   DatasetSchema(d=d, label_cards=cards), role)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -158,11 +169,11 @@ def save_dataset(dataset: Dataset, path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id"] + [f"e{j}" for j in range(dataset.schema.d)] + [f"g_{n}" for n in names])
-        for item in dataset.items:
+        for item_id, embedding, labels in zip(dataset.ids, dataset.embeddings, dataset.labels):
             writer.writerow(
-                [item.id]
-                + [FLOAT_FMT % v for v in item.embedding]
-                + [str(item.labels[n]) for n in names]
+                [item_id]
+                + [FLOAT_FMT % v for v in embedding.tolist()]
+                + [str(code) for code in labels.tolist()]
             )
 
 
@@ -292,24 +303,16 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Query]:
     axes = sorted(spec.group_axes, key=lambda ax: ax.name)
 
     def draw(count: int, which: str, prefix: str, role: str) -> Dataset:
-        label_cols = {}
-        for ax in axes:
+        labels = np.empty((count, len(axes)), dtype=np.int64)
+        for j, ax in enumerate(axes):
             probs = ax.retrieval_probs if which == "retrieval" else ax.curated_probs
-            label_cols[ax.name] = rng.choice(ax.cardinality, size=count, p=np.asarray(probs))
+            labels[:, j] = rng.choice(ax.cardinality, size=count, p=np.asarray(probs))
         emb = rng.standard_normal((count, spec.d))
         bias = np.zeros(count)
         for name, offsets in sorted(spec.similarity_bias.items()):
-            bias += np.asarray(offsets)[label_cols[name]]
-        emb = emb + bias[:, None] * qhat
-        items = [
-            Item(
-                f"{prefix}{i}",
-                emb[i],
-                {name: int(label_cols[name][i]) for name in label_cols},
-            )
-            for i in range(count)
-        ]
-        return Dataset(items, schema, role)
+            bias += np.asarray(offsets)[labels[:, schema.label_names.index(name)]]
+        emb += bias[:, None] * qhat
+        return Dataset([f"{prefix}{i}" for i in range(count)], emb, labels, schema, role)
 
     retrieval = draw(spec.n, "retrieval", "r", "retrieval")
     curated = draw(spec.m, "curated", "c", "curated")
@@ -322,25 +325,18 @@ def build_balanced_curation(group_axes: dict[str, int], size: int) -> Dataset:
     Embeddings are one-hot label encodings, so label statistics and embedding
     statistics coincide.
     """
-    names = sorted(group_axes)
-    n_cells = math.prod(group_axes[n] for n in names)
+    cards = [group_axes[n] for n in sorted(group_axes)]
+    n_cells = math.prod(cards)
     if size % n_cells != 0:
         raise ValueError(f"size {size} not divisible by number of cells {n_cells}")
     per_cell = size // n_cells
-    dim = sum(group_axes[n] for n in names)
-    offsets = {}
-    acc = 0
-    for n in names:
-        offsets[n] = acc
-        acc += group_axes[n]
-    items = []
-    for cell in product(*(range(group_axes[n]) for n in names)):
-        emb = np.zeros(dim)
-        for n, code in zip(names, cell):
-            emb[offsets[n] + code] = 1.0
-        labels = dict(zip(names, cell))
-        tag = "-".join(str(c) for c in cell)
-        for rep in range(per_cell):
-            items.append(Item(f"bal-{tag}-{rep}", emb.copy(), dict(labels)))
-    schema = DatasetSchema(d=dim, label_cards=dict(group_axes))
-    return Dataset(items, schema, "curated")
+    cells = np.array(list(product(*map(range, cards))), dtype=np.int64)
+    labels = np.repeat(cells, per_cell, axis=0)
+    # one-hot block of each axis, the blocks side by side in label-name order
+    offsets = np.cumsum([0] + cards[:-1], dtype=np.int64)
+    embeddings = np.zeros((size, sum(cards)))
+    embeddings[np.arange(size)[:, None], labels + offsets] = 1.0
+    ids = [f"bal-{'-'.join(map(str, cell))}-{rep}" for cell in cells.tolist()
+           for rep in range(per_cell)]
+    schema = DatasetSchema(d=sum(cards), label_cards=dict(group_axes))
+    return Dataset(ids, embeddings, labels, schema, "curated")

@@ -35,6 +35,7 @@ MAX_PIVOTS = 200000
 # that only such a pivot would repair, and that lies within this of its
 # bounds, stays where it is, its bound shifted
 PIVOT_TOL = 1e-7
+IP_EXACT_MAX_N = 25  # the largest pool solve_ip_exact takes
 
 # status of a variable in a basis
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -285,7 +286,7 @@ def _enumerate_ip(s: np.ndarray, cuts, k: int) -> Selection:
     return Selection(indicator, k)
 
 
-def solve_ip_exact(s: np.ndarray, cuts, k: int, n_limit: int = 25) -> Selection:
+def solve_ip_exact(s: np.ndarray, cuts, k: int) -> Selection:
     """Optimal binary selection on a small instance.
 
     Exhaustive enumeration for n <= 20, branch-and-bound with the LP bound
@@ -293,8 +294,8 @@ def solve_ip_exact(s: np.ndarray, cuts, k: int, n_limit: int = 25) -> Selection:
     """
     s = np.asarray(s, dtype=float)
     n = s.size
-    if n > n_limit:
-        raise ValueError(f"pool size {n} exceeds exact-solver limit {n_limit}")
+    if n > IP_EXACT_MAX_N:
+        raise ValueError(f"pool size {n} exceeds exact-solver limit {IP_EXACT_MAX_N}")
     lp = solve_lp(s, cuts, k)
     if n <= 20:
         sel = _enumerate_ip(s, cuts, k)

@@ -324,7 +324,6 @@ def fit_mlp(
     step_size: float = 0.05,
     seed: int = 0,
     feature_view: str = "labels",
-    zero_output_init: bool = False,
     inverse=None,
 ) -> RepStatistic:
     """One-hidden-layer ReLU network trained by full-batch gradient descent on
@@ -350,12 +349,8 @@ def fit_mlp(
     lim2 = 1.0 / math.sqrt(hidden)
     W1 = rng.uniform(-lim1, lim1, size=(p, hidden))
     b1 = rng.uniform(-lim1, lim1, size=hidden)
-    if zero_output_init:
-        W2 = np.zeros(hidden)
-        b2 = 0.0
-    else:
-        W2 = rng.uniform(-lim2, lim2, size=hidden)
-        b2 = float(rng.uniform(-lim2, lim2))
+    W2 = rng.uniform(-lim2, lim2, size=hidden)
+    b2 = float(rng.uniform(-lim2, lim2))
     for epoch in range(epochs):
         z = X @ W1 + b1
         h = np.maximum(z, 0.0)

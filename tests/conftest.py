@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from mopr.datamodel import Dataset, DatasetSchema, Item, Query
+from mopr.datamodel import Dataset, DatasetSchema, Query
 
 
 def make_dataset(embeddings, labels=None, cards=None, role="retrieval", prefix="x"):
@@ -19,8 +19,10 @@ def make_dataset(embeddings, labels=None, cards=None, role="retrieval", prefix="
         for lab in labels:
             for name, code in lab.items():
                 cards[name] = max(cards.get(name, 0), code + 1)
-    items = [Item(f"{prefix}{i}", embeddings[i], dict(labels[i])) for i in range(n)]
-    return Dataset(items, DatasetSchema(d=d, label_cards=cards), role)
+    names = sorted(cards)
+    label_matrix = np.array([[lab[name] for name in names] for lab in labels], dtype=np.int64)
+    return Dataset([f"{prefix}{i}" for i in range(n)], embeddings, label_matrix,
+                   DatasetSchema(d=d, label_cards=cards), role)
 
 
 def random_pair(rng, n, m, d, n_groups=2):

@@ -4,8 +4,9 @@ Each test prints a single PASS line on success so the run log doubles as a
 checklist.  Instances are synthetic but sized to exercise the same regimes as
 the library's headline claims: oracle/closed-form equivalence, LP/IP rounding
 gaps, exact equal representation, Pareto dominance over the greedy baseline,
-statistical bound coverage, kernel identities, agreement of the two
-cutting-plane variants, and byte-level determinism of the CLI.
+statistical bound coverage, kernel identities, agreement of the closed-form
+and least-squares separators of the linear class, and byte-level determinism
+of the CLI.
 """
 
 import time
@@ -17,6 +18,9 @@ import pytest
 from conftest import make_dataset
 from mopr.algorithm import (
     MoprConfig,
+    _cutting_plane,
+    _Oracle,
+    _selectable,
     mmr_retrieve,
     mopr_qp_linear,
     mopr_retrieve,
@@ -33,7 +37,6 @@ from mopr.cli import main
 from mopr.datamodel import (
     Dataset,
     DatasetSchema,
-    Item,
     Query,
     build_balanced_curation,
 )
@@ -52,16 +55,15 @@ def biased_2x5_instance(seed=11, d=4):
     }
     g_off = {0: 0.8, 1: -0.8}
     r_off = {0: 0.6, 1: 0.3, 2: 0.0, 3: -0.3, 4: -0.6}
-    items = []
-    i = 0
+    embeddings, labels = [], []
     for (g, r), c in sorted(counts.items()):
         for _ in range(c):
             e = rng.standard_normal(d) * 0.7
             e[0] += 1.0 + g_off[g] + r_off[r]
-            items.append(Item(f"r{i}", e, {"gender": g, "race": r}))
-            i += 1
+            embeddings.append(e)
+            labels.append((g, r))
     schema = DatasetSchema(d=d, label_cards={"gender": 2, "race": 5})
-    d_r = Dataset(items, schema, "retrieval")
+    d_r = Dataset([f"r{i}" for i in range(len(labels))], embeddings, labels, schema, "retrieval")
     d_c = build_balanced_curation({"gender": 2, "race": 5}, 100)
     q = Query("q0", np.eye(d)[0])
     return d_r, d_c, q
@@ -222,18 +224,13 @@ def test_acceptance_4_pareto_dominates_mmr():
 def test_acceptance_5_generalization_bound_coverage():
     """4-indicator class, m=500, delta=0.05, 200 trials: coverage >= 0.95. < 1 min."""
     start = time.time()
-    items = []
-    for i, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        e = np.zeros(4)
-        e[2 * a + b] = 1.0
-        items.append(Item(f"p{i}", e, {"x": a, "y": b}))
+    # row i is cell (x, y) = divmod(i, 2), one-hot at 2x + y = i
+    cells = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
     schema = DatasetSchema(d=4, label_cards={"x": 2, "y": 2})
-    pop = KnownPopulation(Dataset(items, schema, "curated"),
+    pop = KnownPopulation(Dataset([f"p{i}" for i in range(4)], np.eye(4), cells, schema, "curated"),
                           np.array([0.7, 0.15, 0.1, 0.05]))
-    retrieved = Dataset(
-        [Item(f"r{i}", items[3].embedding, dict(items[3].labels)) for i in range(20)],
-        schema,
-    )
+    retrieved = Dataset([f"r{i}" for i in range(20)], np.tile(np.eye(4)[3], (20, 1)),
+                        np.tile(cells[3], (20, 1)), schema)
     cls = all_cell_indicators({"x": 2, "y": 2})
     report = gap_experiment(pop, cls, retrieved, m=500, trials=200, delta=0.05, seed=0)
     assert report.coverage >= 0.95
@@ -288,25 +285,30 @@ def test_acceptance_7_rkhs_identities():
 
 
 def test_acceptance_8_qp_variant_agrees():
-    """QP variant matches the linear-oracle cutting plane within 2%. < 1 min."""
+    """The QP variant, which separates the linear class by the supporting
+    hyperplane of its closed-form norm, matches within 2% a cutting-plane loop
+    whose separator fits the least-squares oracle. < 1 min."""
     start = time.time()
     d_r, d_c, q = biased_2x5_instance()
     k = 50
     sel0, _ = top_k(d_r, q, k)
     mpr0 = mpr_closed_form_linear(sel0, d_r, d_c, "labels").value
+    s = similarity_vector(d_r, q)
+    # oracle_gap(..., "linear") over feature_groups(d_r, d_c, "labels")
+    oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="linear", feature_view="labels"))
+    keep = _selectable(s, oracle.classes, k)
     sim0 = None
     for frac in (0.9, 0.7, 0.5, 0.3):
         rho = frac * mpr0
-        cfg = MoprConfig(rho=rho, T=50, oracle_kind="linear", feature_view="labels")
-        _, t_cp = mopr_retrieve(d_r, d_c, q, k, cfg)
+        _, t_ls = _cutting_plane(s, keep, k, oracle, 50, rho)
         _, t_qp = mopr_qp_linear(d_r, d_c, q, k, rho, T=50, feature_view="labels")
         if sim0 is None:
-            sim0 = max(t_cp.mean_similarity, t_qp.mean_similarity)
-        assert abs(t_cp.achieved_mpr - t_qp.achieved_mpr) <= 0.02 * mpr0
-        assert abs(t_cp.mean_similarity - t_qp.mean_similarity) <= 0.02 * sim0
+            sim0 = max(t_ls.mean_similarity, t_qp.mean_similarity)
+        assert abs(t_ls.achieved_mpr - t_qp.achieved_mpr) <= 0.02 * mpr0
+        assert abs(t_ls.mean_similarity - t_qp.mean_similarity) <= 0.02 * sim0
     elapsed = time.time() - start
     assert elapsed < 60
-    print(f"\nPASS acceptance 8: QP and linear-oracle curves agree within 2%, "
+    print(f"\nPASS acceptance 8: QP and least-squares-oracle curves agree within 2%, "
           f"{elapsed:.1f}s")
 
 

@@ -13,18 +13,14 @@ from mopr.bounds import (
     rademacher_mc,
     vc_rademacher_bound,
 )
-from mopr.datamodel import Dataset, DatasetSchema, Item
+from mopr.datamodel import Dataset, DatasetSchema
 from mopr.statclasses import RepStatistic, all_cell_indicators, cell_indicator
 
 
 def four_cell_population(probs):
-    items = []
-    for i, (a, b) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        e = np.zeros(4)
-        e[2 * a + b] = 1.0
-        items.append(Item(f"p{i}", e, {"x": a, "y": b}))
-    support = Dataset(items, DatasetSchema(d=4, label_cards={"x": 2, "y": 2}),
-                      "curated")
+    # row i is cell (x, y) = divmod(i, 2), one-hot at 2x + y = i
+    support = Dataset([f"p{i}" for i in range(4)], np.eye(4), [[0, 0], [0, 1], [1, 0], [1, 1]],
+                      DatasetSchema(d=4, label_cards={"x": 2, "y": 2}), "curated")
     return KnownPopulation(support, np.asarray(probs, dtype=float))
 
 
@@ -149,9 +145,9 @@ class TestGapExperiment:
 
     def test_coverage_and_report_fields(self):
         pop = four_cell_population([0.7, 0.15, 0.1, 0.05])
-        items = [Item(f"r{i}", pop.support.items[3].embedding,
-                      dict(pop.support.items[3].labels)) for i in range(20)]
-        retrieved = Dataset(items, pop.support.schema)
+        support = pop.support
+        retrieved = Dataset([f"r{i}" for i in range(20)], support.embeddings[[3] * 20],
+                            support.labels[[3] * 20], support.schema)
         cls = all_cell_indicators({"x": 2, "y": 2})
         rep = gap_experiment(pop, cls, retrieved, m=200, trials=60, delta=0.05,
                              seed=2)

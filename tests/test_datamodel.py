@@ -8,7 +8,6 @@ from mopr.datamodel import (
     Dataset,
     DatasetSchema,
     GroupAxis,
-    Item,
     Query,
     SyntheticSpec,
     build_balanced_curation,
@@ -33,45 +32,58 @@ def small_spec(seed=0, n=50, m=40):
 
 class TestDatasetValidation:
     def test_basic_construction(self):
-        items = [Item("a", np.array([1.0, 2.0]), {"g": 0})]
-        ds = Dataset(items, DatasetSchema(d=2, label_cards={"g": 2}))
+        ds = Dataset(["a"], [[1.0, 2.0]], [[0]], DatasetSchema(d=2, label_cards={"g": 2}))
         assert len(ds) == 1
         assert ds.ids == ["a"]
 
     def test_duplicate_id_rejected(self):
-        items = [
-            Item("a", np.zeros(2), {"g": 0}),
-            Item("a", np.ones(2), {"g": 1}),
-        ]
         with pytest.raises(DataFormatError, match="duplicate id"):
-            Dataset(items, DatasetSchema(d=2, label_cards={"g": 2}))
+            Dataset(["a", "a"], [[0.0, 0.0], [1.0, 1.0]], [[0], [1]],
+                    DatasetSchema(d=2, label_cards={"g": 2}))
 
-    def test_wrong_dimension_names_row(self):
-        items = [
-            Item("a", np.zeros(2), {"g": 0}),
-            Item("b", np.zeros(3), {"g": 0}),
-        ]
-        with pytest.raises(DataFormatError, match="row 2"):
-            Dataset(items, DatasetSchema(d=2, label_cards={"g": 2}))
+    def test_duplicate_id_names_second_row(self):
+        with pytest.raises(DataFormatError, match=r"duplicate id 'b' at row 4$"):
+            Dataset(["b", "a", "c", "b", "a"], np.zeros((5, 1)), np.zeros((5, 1)),
+                    DatasetSchema(d=1, label_cards={"g": 1}))
+
+    def test_wrong_embedding_shape_rejected(self):
+        with pytest.raises(DataFormatError, match=r"shape \(2, 3\), expected \(2, 2\)"):
+            Dataset(["a", "b"], np.zeros((2, 3)), [[0], [0]],
+                    DatasetSchema(d=2, label_cards={"g": 2}))
 
     def test_label_code_out_of_range(self):
-        items = [Item("a", np.zeros(2), {"g": 5})]
         with pytest.raises(DataFormatError):
-            Dataset(items, DatasetSchema(d=2, label_cards={"g": 2}))
+            Dataset(["a"], np.zeros((1, 2)), [[5]], DatasetSchema(d=2, label_cards={"g": 2}))
+
+    def test_range_check_names_first_bad_row_and_axis(self):
+        labels = [[0, 1], [1, 0], [0, 2], [5, 0], [-1, 0]]
+        with pytest.raises(DataFormatError, match=r"^row 3: label h=2 outside cardinality 2$"):
+            Dataset([f"i{j}" for j in range(5)], np.zeros((5, 1)), labels,
+                    DatasetSchema(d=1, label_cards={"h": 2, "g": 2}))
+        with pytest.raises(DataFormatError, match=r"^row 3: label g=5 outside cardinality 2$"):
+            Dataset([f"i{j}" for j in range(4)], np.zeros((4, 1)), labels[1:],
+                    DatasetSchema(d=1, label_cards={"h": 3, "g": 2}))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataFormatError, match="empty"):
-            Dataset([], DatasetSchema(d=2, label_cards={}))
+            Dataset([], np.zeros((0, 2)), np.zeros((0, 0)), DatasetSchema(d=2, label_cards={}))
 
     def test_matrices_are_readonly(self):
-        items = [Item("a", np.zeros(2), {"g": 0})]
-        ds = Dataset(items, DatasetSchema(d=2, label_cards={"g": 2}))
+        ds = Dataset(["a"], np.zeros((1, 2)), [[0]], DatasetSchema(d=2, label_cards={"g": 2}))
         with pytest.raises(ValueError):
             ds.embeddings[0, 0] = 1.0
 
+    def test_caller_arrays_are_copied(self):
+        embeddings, labels, ids = np.zeros((2, 2)), np.array([[0], [1]]), ["a", "b"]
+        ds = Dataset(ids, embeddings, labels, DatasetSchema(d=2, label_cards={"g": 2}))
+        embeddings[0, 0], labels[0, 0], ids[0] = 7.0, 1, "z"
+        assert ds.embeddings.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert ds.labels.tolist() == [[0], [1]]
+        assert ds.ids == ["a", "b"]
+        assert ds.embeddings.dtype == np.float64 and ds.labels.dtype == np.int64
+
     def test_label_columns_sorted(self):
-        items = [Item("a", np.zeros(1), {"b": 1, "a": 0})]
-        ds = Dataset(items, DatasetSchema(d=1, label_cards={"b": 2, "a": 2}))
+        ds = Dataset(["a"], np.zeros((1, 1)), [[0, 1]], DatasetSchema(d=1, label_cards={"b": 2, "a": 2}))
         assert ds.schema.label_names == ["a", "b"]
         assert ds.labels.tolist() == [[0, 1]]
 
@@ -79,10 +91,9 @@ class TestDatasetValidation:
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path, rng):
         ds = Dataset(
-            [
-                Item(f"i{j}", rng.standard_normal(3), {"g": int(j % 2), "h": 0})
-                for j in range(7)
-            ],
+            [f"i{j}" for j in range(7)],
+            rng.standard_normal((7, 3)),
+            np.column_stack([np.arange(7) % 2, np.zeros(7, dtype=int)]),
             DatasetSchema(d=3, label_cards={"g": 2, "h": 1}),
         )
         path = tmp_path / "ds.csv"
@@ -94,7 +105,9 @@ class TestCsvRoundTrip:
 
     def test_save_is_byte_stable(self, tmp_path, rng):
         ds = Dataset(
-            [Item(f"i{j}", rng.standard_normal(2), {"g": 0}) for j in range(4)],
+            [f"i{j}" for j in range(4)],
+            rng.standard_normal((4, 2)),
+            np.zeros((4, 1), dtype=int),
             DatasetSchema(d=2, label_cards={"g": 1}),
         )
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -146,10 +159,7 @@ class TestCsvRoundTrip:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                     min_size=2, max_size=2))
     def test_float_serialization_round_trips(self, tmp_path_factory, values):
-        ds = Dataset(
-            [Item("a", np.array(values), {})],
-            DatasetSchema(d=2, label_cards={}),
-        )
+        ds = Dataset(["a"], [values], np.zeros((1, 0)), DatasetSchema(d=2, label_cards={}))
         path = tmp_path_factory.mktemp("rt") / "ds.csv"
         save_dataset(ds, path)
         back = load_dataset(path)

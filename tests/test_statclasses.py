@@ -388,13 +388,6 @@ class TestMlpFit:
         assert np.array_equal(s1.params["W1"], s2.params["W1"])
         assert np.array_equal(s1.params["W2"], s2.params["W2"])
 
-    def test_zero_targets_zero_output_init(self, rng):
-        X = rng.standard_normal((10, 3))
-        stat = fit_mlp(X, np.zeros(10), 4, epochs=100, seed=0,
-                       feature_view="embedding", zero_output_init=True)
-        pred = stat.values_from_features(X)
-        assert float(np.mean(pred**2)) <= 1e-12
-
     def test_learns_linear_targets(self, rng):
         X = rng.standard_normal((20, 2))
         y = X @ np.array([1.0, -0.5])
