@@ -11,14 +11,14 @@ stops when the selection is certified, when the new cut duplicates an old one
 
 The LP has a column only for the items an optimum can choose.  Each
 separator names the class of every retrieval item, the distinct feature row
-its cuts are constant on: ``classes`` is its ``feature_groups`` inverse over
-D_R, the label cell on the labels view and for the finite class, the item
-itself otherwise.  Moving LP weight within a class to a more similar item
-keeps every cut row and raises the objective, so an optimum takes at most k
-items of a class, and the most similar ones (the cell-count argument of
-Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k per
-class; at n = 3000 over 8 cells that is 160 columns, while singleton classes
-keep every column.
+its cuts are constant on: the label cell for the finite class, read from its
+indicator table, and otherwise its ``feature_groups`` inverse over D_R, the
+label cell on the labels view and the item itself elsewhere.  Moving LP
+weight within a class to a more similar item keeps every cut row and raises
+the objective, so an optimum takes at most k items of a class, and the most
+similar ones (the cell-count argument of Celis, Straszak & Vishnoi 2018).
+``_selectable`` keeps those, at most k per class; at n = 3000 over 8 cells
+that is 160 columns, while singleton classes keep every column.
 
 The linear class is separated in closed form.  Its least-squares witness is
 the projection of the signed weights onto the feature columns, so its cut is
@@ -75,8 +75,8 @@ def _check_k(k: int) -> None:
 def _check_run(T: int, rho: float) -> None:
     if T < 1:
         raise ValueError("T must be >= 1")
-    if rho < 0.0:
-        raise ValueError("rho must be non-negative")
+    if not rho >= 0.0:  # also NaN; +inf is no constraint
+        raise ValueError(f"rho must be non-negative, got {rho}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,13 @@ class _Oracle:
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
-        finite = cfg.oracle_kind == "finite"
-        if finite:
+        if cfg.oracle_kind == "finite":
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-        self.groups = feature_groups(d_r, d_c, "labels" if finite else cfg.feature_view)
-        self.classes = self.groups.inverse[: self.n]
+            # an item is +1 on its own cell's indicator and -1 on every other
+            self.classes = np.argmax(self.table.on_retrieval, axis=0)
+        else:
+            self.groups = feature_groups(d_r, d_c, cfg.feature_view)
+            self.classes = self.groups.inverse[: self.n]
         self._last: tuple[np.ndarray, tuple] | None = None
 
     def __call__(self, a: np.ndarray):
@@ -249,9 +251,9 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTra
 def _selectable(s: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
     """The k most similar items of each class, in ascending index.
 
-    ``classes`` numbers the classes 0, 1, ...  A class of at most k items
-    keeps them all.  In a larger one, similarity ties at its k-th place go to
-    the lower index, as in the LP's top-k start.
+    ``classes`` numbers the classes with small non-negative integers.  A
+    class of at most k items keeps them all.  In a larger one, similarity
+    ties at its k-th place go to the lower index, as in the LP's top-k start.
     """
     counts = np.bincount(classes)
     keep = counts[classes] <= k
@@ -265,29 +267,23 @@ def _selectable(s: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _cutting_plane(s: np.ndarray, keep: np.ndarray, k: int, separate, T: int, rho: float,
-                   carry: _SweepCarry | None = None) -> tuple[Selection, MoprTrace]:
-    """The cutting-plane loop shared by both retrievals; see the module docstring.
+def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, MoprTrace]:
+    """The cutting-plane loop of every retrieval; see the module docstring.
 
-    The LP is solved over the items ``keep`` (``_selectable`` of the
-    separator's classes), with every cut restricted to them, and its top k
-    are the selection.  The separator sees the selection over all n items.
-    A duplicate cut leaves the LP unchanged, and re-solving it from its own
-    optimal basis returns the same point, so every later iteration would
-    return the same selection: the loop halts there.  With a ``carry`` the
-    loop starts from its cuts, each bounded by rho, and its basis, and on
-    return leaves its own final cuts and basis in their place.
+    Its whole state is the ``carry``.  The LP is solved over the items
+    ``keep`` (``_selectable`` of the separator's classes), with every cut
+    restricted to them, and its top k are the selection.  The separator sees
+    the selection over all n items.  A duplicate cut leaves the LP
+    unchanged, and re-solving it from its own optimal basis returns the same
+    point, so every later iteration would return the same selection: the
+    loop halts there.  The loop starts from the carry's cuts, each bounded by
+    rho, and its basis, and on return leaves its own cuts and basis there.
     """
-    if k > s.size:
-        raise ValueError(f"k={k} exceeds retrieval pool size {s.size}")
-    _check_run(T, rho)
+    s, keep, k, separate = carry.s, carry.keep, carry.k, carry.separator
     trace = MoprTrace(effective_rho=rho)
-    cuts: list = []
+    cuts = [c.with_bound(rho) for c in carry.cuts]
+    basis = carry.basis
     rho_eff = rho
-    basis = None
-    if carry is not None:
-        cuts = [c.with_bound(rho) for c in carry.cuts]
-        basis = carry.basis
     s_keep = s[keep]
     stalled = False
     for it in range(1, T + 1):
@@ -316,8 +312,7 @@ def _cutting_plane(s: np.ndarray, keep: np.ndarray, k: int, separate, T: int, rh
             break
         cuts.append(cut)
         record.cut_added = True
-    if carry is not None:
-        carry.cuts, carry.basis = cuts, basis
+    carry.cuts, carry.basis = cuts, basis
     sel = Selection(chosen.astype(int), k)
     trace.selection = sel
     trace.achieved_mpr = violation
@@ -333,19 +328,23 @@ class _SweepCarry:
     """What a sweep passes from one grid value's retrieval to the next.
 
     Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
-    every ``MoprConfig`` field but rho and T.  It holds that instance's
-    similarity vector, separator (``_SupportingHyperplane`` for the linear
-    class, ``_Oracle`` otherwise) and LP columns ``keep`` (the items an
-    optimum can choose), and the cut pool (restricted to ``keep``) and LP
-    basis where the last retrieval from it ended.  A cut is a necessary
-    condition of MPR <= rho at any rho once its bound is set to that rho,
-    because its witness is a member of the class, so the pool stays valid
-    down the grid; only row bounds change, which ``solve_lp(start=)`` allows.
+    every ``MoprConfig`` field but rho and T.  It is the whole state of
+    ``_cutting_plane``: that instance's similarity vector, k, separator
+    (``_SupportingHyperplane`` for the linear class, ``_Oracle`` otherwise)
+    and LP columns ``keep`` (the items an optimum can choose), and the cut
+    pool (restricted to ``keep``) and LP basis where the last retrieval from
+    it ended.  A cut is a necessary condition of MPR <= rho at any rho once
+    its bound is set to that rho, because its witness is a member of the
+    class, so the pool stays valid down the grid; only row bounds change,
+    which ``solve_lp(start=)`` allows.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
         _check_k(k)
+        if k > len(d_r):
+            raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
         self.instance = (d_r, d_c, q, k, self._fixed(cfg))
+        self.k = k
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
         self.s = similarity_vector(d_r, q)
@@ -384,7 +383,7 @@ def mopr_retrieve(
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
     else:
         carry.check(d_r, d_c, q, k, cfg)
-    return _cutting_plane(carry.s, carry.keep, k, carry.separator, cfg.T, cfg.rho, carry)
+    return _cutting_plane(carry, cfg.T, cfg.rho)
 
 
 def mopr_qp_linear(
@@ -403,8 +402,7 @@ def mopr_qp_linear(
     hyperplane of its norm, whichever name is called.
     """
     cfg = MoprConfig(rho=rho, T=T, oracle_kind="linear", feature_view=feature_view)
-    carry = _SweepCarry(d_r, d_c, q, k, cfg)
-    return _cutting_plane(carry.s, carry.keep, k, carry.separator, T, rho)
+    return _cutting_plane(_SweepCarry(d_r, d_c, q, k, cfg), T, rho)
 
 
 def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
@@ -476,6 +474,7 @@ def pareto_sweep(
     """
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
+    cfgs = [replace(cfg_template, rho=rho) for rho in rho_grid]  # checks every rho
     if list(rho_grid) != sorted(rho_grid, reverse=True):
         raise ValueError("rho grid must be descending")
     carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
@@ -484,8 +483,7 @@ def pareto_sweep(
     mpr0, _ = carry.separator(sel0.indicator.astype(float))
     sim0 = float(np.mean(s[sel0.indices]))
     points: list[ParetoPoint] = []
-    for rho in rho_grid:
-        cfg = replace(cfg_template, rho=rho)
+    for rho, cfg in zip(rho_grid, cfgs):
         try:
             # through the module attribute, so a wrapper sees every retrieval
             _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, carry=carry)

@@ -45,11 +45,24 @@ def _load_inputs(args):
     return d_r, d_c, datamodel.load_query(args.query)
 
 
+def _floats(flag: str, text: str) -> list[float]:
+    """The comma-separated numbers given to ``flag``."""
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise ValueError(f"{flag}: {part!r} is not a number") from None
+    return values
+
+
 def _parse_kernel(text: str) -> tuple[str, float | None]:
     if text == "linear":
         return "linear", None
     if text.startswith("gaussian:"):
-        return "gaussian", float(text.split(":", 1)[1])
+        sigmas = _floats("--kernel", text.split(":", 1)[1])
+        if len(sigmas) == 1:
+            return "gaussian", sigmas[0]
     raise ValueError(f"unknown kernel {text!r} (expected 'linear' or 'gaussian:SIGMA')")
 
 
@@ -156,7 +169,7 @@ def cmd_retrieve(args) -> int:
 
 def cmd_sweep(args) -> int:
     d_r, d_c, q = _load_inputs(args)
-    grid = [float(v) for v in args.rho_grid.split(",")]
+    grid = _floats("--rho-grid", args.rho_grid)
     points = algorithm.pareto_sweep(d_r, d_c, q, args.k, _mopr_config(args, grid[0]), grid)
     algorithm.write_sweep_csv(points, args.out)
     _write_sidecar(args.out, _resolved(args))
@@ -197,7 +210,7 @@ def cmd_compare_ip(args) -> int:
         )
     s = similarity.similarity_vector(d_r, q)
     table = metric.FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-    grid = [float(v) for v in args.rho_grid.split(",")]
+    grid = _floats("--rho-grid", args.rho_grid)
     rows = []
     for rho in grid:
         cuts = table.cuts(args.k, rho)

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -243,44 +243,18 @@ class SyntheticSpec:
                 raise ValueError(f"similarity_bias for {name!r} has wrong length")
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "m": self.m,
-            "d": self.d,
-            "group_axes": [
-                {
-                    "name": ax.name,
-                    "cardinality": ax.cardinality,
-                    "retrieval_probs": list(ax.retrieval_probs),
-                    "curated_probs": list(ax.curated_probs),
-                }
-                for ax in self.group_axes
-            ],
-            "similarity_bias": {k: list(v) for k, v in self.similarity_bias.items()},
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
         payload = json.loads(text)
         axes = tuple(
-            GroupAxis(
-                name=ax["name"],
-                cardinality=ax["cardinality"],
-                retrieval_probs=tuple(ax["retrieval_probs"]),
-                curated_probs=tuple(ax["curated_probs"]),
-            )
+            GroupAxis(**{**ax, "retrieval_probs": tuple(ax["retrieval_probs"]),
+                         "curated_probs": tuple(ax["curated_probs"])})
             for ax in payload["group_axes"]
         )
-        return cls(
-            n=payload["n"],
-            m=payload["m"],
-            d=payload["d"],
-            group_axes=axes,
-            similarity_bias={k: tuple(v) for k, v in payload.get("similarity_bias", {}).items()},
-            seed=payload.get("seed", 0),
-        )
+        bias = {name: tuple(v) for name, v in payload.get("similarity_bias", {}).items()}
+        return cls(**{**payload, "group_axes": axes, "similarity_bias": bias})
 
 
 def _query_direction(d: int) -> np.ndarray:

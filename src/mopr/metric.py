@@ -9,9 +9,10 @@ mean discrepancy.
 
 Every evaluator but the finite one works on the distinct feature rows of D_R
 over D_C (``feature_groups``): the intersectional cells present on the labels
-view, found from the label codes, and every row elsewhere.  Each weighs a row
-by its count (the closed form factors it scaled by the root of its count) and
-maps its values back to every row.
+view, found from the label codes, and every row elsewhere.  The oracle fits
+weigh a row by its count and map their values back to every row, the closed
+form factors each row scaled by the root of its count, and the kernel distance
+sums the signed weights per row and drops the rows of zero weight.
 """
 
 from __future__ import annotations
@@ -318,18 +319,19 @@ def mpr_closed_form_linear(
     )
 
 
-def _kernel_gram(A: np.ndarray, B: np.ndarray, kernel: str, sigma: float | None) -> np.ndarray:
+def _kernel_gram(X: np.ndarray, kernel: str, sigma: float | None) -> np.ndarray:
+    """The kernel between every pair of rows of X."""
+    # the product with a copy is a general one, whose entries depend only on
+    # the two rows: X @ X.T is the symmetric product, which sums its blocks in
+    # different orders, so equal rows in other places could disagree
+    inner = X @ X.copy().T
     if kernel == "linear":
-        return A @ B.T
+        return inner
     if kernel == "gaussian":
-        if sigma is None or sigma <= 0.0:
+        if sigma is None or not sigma > 0.0:
             raise ValueError("gaussian kernel requires sigma > 0")
-        sq = (
-            np.sum(A**2, axis=1)[:, None]
-            + np.sum(B**2, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
-        )
-        return np.exp(-np.maximum(sq, 0.0) / (2.0 * sigma**2))
+        sq = np.sum(X**2, axis=1)
+        return np.exp(-np.maximum(sq[:, None] + sq[None, :] - 2.0 * inner, 0.0) / (2 * sigma**2))
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -341,31 +343,21 @@ def mpr_rkhs(
     sigma: float | None = None,
     feature_view: str = "labels",
 ) -> MprReport:
-    """Kernel mean-embedding distance between retrieved and curated samples."""
-    # the kernel is evaluated once per pair of distinct rows, weighted by their
-    # multiplicities: a label view has a few distinct rows, while full Gram
-    # matrices over hundreds of rows are megabytes page-faulted in on every call
+    """Kernel mean-embedding distance between retrieved and curated samples.
+
+    The distance is the kernel norm sqrt(w' K w) of the signed weights, the
+    maximum mean discrepancy of Gretton et al. (2012).  ``w`` sums the signed
+    weights per distinct feature row and drops the rows of zero weight, so the
+    kernel is evaluated once per pair of rows that carry weight: the cells
+    present on the labels view, the selected and curated rows elsewhere.
+    """
     groups = feature_groups(d_r, d_c, feature_view)
-
-    def distinct(inverse):
-        counts = np.bincount(inverse, minlength=len(groups.rows))
-        present = np.flatnonzero(counts)
-        return groups.rows[present], counts[present]
-
-    R, r_counts = distinct(groups.inverse[sel.indices])
-    C, c_counts = distinct(groups.inverse[len(d_r):])
-    k, m = int(r_counts.sum()), int(c_counts.sum())
-
-    def gram_sum(A, a_counts, B, b_counts):
-        # extended precision: the three sums cancel almost exactly when the
-        # two samples are near-identical multisets
-        gram = _kernel_gram(A, B, kernel, sigma)
-        return np.sum(np.outer(a_counts, b_counts) * gram, dtype=np.longdouble)
-
-    rr = gram_sum(R, r_counts, R, r_counts)
-    rc = gram_sum(R, r_counts, C, c_counts)
-    cc = gram_sum(C, c_counts, C, c_counts)
-    radicand = float(rr / k**2 - 2.0 * rc / (m * k) + cc / m**2)
+    w = np.bincount(groups.inverse, signed_weights(sel.indicator, sel.k, len(d_c)),
+                    len(groups.rows))
+    present = np.flatnonzero(w)
+    X, w = groups.rows[present], w[present]
+    # extended precision: the terms cancel almost exactly when the samples nearly match
+    radicand = float(np.sum(np.outer(w, w) * _kernel_gram(X, kernel, sigma), dtype=np.longdouble))
     if radicand < -1e-10:
         raise ValueError(f"negative squared distance {radicand}: kernel is not PSD")
     value = math.sqrt(max(radicand, 0.0))

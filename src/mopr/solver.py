@@ -21,6 +21,7 @@ instances can also be solved exactly as integer programs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -57,6 +58,10 @@ class Cut:
         coef = np.asarray(self.coefficients, dtype=float)
         if not np.all(np.isfinite(coef)):
             raise ValueError("cut coefficients must be finite")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"cut offset must be finite, got {self.offset}")
+        if not self.bound >= 0.0:  # also NaN; +inf is no constraint
+            raise ValueError(f"cut bound must be non-negative, got {self.bound}")
         object.__setattr__(self, "coefficients", coef)
 
     def violation(self, a: np.ndarray) -> float:

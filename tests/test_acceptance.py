@@ -20,7 +20,7 @@ from mopr.algorithm import (
     MoprConfig,
     _cutting_plane,
     _Oracle,
-    _selectable,
+    _SweepCarry,
     mmr_retrieve,
     mopr_qp_linear,
     mopr_retrieve,
@@ -41,7 +41,7 @@ from mopr.datamodel import (
     build_balanced_curation,
 )
 from mopr.metric import mpr_closed_form_linear, mpr_exact_finite, mpr_rkhs, mpr_via_oracle
-from mopr.similarity import Selection, similarity_vector, top_k
+from mopr.similarity import Selection, top_k
 from mopr.solver import Cut, round_top_k, solve_ip_exact, solve_lp
 from mopr.statclasses import all_cell_indicators
 
@@ -293,14 +293,16 @@ def test_acceptance_8_qp_variant_agrees():
     k = 50
     sel0, _ = top_k(d_r, q, k)
     mpr0 = mpr_closed_form_linear(sel0, d_r, d_c, "labels").value
-    s = similarity_vector(d_r, q)
-    # oracle_gap(..., "linear") over feature_groups(d_r, d_c, "labels")
-    oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="linear", feature_view="labels"))
-    keep = _selectable(s, oracle.classes, k)
+    cfg = MoprConfig(oracle_kind="linear", feature_view="labels")
     sim0 = None
     for frac in (0.9, 0.7, 0.5, 0.3):
         rho = frac * mpr0
-        _, t_ls = _cutting_plane(s, keep, k, oracle, 50, rho)
+        # the linear retrieval's state with oracle_gap(..., "linear") over
+        # feature_groups(d_r, d_c, "labels") as its separator; both separators
+        # have the label cells as classes, so the LP keeps the same columns
+        carry = _SweepCarry(d_r, d_c, q, k, cfg)
+        carry.separator = _Oracle(d_r, d_c, k, cfg)
+        _, t_ls = _cutting_plane(carry, 50, rho)
         _, t_qp = mopr_qp_linear(d_r, d_c, q, k, rho, T=50, feature_view="labels")
         if sim0 is None:
             sim0 = max(t_ls.mean_similarity, t_qp.mean_similarity)

@@ -265,6 +265,22 @@ class TestMoprRetrieve:
         with pytest.raises(ValueError):
             MoprConfig(rho=-0.1)
 
+    def test_nan_rho_rejected(self, rng):
+        d_r, d_c, q = binary_instance(rng)
+        with pytest.raises(ValueError, match="rho must be non-negative, got nan"):
+            MoprConfig(rho=float("nan"))
+        with pytest.raises(ValueError, match="rho must be non-negative, got nan"):
+            replace(MoprConfig(), rho=float("nan"))
+        with pytest.raises(ValueError, match="rho must be non-negative, got nan"):
+            mopr_qp_linear(d_r, d_c, q, 5, rho=float("nan"))
+
+    @pytest.mark.parametrize("kind", ["finite", "linear"])
+    def test_infinite_rho_is_top_k(self, rng, kind):
+        d_r, d_c, q = binary_instance(rng)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 5, MoprConfig(rho=float("inf"), oracle_kind=kind))
+        assert np.array_equal(sel.indicator, top_k(d_r, q, 5)[0].indicator)
+        assert trace.halted_by == "constraint-satisfied" and len(trace.iterations) == 1
+
 
 class TestQpVariant:
     def test_loose_rho_keeps_topk(self, rng):
@@ -675,6 +691,16 @@ class TestPrunedLp:
         classes = carry.separator.classes
         assert np.array_equal(carry.keep, selectable_reference(carry.s, classes, 10))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_finite_classes_are_the_label_cells(self, seed, monkeypatch):
+        # read from the indicator table, without grouping the feature rows
+        d_r, d_c, _ = grid_instance(seed)
+        cells = feature_groups(d_r, d_c, "labels").inverse[: len(d_r)]
+        monkeypatch.setattr(algorithm, "feature_groups", None)
+        classes = _Oracle(d_r, d_c, 10, MoprConfig(oracle_kind="finite")).classes
+        pairs = set(zip(classes.tolist(), cells.tolist()))
+        assert len(pairs) == len(set(classes.tolist())) == len(set(cells.tolist()))
+
 
 class TestOracleMemo:
     def test_repeats_the_last_evaluation_only(self, monkeypatch):
@@ -709,6 +735,13 @@ class TestParetoSweep:
         assert len(points) == 1
         assert points[0].sim_frac_topk == pytest.approx(1.0, abs=1e-9)
         assert points[0].mpr_frac_topk == pytest.approx(1.0, abs=1e-9)
+
+    def test_nan_in_grid_rejected_before_any_retrieval(self, rng, monkeypatch):
+        d_r, d_c, q = binary_instance(rng)
+        traces = record_retrievals(monkeypatch)
+        with pytest.raises(ValueError, match="rho must be non-negative, got nan"):
+            pareto_sweep(d_r, d_c, q, 5, MoprConfig(), [0.2, float("nan")])
+        assert traces == []
 
     @pytest.mark.parametrize("kind", ["finite", "linear"])
     def test_reference_uses_conditioned_curation(self, kind):

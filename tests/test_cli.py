@@ -287,6 +287,70 @@ class TestCompareIp:
         assert "25" in capsys.readouterr().err
 
 
+class TestEdgeValues:
+    """NaN and negative values of rho and sigma fail with a message; +inf is
+    no constraint."""
+
+    @pytest.mark.parametrize("algo", ["mopr", "mopr-qp"])
+    def test_retrieve_nan_rho(self, tmp_path, capsys, algo):
+        write_fixture(tmp_path)
+        code = main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "5", "--algo", algo, "--rho", "nan", "--out", str(tmp_path / "sel.csv")])
+        assert code == 1
+        assert "rho must be non-negative, got nan" in capsys.readouterr().err
+
+    def test_sweep_nan_in_grid(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep"] + io_args(tmp_path) + [
+            "--k", "5", "--rho-grid", "0.2,nan", "--out", str(out)])
+        assert code == 1
+        assert "rho must be non-negative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [("nan", "got nan"), ("-0.1", "got -0.1")])
+    def test_compare_ip_bad_rho(self, tmp_path, capsys, grid, message):
+        write_fixture(tmp_path, n=12, m=24)
+        code = main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "4", "--rho-grid", grid, "--out", str(tmp_path / "cmp.csv")])
+        assert code == 1
+        assert f"cut bound must be non-negative, {message}" in capsys.readouterr().err
+
+    def test_mpr_nan_sigma(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        code = main(["mpr"] + io_args(tmp_path) + [
+            "--k", "5", "--method", "rkhs", "--kernel", "gaussian:nan"])
+        assert code == 1
+        assert "sigma > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sweep", "--rho-grid", "0.2,x"),
+        ("compare-ip", "--rho-grid", "0.5,"),
+        ("mpr", "--kernel", "gaussian:x"),
+    ])
+    def test_not_a_number_names_the_flag(self, tmp_path, capsys, command, flag, value):
+        write_fixture(tmp_path, n=12, m=24)
+        bad = value.split(":")[-1].split(",")[-1]
+        extra = ["--method", "rkhs"] if command == "mpr" else ["--out", str(tmp_path / "o.csv")]
+        code = main([command] + io_args(tmp_path) + ["--k", "4", flag, value] + extra)
+        assert code == 1
+        assert f"mopr: error: {flag}: {bad!r} is not a number" in capsys.readouterr().err
+
+    def test_infinite_rho_is_no_constraint(self, tmp_path):
+        write_fixture(tmp_path, n=12, m=24)
+        assert main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "4", "--rho", "inf", "--out", str(tmp_path / "sel.csv")]) == 0
+        assert main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "4", "--algo", "topk", "--out", str(tmp_path / "top.csv")]) == 0
+        assert (tmp_path / "sel.csv").read_bytes() == (tmp_path / "top.csv").read_bytes()
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "4", "--rho-grid", "inf", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert row["status"] == "optimal" and row["ip_objective"] == row["lp_objective"]
+
+
 class TestErrors:
     def test_query_dimension_mismatch(self, tmp_path, capsys):
         write_fixture(tmp_path)

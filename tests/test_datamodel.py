@@ -217,6 +217,19 @@ class TestSyntheticGeneration:
         spec = small_spec(seed=9)
         assert SyntheticSpec.from_json(spec.to_json()) == spec
 
+    def test_spec_json_bytes(self):
+        axis = GroupAxis("g", 2, (0.5, 0.5), (1.0, 0.0))
+        spec = SyntheticSpec(n=4, m=3, d=2, group_axes=(axis,), similarity_bias={"g": (0.5, -0.5)},
+                             seed=1)
+        assert spec.to_json() == (
+            '{\n  "d": 2,\n  "group_axes": [\n    {\n      "cardinality": 2,\n'
+            '      "curated_probs": [\n        1.0,\n        0.0\n      ],\n'
+            '      "name": "g",\n      "retrieval_probs": [\n        0.5,\n        0.5\n'
+            '      ]\n    }\n  ],\n  "m": 3,\n  "n": 4,\n  "seed": 1,\n'
+            '  "similarity_bias": {\n    "g": [\n      0.5,\n      -0.5\n    ]\n  }\n}'
+        )
+        assert SyntheticSpec.from_json(spec.to_json()) == spec
+
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError, match="sum to 1"):
             GroupAxis("g", 2, (0.7, 0.4), (0.5, 0.5))

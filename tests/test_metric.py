@@ -437,7 +437,7 @@ class TestRkhs:
             pytest.approx(0.0, abs=1e-9)
         )
 
-    @pytest.mark.parametrize("view", ["labels", "concat"])
+    @pytest.mark.parametrize("view", ["labels", "embedding", "concat"])
     def test_repeated_rows_match_all_pairs_sum(self, rng, view):
         # label rows repeat, so the kernel is summed over distinct rows with
         # multiplicities; it must agree with the plain sum over all pairs
@@ -462,6 +462,27 @@ class TestRkhs:
         sel = Selection(np.array([1, 1, 0, 0]), 2)
         with pytest.raises(ValueError, match="sigma"):
             mpr_rkhs(sel, d_r, d_c, "gaussian", None, "embedding")
+
+    def test_gaussian_nan_sigma_rejected(self, rng):
+        d_r, d_c = random_pair(rng, 4, 3, 2)
+        sel = Selection(np.array([1, 1, 0, 0]), 2)
+        with pytest.raises(ValueError, match="sigma > 0"):
+            mpr_rkhs(sel, d_r, d_c, "gaussian", float("nan"), "labels")
+
+    @pytest.mark.parametrize("kernel, sigma", [("linear", None), ("gaussian", 0.3),
+                                               ("gaussian", 1.0)])
+    def test_matched_cell_proportions_read_zero(self, rng, kernel, sigma):
+        # the curated set holds three times the selection's count of every
+        # cell, so the signed weights cancel on each cell: the kernel norm is
+        # 0 up to the rounding of those per-cell sums, not of the Gram sums
+        cells = [{"a": a, "b": b} for a in range(2) for b in range(3)]
+        chosen = [cell for cell, count in zip(cells, (1, 3, 4, 5, 1, 2)) for _ in range(count)]
+        k = len(chosen)
+        d_r = make_dataset(rng.standard_normal((k + 7, 2)), chosen + [cells[0]] * 7, prefix="r")
+        d_c = make_dataset(rng.standard_normal((3 * k, 2)), chosen * 3, role="curated",
+                           prefix="c")
+        sel = Selection((np.arange(k + 7) < k).astype(int), k)
+        assert mpr_rkhs(sel, d_r, d_c, kernel, sigma, "labels").value <= 1e-12
 
 
 class TestReportSerialization:

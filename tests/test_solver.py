@@ -207,6 +207,23 @@ class TestCuts:
             with pytest.raises(ValueError, match="finite"):
                 Cut(np.array(coefficients), 0.0, 0.1)
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Cut(np.array([1.0]), offset, 0.1)
+
+    @pytest.mark.parametrize("bound", [np.nan, -0.1, -np.inf])
+    def test_bound_must_be_non_negative(self, bound):
+        with pytest.raises(ValueError, match="bound must be non-negative"):
+            Cut(np.array([1.0]), 0.0, bound)
+        with pytest.raises(ValueError, match="bound must be non-negative"):
+            Cut(np.array([1.0]), 0.0, 0.1).with_bound(bound)
+
+    def test_infinite_bound_is_no_constraint(self):
+        s = np.array([0.9, 0.5, 0.1])
+        lp = solve_lp(s, [Cut(np.array([1.0, 0.0, 0.0]), 0.0, np.inf)], 1)
+        assert lp.status == "optimal" and lp.a.tolist() == [1.0, 0.0, 0.0]
+
     def test_check_cuts_report(self):
         cuts = [Cut(np.array([1.0, 0.0]), 0.0, 0.1), Cut(np.array([0.0, 1.0]), 0.0, 5.0)]
         report = check_cuts(np.array([1.0, 1.0]), cuts)
