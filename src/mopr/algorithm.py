@@ -42,6 +42,7 @@ import numpy as np
 from mopr.datamodel import Dataset, Query
 from mopr.metric import (
     FiniteTable,
+    _check_compatible,
     closed_form_gap,
     feature_groups,
     oracle_gap,
@@ -144,6 +145,7 @@ class _Oracle:
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
         if cfg.oracle_kind == "finite":
+            _check_compatible(d_r, d_c, "labels")  # the cells come from D_R's schema
             self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
             # an item is +1 on its own cell's indicator and -1 on every other
             self.classes = np.argmax(self.table.on_retrieval, axis=0)

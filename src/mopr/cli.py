@@ -39,7 +39,8 @@ def _load_inputs(args):
     # a CSV implies each axis's cardinality from its largest code, so a
     # category that one file lacks is still a category of the other
     cards = {n: max(d_r.schema.label_cards[n], d_c.schema.label_cards[n]) for n in names}
-    d_r, d_c = (datamodel.Dataset(d.ids, d.embeddings, d.labels,
+    d_r, d_c = (d if d.schema.label_cards == cards else
+                datamodel.Dataset(d.ids, d.embeddings, d.labels,
                                   replace(d.schema, label_cards=cards), d.role)
                 for d in (d_r, d_c))
     return d_r, d_c, datamodel.load_query(args.query)
@@ -216,7 +217,7 @@ def cmd_compare_ip(args) -> int:
         cuts = table.cuts(args.k, rho)
         lp = solver.solve_lp(s, cuts, args.k)
         if lp.status != "optimal":
-            rows.append([rho, "infeasible", "", "", ""])
+            rows.append([rho, "infeasible", "", "", "", ""])
             continue
         rounded = solver.round_top_k(lp.a, args.k)
         ip_sel = solver.solve_ip_exact(s, cuts, args.k)
@@ -224,11 +225,14 @@ def cmd_compare_ip(args) -> int:
             rho, "optimal",
             "%.17g" % lp.objective,
             "%.17g" % float(s @ rounded.indicator),
+            # the rounded set's own MPR: above rho when rounding broke a cut
+            "%.17g" % table.worst(rounded.indicator, args.k)[0],
             "%.17g" % float(s @ ip_sel.indicator),
         ])
     with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rho", "status", "lp_objective", "rounded_objective", "ip_objective"])
+        writer.writerow(["rho", "status", "lp_objective", "rounded_objective", "rounded_mpr",
+                         "ip_objective"])
         writer.writerows(rows)
     _write_sidecar(args.out, _resolved(args))
     return 0

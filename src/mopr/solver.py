@@ -6,17 +6,18 @@ the two-sided ``Cut``: ``offset - bound <= coefficients.a <= offset + bound``.
 It is solved by a self-contained bounded dual simplex (no external solver).
 Each row gets a slack, ``row.a - slack = 0``, whose bounds carry the row's
 range, so cuts and bound changes only move bounds.  A cold solve starts at the
-top-k vertex: the k most similar free items at their upper bound, one of them
+top-k vertex: the k most similar items at their upper bound, the k-th of them
 basic in the cardinality row and every cut slack basic.  That basis is dual
 feasible, so no phase 1 is needed.  The final basis is returned, and a later
-solve whose cuts extend the earlier ones (and whose bounds may differ)
+solve whose rows extend the earlier ones (and whose row bounds may differ)
 re-optimizes from it, which in a cutting-plane loop takes a few pivots per new
 cut.  The ratio test is the long-step (bound-flipping) one of Maros 2003 and
 Koberstein 2005: a boxed variable whose breakpoint the dual step passes flips
 to its other bound instead of entering, so a cut that moves many items of one
 cell costs one pivot, not one per item.  The leaving row and ties among
 breakpoints go to the lowest index, which keeps runs deterministic.  Small
-instances can also be solved exactly as integer programs.
+integer programs are solved exactly, by enumeration or by branch and bound
+that fixes an item with the zero-width row ``Cut(e_j, v, 0)``.
 """
 
 from __future__ import annotations
@@ -152,68 +153,45 @@ def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, b
     raise RuntimeError("simplex iteration limit exceeded")
 
 
-def _top_k_start(s, lo_a, hi_a, k, n_rows):
-    """Dual feasible basis at the top-k vertex, or None if sum(a) = k is out of reach.
+def _top_k_start(s, k, n_rows):
+    """Dual feasible basis at the top-k vertex of the [0, 1] box.
 
-    Free items in stable descending-``s`` order fill the cardinality row: the
-    leading ones at their upper bound, the one that completes k basic in row 0,
-    the rest at their lower bound.  Every cut slack is basic.
+    In stable descending-``s`` order the first k - 1 items sit at their upper
+    bound, the k-th is basic in the cardinality row (row 0) and the rest sit at
+    their lower bound.  Every cut slack is basic.
     """
     n = s.size
-    free = np.flatnonzero(lo_a < hi_a)
-    order = free[np.argsort(-s[free], kind="stable")]
-    need = k - float(lo_a.sum())
-    reach = np.cumsum(hi_a[order] - lo_a[order])
-    if need < -TOL or need > (reach[-1] if reach.size else 0.0) + TOL:
-        return None
+    order = np.argsort(-s, kind="stable")
     status = np.full(n + n_rows, BASIC)
-    status[:n] = AT_LOWER
+    status[order[: k - 1]] = AT_UPPER
+    status[order[k:]] = AT_LOWER
+    status[n] = AT_LOWER
     basis = n + np.arange(n_rows)
-    if order.size:
-        p = int(np.searchsorted(reach, need - TOL))
-        status[order[:p]] = AT_UPPER
-        status[order[p]] = BASIC
-        status[n] = AT_LOWER
-        basis[0] = order[p]
+    basis[0] = order[k - 1]
     return status, basis
 
 
-def solve_lp(
-    s: np.ndarray,
-    cuts,
-    k: int,
-    var_bounds: list[tuple[float, float]] | None = None,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> LpSolution:
+def solve_lp(s: np.ndarray, cuts, k: int,
+             start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
     """Maximize s.a over the box [0,1]^n with sum(a)=k and all cut rows.
 
-    ``var_bounds`` optionally overrides per-variable bounds (used for
-    branch-and-bound fixing).  ``start`` is the ``basis`` of an earlier
-    solution whose cuts are a prefix of ``cuts``; its row bounds may differ,
-    and its variable bounds may only have been tightened.  The
-    returned point is a vertex, so the number of fractional coordinates is at
-    most the number of active cut rows + 1.
+    ``start`` is the ``basis`` of an earlier solution whose cuts are a prefix
+    of ``cuts``; their bounds may differ.  The returned point is a vertex, so
+    the number of fractional coordinates is at most the number of active cut
+    rows + 1.
     """
     s = np.asarray(s, dtype=float)
     n = s.size
+    if k < 1:
+        raise ValueError(f"k={k} must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
     if any(cut.coefficients.shape != (n,) for cut in cuts):
         raise ValueError("cut coefficient length does not match pool size")
-    if var_bounds is None:
-        lo_a = np.zeros(n)
-        hi_a = np.ones(n)
-    else:
-        lo_a = np.array([b[0] for b in var_bounds], dtype=float)
-        hi_a = np.array([b[1] for b in var_bounds], dtype=float)
     # one slack per row with row.a - slack = 0; row 0 is sum(a), slack fixed at k
     n_rows = 1 + len(cuts)
     if start is None:
-        start = _top_k_start(s, lo_a, hi_a, k, n_rows)
-        if start is None:
-            return LpSolution(a=lo_a, objective=float("nan"), status="infeasible",
-                              diagnostics={"pivots": 0})
-        status, basis = start
+        status, basis = _top_k_start(s, k, n_rows)
     else:
         status, basis = start
         if status.shape != (n + basis.size,) or basis.size > n_rows:
@@ -226,8 +204,8 @@ def solve_lp(
         -np.eye(n_rows),
     ])
     c = np.concatenate([s, np.zeros(n_rows)])
-    lower = np.concatenate([lo_a, [k], [cut.offset - cut.bound for cut in cuts]])
-    upper = np.concatenate([hi_a, [k], [cut.offset + cut.bound for cut in cuts]])
+    lower = np.concatenate([np.zeros(n), [k], [cut.offset - cut.bound for cut in cuts]])
+    upper = np.concatenate([np.ones(n), [k], [cut.offset + cut.bound for cut in cuts]])
     x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
     fixed = 1 + np.flatnonzero(lower[n + 1:] == upper[n + 1:])
     if fixed.size:
@@ -237,7 +215,7 @@ def solve_lp(
         y = np.linalg.solve(A[:, basis].T, c[basis])
         fixed = fixed[status[n + fixed] != BASIC]
         status[n + fixed] = np.where(y[fixed] > 0, AT_UPPER, AT_LOWER)
-    a = np.clip(x[:n], lo_a, hi_a)
+    a = np.clip(x[:n], 0.0, 1.0)
     if not feasible or abs(float(a.sum()) - k) > 1e-6:
         return LpSolution(a=a, objective=float("nan"), status="infeasible",
                           diagnostics={"pivots": pivots}, basis=(status, basis))
@@ -313,33 +291,35 @@ def solve_ip_exact(s: np.ndarray, cuts, k: int) -> Selection:
 
 
 def _branch_and_bound(s: np.ndarray, cuts, k: int) -> Selection:
-    n = s.size
+    """Best selection under ``cuts`` by LP-based branch and bound (Land & Doig 1960).
+
+    A node's rows are the caller's cuts followed by one zero-width row
+    ``Cut(e_j, v, 0)`` per item its path fixes.  A node branches on its lowest
+    fractional item, v = 1 before v = 0: each child appends its row to the
+    parent's rows and re-optimizes from the parent's basis.  A node whose LP
+    bound does not beat the incumbent by 1e-9 is pruned, and an integral vertex
+    becomes the incumbent if it satisfies the caller's cuts.
+    """
+    unit = np.eye(s.size)
     best_obj = -np.inf
     best_ind: np.ndarray | None = None
 
-    def recurse(bounds: list[tuple[float, float]], start):
+    def recurse(rows: list[Cut], start):
         nonlocal best_obj, best_ind
-        lp = solve_lp(s, cuts, k, var_bounds=bounds, start=start)
+        lp = solve_lp(s, rows, k, start=start)
         if lp.status != "optimal" or lp.objective <= best_obj + 1e-9:
             return
-        frac = np.flatnonzero(
-            (lp.a > FRACTIONAL_TOL) & (lp.a < 1.0 - FRACTIONAL_TOL)
-        )
+        frac = np.flatnonzero((lp.a > FRACTIONAL_TOL) & (lp.a < 1.0 - FRACTIONAL_TOL))
         if frac.size == 0:
             ind = (lp.a > 0.5).astype(int)
-            if check_cuts(ind.astype(float), cuts):
-                return
-            if lp.objective > best_obj + 1e-9:
-                best_obj = lp.objective
-                best_ind = ind
+            if not check_cuts(ind.astype(float), cuts):
+                best_obj, best_ind = lp.objective, ind
             return
         j = int(frac[0])
         for fix in (1.0, 0.0):
-            child = list(bounds)
-            child[j] = (fix, fix)
-            recurse(child, lp.basis)
+            recurse(rows + [Cut(unit[j], fix, 0.0)], lp.basis)
 
-    recurse([(0.0, 1.0)] * n, None)
+    recurse(list(cuts), None)
     if best_ind is None:
         raise ValueError("integer program infeasible")
     return Selection(best_ind, k)

@@ -43,8 +43,8 @@ def random_pair(rng, n, m, d, n_groups=2):
     return d_r, d_c
 
 
-def scipy_reference(s, cuts, k, var_bounds=None):
-    """Independent LP oracle via scipy (HiGHS): max s.a over the box, with
+def scipy_reference(s, cuts, k):
+    """Independent LP oracle via scipy (HiGHS): max s.a over [0, 1]^n, with
     sum(a) = k and every cut row."""
     n = s.size
     A_ub, b_ub = [], []
@@ -57,7 +57,7 @@ def scipy_reference(s, cuts, k, var_bounds=None):
         b_ub=np.array(b_ub) if b_ub else None,
         A_eq=np.ones((1, n)),
         b_eq=[k],
-        bounds=var_bounds or [(0, 1)] * n,
+        bounds=[(0, 1)] * n,
         method="highs",
     )
     return res

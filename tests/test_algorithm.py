@@ -195,6 +195,18 @@ class TestMoprRetrieve:
         fresh = mpr_exact_finite(sel, d_r, d_c, indicators).value
         assert trace.achieved_mpr == pytest.approx(fresh, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["finite", "linear", "tree"])
+    def test_label_cardinalities_must_agree(self, rng, kind):
+        # D_C has a third category that the pool's schema lacks: the finite
+        # class built from D_R's cells alone would never measure it
+        d_r = make_dataset(rng.standard_normal((12, 3)), [{"g": i % 2} for i in range(12)],
+                           cards={"g": 2}, prefix="r")
+        d_c = make_dataset(rng.standard_normal((9, 3)), [{"g": i % 3} for i in range(9)],
+                           cards={"g": 3}, role="curated", prefix="c")
+        cfg = MoprConfig(rho=0.1, T=20, oracle_kind=kind)
+        with pytest.raises(ValueError, match="disagree on label cardinalities"):
+            mopr_retrieve(d_r, d_c, Query("q", np.eye(3)[0]), 6, cfg)
+
     def test_halt_condition_consistent(self, rng):
         d_r, d_c, q = binary_instance(rng)
         cfg = MoprConfig(rho=0.1, T=50, oracle_kind="finite")

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_dataset
 from mopr.cli import main
 from mopr.datamodel import (
+    Dataset,
     GroupAxis,
     Query,
     SyntheticSpec,
@@ -204,6 +205,20 @@ class TestLabelReconciliation:
         assert "retrieval labels ['g'] and curated labels ['h'] differ" in capsys.readouterr().err
 
 
+class TestLoadInputs:
+    def test_pools_that_agree_are_not_rebuilt(self, tmp_path, monkeypatch):
+        # both files hold both categories, so the loaded datasets are kept
+        d_r, d_c, _ = write_fixture(tmp_path)
+        assert len(set(d_r.labels[:, 0])) == len(set(d_c.labels[:, 0])) == 2
+        built = []
+        init = Dataset.__init__
+        monkeypatch.setattr(Dataset, "__init__",
+                            lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+        assert main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "10", "--algo", "topk", "--out", str(tmp_path / "sel.csv")]) == 0
+        assert len(built) == 2  # one per file, from load_dataset
+
+
 class TestRetrieve:
     @pytest.mark.parametrize("algo", ["topk", "mmr", "mopr", "mopr-qp"])
     def test_all_algorithms_write_k_ids(self, tmp_path, algo):
@@ -278,6 +293,29 @@ class TestCompareIp:
             if row["status"] != "optimal":
                 continue
             assert float(row["ip_objective"]) <= float(row["lp_objective"]) + 1e-9
+
+    def test_rounded_mpr_shows_a_broken_cut(self, tmp_path):
+        # the top 5 of the LP point beat the LP bound only by breaking a cell cut
+        write_fixture(tmp_path, seed=3, n=20, m=40)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "5", "--rho-grid", "0.3", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["rho", "status", "lp_objective", "rounded_objective",
+                                 "rounded_mpr", "ip_objective"]
+        row = rows[0]
+        assert float(row["lp_objective"]) == pytest.approx(3.0501, abs=5e-5)
+        assert float(row["rounded_objective"]) == pytest.approx(3.2200, abs=5e-5)
+        assert float(row["rounded_mpr"]) == pytest.approx(0.35, abs=1e-12)  # above rho = 0.3
+        assert float(row["ip_objective"]) <= float(row["lp_objective"]) + 1e-9
+
+    def test_infeasible_row_leaves_figures_empty(self, tmp_path):
+        write_fixture(tmp_path, n=12, m=24)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "4", "--rho-grid", "0", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0.0,infeasible,,,,"
 
     def test_large_pool_rejected(self, tmp_path, capsys):
         write_fixture(tmp_path, n=40)

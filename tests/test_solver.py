@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import scipy_reference
 from mopr.solver import (
     Cut,
+    _branch_and_bound,
+    _enumerate_ip,
     check_cuts,
     round_top_k,
     solve_ip_exact,
@@ -111,6 +113,11 @@ class TestSolveLpStructure:
         with pytest.raises(ValueError, match="exceeds"):
             solve_lp(np.ones(3), [], 4)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_lp(np.ones(3), [], k)
+
 
 class TestRoundTopK:
     def test_direct(self):
@@ -182,6 +189,36 @@ class TestIpExact:
                 continue
             assert float(s @ sel.indicator) <= lp.objective + 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_branch_and_bound_matches_enumeration_property(self, data):
+        # n <= 14, so both paths run; cell cuts as FiniteTable.cuts builds them
+        # (each item +-1 on a cell's indicator), or random grid rows
+        n = data.draw(st.integers(4, 14))
+        k = data.draw(st.integers(1, n - 1))
+        s = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        if data.draw(st.booleans()):
+            cell = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            curated = data.draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))
+            rho = data.draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]))
+            cuts = [Cut(np.where(cell == j, 1.0, -1.0) / k, 2 * share / 8 - 1, rho)
+                    for j, share in enumerate(np.bincount(curated, minlength=4))]
+        else:
+            rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+            cuts = [Cut(np.array(data.draw(rows)) / k, data.draw(GRID), abs(data.draw(GRID)))
+                    for _ in range(data.draw(st.integers(1, 3)))]
+        try:
+            expected = _enumerate_ip(s, cuts, k)
+        except ValueError:
+            with pytest.raises(ValueError, match="infeasible"):
+                _branch_and_bound(s, cuts, k)
+            return
+        found = _branch_and_bound(s, cuts, k)
+        assert float(s @ found.indicator) == pytest.approx(float(s @ expected.indicator), abs=1e-9)
+        assert int(found.indicator.sum()) == k
+        assert not check_cuts(found.indicator.astype(float), cuts)
+        assert not check_cuts(expected.indicator.astype(float), cuts)
+
     def test_size_limit(self):
         with pytest.raises(ValueError, match="limit"):
             solve_ip_exact(np.ones(30), [], 5)
@@ -248,12 +285,16 @@ def lp_instances(draw, min_cuts=0):
             cuts.append(Cut(coef, draw(GRID), abs(draw(GRID))))
         else:
             cuts.append(half_space(coef, draw(GRID)))
-    return s, cuts, k, draw(box_fixings(n))
+    return s, draw(fixing_rows(n)) + cuts, k
 
 
-def box_fixings(n):
-    fixings = [(0.0, 1.0)] * 4 + [(0.0, 0.0), (1.0, 1.0)]
-    return st.none() | st.lists(st.sampled_from(fixings), min_size=n, max_size=n)
+def fixing_rows(n):
+    """Zero-width rows ``Cut(e_j, v, 0)`` that fix some items at 0 or 1, as
+    branch and bound fixes them; they may fix more than k items at 1."""
+    values = st.lists(st.sampled_from([None] * 4 + [0.0, 1.0]), min_size=n, max_size=n)
+    return st.just([]) | values.map(
+        lambda vs: [Cut(np.eye(n)[j], v, 0.0) for j, v in enumerate(vs) if v is not None]
+    )
 
 
 @st.composite
@@ -276,11 +317,11 @@ def cell_lp_instances(draw):
             cuts.append(Cut(coef, centre, abs(draw(GRID)) / 4))
         else:
             cuts.append(half_space(coef, centre))
-    return s, cuts, k, draw(box_fixings(n))
+    return s, draw(fixing_rows(n)) + cuts, k
 
 
-def assert_matches_highs(lp, s, cuts, k, var_bounds):
-    ref = scipy_reference(s, cuts, k, var_bounds)
+def assert_matches_highs(lp, s, cuts, k):
+    ref = scipy_reference(s, cuts, k)
     if ref.status == 2:
         assert lp.status == "infeasible"
         return
@@ -289,9 +330,7 @@ def assert_matches_highs(lp, s, cuts, k, var_bounds):
     assert lp.objective == pytest.approx(-ref.fun, abs=1e-7)
     assert not check_cuts(lp.a, cuts, tol=1e-7)
     assert float(lp.a.sum()) == pytest.approx(k, abs=1e-8)
-    if var_bounds is not None:
-        lo, hi = np.array(var_bounds).T
-        assert np.all((lp.a >= lo) & (lp.a <= hi))
+    assert np.all((lp.a >= 0.0) & (lp.a <= 1.0))
 
 
 @st.composite
@@ -347,41 +386,41 @@ class TestSolveLpProperties:
     @settings(max_examples=150, deadline=None)
     @given(lp_instances())
     def test_cold_solve_matches_highs(self, instance):
-        s, cuts, k, var_bounds = instance
-        lp = solve_lp(s, cuts, k, var_bounds)
-        assert_matches_highs(lp, s, cuts, k, var_bounds)
+        s, cuts, k = instance
+        lp = solve_lp(s, cuts, k)
+        assert_matches_highs(lp, s, cuts, k)
         assert lp.diagnostics["pivots"] >= 0
 
     @settings(max_examples=150, deadline=None)
     @given(lp_instances(min_cuts=1), st.sampled_from(["append", "loosen"]))
     def test_warm_equals_cold(self, instance, change):
-        s, cuts, k, var_bounds = instance
+        s, cuts, k = instance
         if change == "append":
             before, after = cuts[:-1], cuts
         else:
             before, after = cuts, [loosened(c) for c in cuts]
-        first = solve_lp(s, before, k, var_bounds)
-        warm = solve_lp(s, after, k, var_bounds, start=first.basis)
-        cold = solve_lp(s, after, k, var_bounds)
+        first = solve_lp(s, before, k)
+        warm = solve_lp(s, after, k, start=first.basis)
+        cold = solve_lp(s, after, k)
         assert warm.status == cold.status
         if cold.status == "optimal":
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-        assert_matches_highs(warm, s, after, k, var_bounds)
+        assert_matches_highs(warm, s, after, k)
 
     @settings(max_examples=150, deadline=None)
     @given(cell_lp_instances(), st.sampled_from(["cold", "append", "loosen"]))
     def test_cell_structured_matches_highs(self, instance, change):
         # re-optimizing swaps whole runs of a cell's items, so many bounds flip
         # in one pivot
-        s, cuts, k, var_bounds = instance
+        s, cuts, k = instance
         if change == "cold":
-            lp = solve_lp(s, cuts, k, var_bounds)
+            lp = solve_lp(s, cuts, k)
         else:
             before = cuts[:-1] if change == "append" else cuts
             after = cuts if change == "append" else [loosened(c) for c in cuts]
-            first = solve_lp(s, before, k, var_bounds)
-            lp, cuts = solve_lp(s, after, k, var_bounds, start=first.basis), after
-        assert_matches_highs(lp, s, cuts, k, var_bounds)
+            first = solve_lp(s, before, k)
+            lp, cuts = solve_lp(s, after, k, start=first.basis), after
+        assert_matches_highs(lp, s, cuts, k)
 
     @settings(max_examples=200, deadline=None)
     @given(near_duplicate_instances(), st.sampled_from(["cold", "append"]))
@@ -392,7 +431,7 @@ class TestSolveLpProperties:
             lp = solve_lp(s, cuts, k)
         else:
             lp = solve_lp(s, cuts, k, start=solve_lp(s, cuts[:-1], k).basis)
-        assert_matches_highs(lp, s, cuts, k, None)
+        assert_matches_highs(lp, s, cuts, k)
 
     @pytest.mark.parametrize("instance", NEAR_COPY_REGRESSIONS,
                              ids=["singular", "cycling", "ill-conditioned"])
@@ -404,7 +443,7 @@ class TestSolveLpProperties:
         # short of the optimum
         s, cuts, k = instance
         for start in (None, solve_lp(s, cuts[:-1], k).basis):
-            assert_matches_highs(solve_lp(s, cuts, k, start=start), s, cuts, k, None)
+            assert_matches_highs(solve_lp(s, cuts, k, start=start), s, cuts, k)
 
     def test_group_cut_is_one_pivot_of_many_flips(self):
         # items 0-9 form group A and fill the top 5; the cut admits one of them,
@@ -419,7 +458,7 @@ class TestSolveLpProperties:
         assert warm.diagnostics["pivots"] <= 2
         assert cold.diagnostics["pivots"] <= 2
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-        assert_matches_highs(cold, s, [cut], 5, None)
+        assert_matches_highs(cold, s, [cut], 5)
 
     def test_warm_start_after_new_cut_takes_one_pivot(self):
         # the cut removes the top-k vertex; re-optimizing from its basis is one pivot
@@ -443,7 +482,7 @@ class TestSolveLpProperties:
         after = [loosened(c) for c in cuts]
         warm = solve_lp(s, after, 2, start=first.basis)
         assert warm.objective == pytest.approx(solve_lp(s, after, 2).objective, abs=1e-12)
-        assert_matches_highs(warm, s, after, 2, None)
+        assert_matches_highs(warm, s, after, 2)
 
     def test_start_that_does_not_fit_rejected(self):
         first = solve_lp(np.ones(4), [], 2)
