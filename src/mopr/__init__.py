@@ -14,6 +14,7 @@ from mopr.datamodel import (
     generate_synthetic,
     load_dataset,
     load_query,
+    reconcile,
     save_dataset,
 )
 from mopr.similarity import Selection, cosine_similarity, condition_curation, top_k

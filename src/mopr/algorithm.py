@@ -1,13 +1,13 @@
 """Cutting-plane retrieval under a representation constraint, plus baselines.
 
 One loop, ``_cutting_plane``, does the retrieval.  Each iteration re-solves
-the similarity LP under the cuts found so far, warm-started from the previous
-basis and with the target gap relaxed to the smallest feasible one if the LP
-is infeasible, rounds the LP point to its k largest coordinates, and hands the
-rounded selection to a separator.  The separator returns the selection's
-violation and, only when asked, a cut that the selection violates.  The loop
-stops when the selection is certified, when the new cut duplicates an old one
-(the LP would not change), or after T iterations.
+the similarity LP under the cuts found so far (one LP object, carried from
+solve to solve, with the target gap relaxed to the smallest feasible one if
+it is infeasible), rounds the LP point to its k largest coordinates, and
+hands the rounded selection to a separator.  The separator returns the
+selection's violation and, only when asked, a cut that the selection
+violates.  The loop stops when the selection is certified, when the new cut
+duplicates an old one (the LP would not change), or after T iterations.
 
 The LP has a column only for the items an optimum can choose.  Each
 separator names the class of every retrieval item, the distinct feature row
@@ -35,7 +35,7 @@ and a Pareto sweep harness round out the module.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -119,13 +119,7 @@ class MoprTrace:
     halted_by: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": [vars(rec) for rec in self.iterations],
-            "achieved_mpr": self.achieved_mpr,
-            "mean_similarity": self.mean_similarity,
-            "effective_rho": self.effective_rho,
-            "halted_by": self.halted_by,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "selection"}
 
 
 class _Oracle:
@@ -212,26 +206,24 @@ class _SupportingHyperplane:
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
-    """Solve the LP from ``start``, relaxing the target gap to the smallest feasible one.
+    """Solve the LP ``start`` takes over, relaxing the target gap to the smallest feasible one.
 
     An infeasible LP has its gap doubled, from RELAX_FLOOR when it is 0, until
     the LP is feasible; bisection then narrows the gap to the smallest feasible
-    one, to RELAX_RTOL relative.  Every probe warm-starts from the basis of the
-    one before.  Returns (lp, cuts, rho_eff, pivots summed over the probes).
+    one, to RELAX_RTOL relative.  Every probe re-bounds that one LP and
+    re-optimizes it.  Returns (lp, cuts, rho_eff, pivots summed over the probes).
     """
     lp = solve_lp(s, cuts, k, start=start)
     pivots = lp.diagnostics["pivots"]
     if lp.status == "optimal":
         return lp, cuts, rho_eff, pivots
-    basis = lp.basis
 
     def probe(rho):
-        nonlocal basis, pivots
+        nonlocal pivots
         relaxed = [c.with_bound(rho) for c in cuts]
-        lp = solve_lp(s, relaxed, k, start=basis)
-        basis = lp.basis
-        pivots += lp.diagnostics["pivots"]
-        return (lp, relaxed) if lp.status == "optimal" else None
+        found = solve_lp(s, relaxed, k, start=lp.lp)
+        pivots += found.diagnostics["pivots"]
+        return (found, relaxed) if found.status == "optimal" else None
 
     lo = hi = rho_eff
     best = None
@@ -275,46 +267,39 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
     Its whole state is the ``carry``.  The LP is solved over the items
     ``keep`` (``_selectable`` of the separator's classes), with every cut
     restricted to them, and its top k are the selection.  The separator sees
-    the selection over all n items.  A duplicate cut leaves the LP
-    unchanged, and re-solving it from its own optimal basis returns the same
-    point, so every later iteration would return the same selection: the
-    loop halts there.  The loop starts from the carry's cuts, each bounded by
-    rho, and its basis, and on return leaves its own cuts and basis there.
+    the selection over all n items.  A new cut whose coefficients lie within
+    DUPLICATE_CUT_TOL of a row of the LP leaves the LP unchanged, and
+    re-solving it from its own optimal basis returns the same point, so every
+    later iteration would return the same selection: the loop halts there.
+    The loop starts from the carry's cuts, each bounded by rho, and its LP,
+    and keeps its own cuts and LP there, so they stay the LP's rows even when
+    the relaxation raises.
     """
     s, keep, k, separate = carry.s, carry.keep, carry.k, carry.separator
     trace = MoprTrace(effective_rho=rho)
-    cuts = [c.with_bound(rho) for c in carry.cuts]
-    basis = carry.basis
+    carry.cuts = cuts = [c.with_bound(rho) for c in carry.cuts]
     rho_eff = rho
     s_keep = s[keep]
     stalled = False
     for it in range(1, T + 1):
-        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s_keep, cuts, k, rho_eff, trace, basis)
-        basis = lp.basis
+        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s_keep, cuts, k, rho_eff, trace, carry.lp)
+        carry.lp, carry.cuts = lp.lp, cuts
         trace.effective_rho = rho_eff
         chosen = np.zeros(s.size)
         chosen[keep[round_top_k(lp.a, k).indices]] = 1.0
         violation, witness = separate(chosen)
-        record = IterationRecord(
-            iteration=it,
-            violation=violation,
-            lp_objective=lp.objective,
-            n_fractional=lp.n_fractional,
-            lp_pivots=pivots,
-            rho_eff=rho_eff,
-            cut_added=False,
-        )
+        record = IterationRecord(iteration=it, violation=violation, lp_objective=lp.objective,
+                                 n_fractional=lp.n_fractional, lp_pivots=pivots,
+                                 rho_eff=rho_eff, cut_added=False)
         trace.iterations.append(record)
         if violation <= rho_eff + HALT_TOL or it == T:
             break
         cut = separate.cut_for(witness, rho_eff, keep)
-        if any(np.max(np.abs(cut.coefficients - old.coefficients)) < DUPLICATE_CUT_TOL
-               for old in cuts):
+        if (np.abs(lp.lp.cut_rows - cut.coefficients).max(axis=1) < DUPLICATE_CUT_TOL).any():
             record.duplicate_cut = stalled = True
             break
         cuts.append(cut)
         record.cut_added = True
-    carry.cuts, carry.basis = cuts, basis
     sel = Selection(chosen.astype(int), k)
     trace.selection = sel
     trace.achieved_mpr = violation
@@ -334,11 +319,12 @@ class _SweepCarry:
     ``_cutting_plane``: that instance's similarity vector, k, separator
     (``_SupportingHyperplane`` for the linear class, ``_Oracle`` otherwise)
     and LP columns ``keep`` (the items an optimum can choose), and the cut
-    pool (restricted to ``keep``) and LP basis where the last retrieval from
-    it ended.  A cut is a necessary condition of MPR <= rho at any rho once
-    its bound is set to that rho, because its witness is a member of the
-    class, so the pool stays valid down the grid; only row bounds change,
-    which ``solve_lp(start=)`` allows.
+    pool (restricted to ``keep``) and the LP (``solve_lp``'s ``lp``, its rows
+    those cuts) where the last retrieval from it ended.  A cut is a necessary
+    condition of MPR <= rho at any rho once its bound is set to that rho,
+    because its witness is a member of the class, so the pool stays valid
+    down the grid; only row bounds change, which ``solve_lp(start=)`` writes
+    into the carried LP.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
@@ -353,8 +339,7 @@ class _SweepCarry:
         linear = cfg.oracle_kind == "linear"
         self.separator = (_SupportingHyperplane if linear else _Oracle)(d_r, d_c, k, cfg)
         self.keep = _selectable(self.s, self.separator.classes, k)
-        self.cuts: list = []
-        self.basis = None
+        self.cuts, self.lp = [], None
 
     @staticmethod
     def _fixed(cfg: MoprConfig) -> MoprConfig:
@@ -377,7 +362,7 @@ def mopr_retrieve(
     """Cutting-plane retrieval of k items under a representation bound.
 
     ``carry`` is a sweep's state for this instance: the retrieval reuses its
-    separator and similarity vector, starts from its cuts and basis, and leaves
+    separator and similarity vector, starts from its cuts and LP, and leaves
     its own there.  ``ValueError`` if it was built for another instance.
     Without one the retrieval builds a fresh carry of its own.
     """
@@ -470,9 +455,10 @@ def pareto_sweep(
 
     The sweep is one warm-started computation.  It builds one similarity
     vector and one separator, which also measure the top-k reference, and
-    each grid value's retrieval starts from the cuts and LP basis the
-    previous value ended with, the cuts bounded by the new rho.  The first
-    value starts from nothing, as a plain ``mopr_retrieve`` does.
+    each grid value's retrieval starts from the cuts and the one LP the
+    previous value ended with, the cuts bounded by the new rho and the LP
+    re-bounded to match.  The first value starts from nothing, as a plain
+    ``mopr_retrieve`` does.
     """
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
@@ -490,10 +476,7 @@ def pareto_sweep(
             # through the module attribute, so a wrapper sees every retrieval
             _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, carry=carry)
         except InfeasibleRetrievalError:
-            points.append(
-                ParetoPoint(rho, float("nan"), float("nan"), float("nan"),
-                            float("nan"), "infeasible", 0)
-            )
+            points.append(ParetoPoint(rho, *[float("nan")] * 4, "infeasible", 0))
             continue
         points.append(
             ParetoPoint(
@@ -521,12 +504,6 @@ def write_sweep_csv(points: list[ParetoPoint], path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_HEADER)
         for p in points:
-            writer.writerow([
-                "%.17g" % p.rho_target,
-                "%.17g" % p.mpr_achieved,
-                "%.17g" % p.mean_similarity,
-                "%.17g" % p.sim_frac_topk,
-                "%.17g" % p.mpr_frac_topk,
-                p.halted_by,
-                str(p.iterations),
-            ])
+            figures = (p.rho_target, p.mpr_achieved, p.mean_similarity, p.sim_frac_topk,
+                       p.mpr_frac_topk)
+            writer.writerow(["%.17g" % v for v in figures] + [p.halted_by, str(p.iterations)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class BoundReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rademacher": self.rademacher,
-                "bound_value": self.bound_value,
-                "parameters": self.parameters,
-                "coverage": self.coverage,
-                "diagnostics": self.diagnostics,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def rademacher_mc(
@@ -157,9 +147,7 @@ def gap_experiment(
     ret_means = np.array([float(np.mean(st.values(retrieved))) for st in stat_class])
     pop_means = np.array([pop.expectation(st) for st in stat_class])
     mpr_pop = _finite_mpr(ret_means, pop_means)
-    gaps = np.empty(trials)
-    bounds = np.empty(trials)
-    rads = np.empty(trials)
+    gaps, bounds, rads = np.empty((3, trials))
     for t in range(trials):
         rng = np.random.default_rng(seed + t)
         d_c = pop.sample(m, rng)

@@ -30,19 +30,19 @@ def _resolved(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
+def _emit(args, text: str) -> int:
+    """Write a report to ``--out``, with its sidecar, or to stdout."""
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        _write_sidecar(args.out, _resolved(args))
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _load_inputs(args):
-    d_r = datamodel.load_dataset(args.retrieval, "retrieval")
-    d_c = datamodel.load_dataset(args.curated, "curated")
-    names, other = d_r.schema.label_names, d_c.schema.label_names
-    if names != other:
-        raise ValueError(f"retrieval labels {names} and curated labels {other} differ")
-    # a CSV implies each axis's cardinality from its largest code, so a
-    # category that one file lacks is still a category of the other
-    cards = {n: max(d_r.schema.label_cards[n], d_c.schema.label_cards[n]) for n in names}
-    d_r, d_c = (d if d.schema.label_cards == cards else
-                datamodel.Dataset(d.ids, d.embeddings, d.labels,
-                                  replace(d.schema, label_cards=cards), d.role)
-                for d in (d_r, d_c))
+    d_r, d_c = datamodel.reconcile(datamodel.load_dataset(args.retrieval, "retrieval"),
+                                   datamodel.load_dataset(args.curated, "curated"))
     return d_r, d_c, datamodel.load_query(args.query)
 
 
@@ -128,21 +128,13 @@ def cmd_mpr(args) -> int:
         report = metric.mpr_via_oracle(
             sel, d_r, d_c, oracle=args.oracle, feature_view=args.feature_view, seed=args.seed
         )
-    text = report.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _write_sidecar(args.out, _resolved(args))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, report.to_json() + "\n")
 
 
 def _write_ids(sel, d_r, path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"])
         ids = d_r.ids
-        writer.writerows([ids[i]] for i in sel.indices)
+        csv.writer(fh, lineterminator="\n").writerows([["id"]] + [[ids[i]] for i in sel.indices])
 
 
 def cmd_retrieve(args) -> int:
@@ -194,13 +186,7 @@ def cmd_bounds(args) -> int:
             args.vc, args.epsilon, args.delta, args.queries,
             conservative=not args.tight_budget,
         )
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        _write_sidecar(args.out, _resolved(args))
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(args, json.dumps(result, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_compare_ip(args) -> int:
@@ -220,15 +206,15 @@ def cmd_compare_ip(args) -> int:
             rows.append([rho, "infeasible", "", "", "", ""])
             continue
         rounded = solver.round_top_k(lp.a, args.k)
-        ip_sel = solver.solve_ip_exact(s, cuts, args.k)
-        rows.append([
-            rho, "optimal",
-            "%.17g" % lp.objective,
-            "%.17g" % float(s @ rounded.indicator),
-            # the rounded set's own MPR: above rho when rounding broke a cut
-            "%.17g" % table.worst(rounded.indicator, args.k)[0],
-            "%.17g" % float(s @ ip_sel.indicator),
-        ])
+        # the rounded set's own MPR is above rho when rounding broke a cut
+        figures = ["%.17g" % v for v in (lp.objective, float(s @ rounded.indicator),
+                                         table.worst(rounded.indicator, args.k)[0])]
+        try:
+            ip_sel = solver.solve_ip_exact(s, cuts, args.k)
+        except ValueError:  # the relaxation is feasible, but no selection is
+            rows.append([rho, "ip-infeasible", *figures, ""])
+            continue
+        rows.append([rho, "optimal", *figures, "%.17g" % float(s @ ip_sel.indicator)])
     with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["rho", "status", "lp_objective", "rounded_objective", "rounded_mpr",

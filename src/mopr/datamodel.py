@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from typing import Sequence
 
@@ -81,11 +81,8 @@ class Dataset:
             )
         embeddings.setflags(write=False)
         labels.setflags(write=False)
-        self._ids = ids
-        self._embeddings = embeddings
-        self._labels = labels
-        self.schema = schema
-        self.role = role
+        self._ids, self._embeddings, self._labels = ids, embeddings, labels
+        self.schema, self.role = schema, role
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -109,6 +106,23 @@ class Dataset:
         indices = np.asarray(indices, dtype=np.intp)
         return Dataset([self._ids[i] for i in indices], self._embeddings[indices],
                        self._labels[indices], self.schema, role or self.role)
+
+
+def reconcile(d_r: Dataset, d_c: Dataset) -> tuple[Dataset, Dataset]:
+    """A retrieval and a curated dataset with the same label cardinalities.
+
+    A CSV implies each axis's cardinality from its largest code, so a category
+    that one file lacks is still a category of the other: each axis takes the
+    larger of its two cardinalities.  The axis names must match.  A dataset
+    whose cardinalities already agree is returned as it is.
+    """
+    names, other = d_r.schema.label_names, d_c.schema.label_names
+    if names != other:
+        raise ValueError(f"retrieval labels {names} and curated labels {other} differ")
+    cards = {n: max(d_r.schema.label_cards[n], d_c.schema.label_cards[n]) for n in names}
+    return tuple(d if d.schema.label_cards == cards else
+                 Dataset(d.ids, d.embeddings, d.labels, replace(d.schema, label_cards=cards), d.role)
+                 for d in (d_r, d_c))
 
 
 def _parse_header(header: list[str]) -> tuple[int, list[str]]:

@@ -56,12 +56,9 @@ class MprReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "witness": self.witness.to_dict() if self.witness is not None else None,
-            "diagnostics": self.diagnostics,
-        }
+        witness = self.witness.to_dict() if self.witness is not None else None
+        return {"value": self.value, "method": self.method, "witness": witness,
+                "diagnostics": self.diagnostics}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -1,23 +1,16 @@
 """Linear and integer programs for constrained top-k selection.
 
 The relaxed retrieval problem is ``max s.a`` over ``a in [0,1]^n`` with
-``sum(a) = k`` plus accumulated representation cuts.  There is one row type,
-the two-sided ``Cut``: ``offset - bound <= coefficients.a <= offset + bound``.
-It is solved by a self-contained bounded dual simplex (no external solver).
-Each row gets a slack, ``row.a - slack = 0``, whose bounds carry the row's
-range, so cuts and bound changes only move bounds.  A cold solve starts at the
-top-k vertex: the k most similar items at their upper bound, the k-th of them
-basic in the cardinality row and every cut slack basic.  That basis is dual
-feasible, so no phase 1 is needed.  The final basis is returned, and a later
-solve whose rows extend the earlier ones (and whose row bounds may differ)
-re-optimizes from it, which in a cutting-plane loop takes a few pivots per new
-cut.  The ratio test is the long-step (bound-flipping) one of Maros 2003 and
-Koberstein 2005: a boxed variable whose breakpoint the dual step passes flips
-to its other bound instead of entering, so a cut that moves many items of one
-cell costs one pivot, not one per item.  The leaving row and ties among
-breakpoints go to the lowest index, which keeps runs deterministic.  Small
-integer programs are solved exactly, by enumeration or by branch and bound
-that fixes an item with the zero-width row ``Cut(e_j, v, 0)``.
+``sum(a) = k`` plus accumulated two-sided cuts ``offset - bound <=
+coefficients.a <= offset + bound``, solved by a self-contained bounded dual
+simplex.  A row's slack carries its range, so a cut appends a row and a new
+bound moves bounds only.  A cold solve starts at the dual feasible top-k
+vertex.  A solve returns the LP itself, which a later solve whose cuts extend
+its rows re-optimizes in place, a few pivots per new cut, each updating the
+basis inverse in product form (Forrest & Tomlin 1972).  The ratio test is the
+long-step one of Maros 2003 and Koberstein 2005, so a cut that moves many
+items of one cell costs one pivot; the leaving row and ties go to the lowest
+index.  Small integer programs are solved by enumeration or branch and bound.
 """
 
 from __future__ import annotations
@@ -37,10 +30,12 @@ MAX_PIVOTS = 200000
 # that only such a pivot would repair, and that lies within this of its
 # bounds, stays where it is, its bound shifted
 PIVOT_TOL = 1e-7
+REFACTOR_EVERY = 32  # pivots between refactorizations of the basis inverse
 IP_EXACT_MAX_N = 25  # the largest pool solve_ip_exact takes
 
-# status of a variable in a basis
+# status of a variable in a basis, and the way each status lets it move
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
+_DIRECTION = np.array([1.0, -1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -73,112 +68,184 @@ class Cut:
         return Cut(self.coefficients, self.offset, bound)
 
 
+class _Lp:
+    """max c.x, Ax = 0, lower <= x <= upper, with the basis a solve left it at.
+
+    The variables are the n items and one slack per row, row.a - slack = 0:
+    row 0 is sum(a), its slack fixed at k; each later row is a cut, its slack
+    boxed by the cut's range.  The first ``rows`` rows and n + ``rows``
+    variables are in use, with room for more (the slack block of ``A`` is -I).
+    The inverse ``B_inv`` and reduced costs ``d`` persist across solves.
+    """
+
+    def __init__(self, s: np.ndarray, k: int, capacity: int):
+        n = self.n = s.size
+        self.s, self.rows, self.coefficients = s, 1, []  # each cut row's coefficients
+        self.A, self.B_inv, self.basis = np.zeros((0, n)), np.zeros((0, 0)), np.zeros(0, dtype=int)
+        self.c, self.d, self.lower, self.upper = s.copy(), np.zeros(n), np.zeros(n), np.ones(n)
+        self.status = np.zeros(n, dtype=int)
+        self._reserve(capacity)
+        # the top-k vertex: in stable descending-s order the first k - 1 items at
+        # their upper bound, the k-th basic in row 0, the rest and row 0's slack at lower
+        order = np.argsort(-s, kind="stable")
+        self.status[order[: k - 1]], self.status[order[k - 1]] = AT_UPPER, BASIC
+        self.A[0, :n], self.basis[0], self.B_inv[0, 0] = 1.0, order[k - 1], 1.0
+        self.since_refactor = REFACTOR_EVERY  # the first solve computes d
+
+    def _reserve(self, extra: int) -> None:
+        """Room for ``extra`` more rows and their slacks."""
+        n, old = self.n, self.basis.size
+        for name in ("A", "B_inv", "basis", "c", "d", "lower", "upper", "status"):
+            value = getattr(self, name)
+            setattr(self, name, np.zeros(tuple(size + extra for size in value.shape), value.dtype))
+            getattr(self, name)[tuple(map(slice, value.shape))] = value
+        self.A[old:, n + old :] = -np.eye(extra)
+
+    def copy(self) -> _Lp:
+        other = object.__new__(_Lp)
+        other.__dict__ = {key: value if key == "s" else getattr(value, "copy", lambda: value)()
+                          for key, value in vars(self).items()}
+        return other
+
+    @property
+    def cut_rows(self) -> np.ndarray:
+        """The cut rows' coefficients, one row per cut (a view)."""
+        return self.A[1 : self.rows, : self.n]
+
+    def append(self, cuts) -> None:
+        """Add cut rows, their slacks basic.  The rows are zero on the old
+        slacks, so they border B^-1 exactly, with (rows on the old basis) B^-1
+        and -I, and leave every reduced cost as it was."""
+        old, n = self.rows, self.n
+        new = self.rows = old + len(cuts)
+        if new > self.basis.size:
+            self._reserve(max(new, 2 * self.basis.size) - self.basis.size)
+        for i, cut in enumerate(cuts, old):
+            self.A[i, :n], self.B_inv[i, i], self.basis[i] = cut.coefficients, -1.0, n + i
+            self.coefficients.append(cut.coefficients)
+        self.B_inv[old:new, :old] = self.A[old:new, self.basis[:old]] @ self.B_inv[:old, :old]
+        self.status[n + old : n + new] = BASIC
+
+    def optimize(self) -> tuple[np.ndarray, int, bool]:
+        """Bounded dual simplex from the current, dual feasible basis.
+
+        The lowest-index infeasible basic variable leaves.  The ratio test
+        walks the breakpoints |d_j / alpha_j| up, ties to the lowest index,
+        the dual slope falling from the infeasibility by |alpha_j| times each
+        width: those passed while it stays above TOL flip bound, and of the
+        rest the smallest ratio enters, ties within TOL to the lowest index.
+        A leaving variable within PIVOT_TOL of its bounds that only a pivot
+        element below PIVOT_TOL would repair has its bound shifted instead
+        (near-duplicate rows).  Flips and pivots move the basic values; the
+        point comes from the final basis, so a basis gives one point however
+        it was reached.  Returns (x, pivots, feasible).
+        """
+        rows, n_var = self.rows, self.n + self.rows
+        A, B_inv, basis = self.A[:rows, :n_var], self.B_inv[:rows, :rows], self.basis[:rows]
+        c, d, status = self.c[:n_var], self.d[:n_var], self.status[:n_var]
+        given = self.lower[:n_var], self.upper[:n_var]
+        lower, upper = given[0].copy(), given[1].copy()  # the shifted bounds stay local
+        width = upper - lower
+        movable = width > 0.0
+        direction = _DIRECTION[status] * movable
+        lb, ub, xb = lower[basis] - TOL, upper[basis] + TOL, np.empty(rows)
+
+        def primal():
+            x = np.where(status == AT_UPPER, upper, lower)
+            x[basis] = 0.0
+            x[basis] = xb[:] = -B_inv @ (A @ x)
+            return x
+
+        def refactor():
+            B_inv[:] = np.linalg.inv(A[:, basis])
+            d[:] = c - (c[basis] @ B_inv) @ A
+            self.since_refactor = 0
+            return primal()
+
+        x = refactor() if self.since_refactor >= REFACTOR_EVERY else primal()
+        feasible = True
+        for pivots in range(MAX_PIVOTS):
+            infeasible = ((xb < lb) | (xb > ub)).nonzero()[0]
+            if infeasible.size == 0:
+                break
+            p = int(infeasible[basis[infeasible].argmin()])
+            leaving, below = basis[p], bool(xb[p] < lb[p])
+            # x[leaving] falls by row[j] per unit rise of x[j]; the candidates
+            # are the moves that bring it back inside its bounds
+            row = B_inv[p] @ A
+            moves = direction * row
+            candidates = (moves < -TOL if below else moves > TOL).nonzero()[0]
+            ratios = np.abs(d[candidates] / row[candidates])
+            order = ratios.argsort(kind="stable")
+            walk = candidates[order]
+            # the dual slope after each breakpoint: how far x[leaving] would
+            # still be outside its bound with every variable up to that one flipped
+            target = lower[leaving] if below else upper[leaving]
+            infeasibility = target - xb[p] if below else xb[p] - target
+            slope = infeasibility - (np.abs(row[walk]) * width[walk]).cumsum()
+            turn = (slope <= TOL).nonzero()[0]
+            if turn.size == 0:
+                feasible = False
+                break
+            first, ratios = turn[0], ratios[order]
+            last = ratios.searchsorted(ratios[first] + TOL, side="right")
+            flip, entering = walk[:first], int(walk[first:last].min())
+            off = max(given[0][leaving] - xb[p], xb[p] - given[1][leaving])
+            if abs(row[entering]) < PIVOT_TOL and off <= PIVOT_TOL:
+                lower[leaving] = min(lower[leaving], xb[p])
+                upper[leaving] = max(upper[leaving], xb[p])
+                width[leaving] = upper[leaving] - lower[leaving]
+                lb[p], ub[p] = lower[leaving] - TOL, upper[leaving] + TOL
+                continue
+            if flip.size:
+                xb -= B_inv @ (A[:, flip] @ (direction[flip] * width[flip]))
+                status[flip] ^= 1  # AT_LOWER <-> AT_UPPER
+                direction[flip] = -direction[flip]
+            column = B_inv @ A[:, entering]
+            step = (xb[p] - target) / column[p]
+            xb -= step * column
+            xb[p] = (lower[entering] if direction[entering] > 0 else upper[entering]) + step
+            d -= (d[entering] / row[entering]) * row
+            d[entering] = 0.0
+            status[leaving], status[entering] = (AT_LOWER if below else AT_UPPER), BASIC
+            direction[leaving] = (1.0 if below else -1.0) * movable[leaving]
+            direction[entering] = 0.0
+            lb[p], ub[p], basis[p] = lower[entering] - TOL, upper[entering] + TOL, entering
+            self.since_refactor += 1
+            if abs(column[p]) < PIVOT_TOL or self.since_refactor >= REFACTOR_EVERY:
+                refactor()
+            else:  # the product-form update B^-1 <- E B^-1, E the eta matrix of column
+                pivot_row = B_inv[p] / column[p]
+                B_inv -= column[:, None] * pivot_row
+                B_inv[p] = pivot_row
+        else:
+            raise RuntimeError("simplex iteration limit exceeded")
+        return (primal() if pivots else x), pivots, feasible
+
+
 @dataclass
 class LpSolution:
+    """The LP point ``a``, its objective (NaN if infeasible) and ``lp``, the LP
+    as the solve left it, which ``solve_lp(..., start=lp)`` takes over."""
+
     a: np.ndarray
     objective: float
     status: str  # optimal | infeasible
     n_fractional: int = 0
     diagnostics: dict = field(default_factory=dict)  # "pivots"; "rows" if optimal
-    # (status per variable, basic variable per row) where the solve ended;
-    # ``solve_lp(..., start=basis)`` re-optimizes from it
-    basis: tuple[np.ndarray, np.ndarray] | None = None
+    lp: _Lp | None = None
 
 
-def _dual_simplex(A, c, lower, upper, status, basis) -> tuple[np.ndarray, int, bool]:
-    """Bounded dual simplex for max c.x, Ax = 0, lower <= x <= upper.
-
-    Each row of A past the first is one two-sided cut row, whose slack is
-    boxed by the cut's range, so every variable has two finite bounds.
-
-    Starts from a dual feasible basis and updates ``status`` and ``basis`` in
-    place.  The leaving variable is the lowest-index basic variable outside
-    its bounds.  The ratio test walks the breakpoints |reduced cost| / |alpha|
-    in ascending order, ties to the lowest index, with the dual slope starting
-    at the leaving variable's infeasibility and falling by |alpha| times the
-    width at each one.  Breakpoints passed while the slope stays above TOL
-    flip to their other bound; of the rest, the one with the smallest ratio
-    enters, ties within TOL to the lowest index, so a pivot without flips is
-    the textbook one.  If the slope is still positive after the last
-    breakpoint the LP is infeasible, and the basis is returned unflipped.  If
-    the entering pivot element is below PIVOT_TOL and the leaving variable
-    lies within PIVOT_TOL of its given bounds, its bound is shifted to its
-    value instead: near-duplicate rows would otherwise pivot on rounding
-    noise into a near-singular basis.  ``x`` is rebuilt from ``status`` on
-    every pass.  Returns (x, pivots, feasible).
-    """
-    movable = lower < upper
-    given = lower, upper
-    lower, upper = lower.copy(), upper.copy()  # the shifted bounds stay local
-    for pivots in range(MAX_PIVOTS):
-        x = np.where(status == AT_UPPER, upper, lower)
-        x[basis] = 0.0
-        B_inv = np.linalg.inv(A[:, basis])
-        x[basis] = -B_inv @ (A @ x)
-        below = x[basis] < lower[basis] - TOL
-        above = x[basis] > upper[basis] + TOL
-        infeasible = np.flatnonzero(below | above)
-        if infeasible.size == 0:
-            return x, pivots, True
-        p = int(infeasible[np.argmin(basis[infeasible])])
-        reduced = c - (c[basis] @ B_inv) @ A
-        # x[basis[p]] falls by alpha[j] per unit rise of x[j]; the sign flip for
-        # a variable above its bound makes one test pick the moves that fix it
-        alpha = B_inv[p] @ A if below[p] else -(B_inv[p] @ A)
-        candidates = np.flatnonzero(movable & (
-            ((status == AT_LOWER) & (alpha < -TOL)) | ((status == AT_UPPER) & (alpha > TOL))
-        ))
-        ratios = np.abs(reduced[candidates] / alpha[candidates])
-        order = np.argsort(ratios, kind="stable")
-        walk = candidates[order]
-        # the dual slope after each breakpoint: how far x[basis[p]] would still
-        # be outside its bound with every variable up to that one flipped
-        leaving = basis[p]
-        infeasibility = lower[leaving] - x[leaving] if below[p] else x[leaving] - upper[leaving]
-        slope = infeasibility - np.cumsum(np.abs(alpha[walk]) * (upper - lower)[walk])
-        turn = np.flatnonzero(slope <= TOL)
-        if turn.size == 0:
-            return x, pivots, False
-        flip, rest = walk[: turn[0]], order[turn[0]:]
-        entering = int(candidates[rest][ratios[rest] <= ratios[rest[0]] + TOL].min())
-        off = max(given[0][leaving] - x[leaving], x[leaving] - given[1][leaving])
-        if abs(alpha[entering]) < PIVOT_TOL and off <= PIVOT_TOL:
-            lower[leaving] = min(lower[leaving], x[leaving])
-            upper[leaving] = max(upper[leaving], x[leaving])
-            continue
-        status[flip] = np.where(status[flip] == AT_LOWER, AT_UPPER, AT_LOWER)
-        status[leaving] = AT_LOWER if below[p] else AT_UPPER
-        status[entering] = BASIC
-        basis[p] = entering
-    raise RuntimeError("simplex iteration limit exceeded")
-
-
-def _top_k_start(s, k, n_rows):
-    """Dual feasible basis at the top-k vertex of the [0, 1] box.
-
-    In stable descending-``s`` order the first k - 1 items sit at their upper
-    bound, the k-th is basic in the cardinality row (row 0) and the rest sit at
-    their lower bound.  Every cut slack is basic.
-    """
-    n = s.size
-    order = np.argsort(-s, kind="stable")
-    status = np.full(n + n_rows, BASIC)
-    status[order[: k - 1]] = AT_UPPER
-    status[order[k:]] = AT_LOWER
-    status[n] = AT_LOWER
-    basis = n + np.arange(n_rows)
-    basis[0] = order[k - 1]
-    return status, basis
-
-
-def solve_lp(s: np.ndarray, cuts, k: int,
-             start: tuple[np.ndarray, np.ndarray] | None = None) -> LpSolution:
+def solve_lp(s: np.ndarray, cuts, k: int, start: _Lp | None = None) -> LpSolution:
     """Maximize s.a over the box [0,1]^n with sum(a)=k and all cut rows.
 
-    ``start`` is the ``basis`` of an earlier solution whose cuts are a prefix
-    of ``cuts``; their bounds may differ.  The returned point is a vertex, so
-    the number of fractional coordinates is at most the number of active cut
-    rows + 1.
+    ``start`` is the ``lp`` of an earlier solution over the same ``s`` whose
+    rows are a prefix of ``cuts``; their bounds may differ.  The solve takes
+    ``start`` over: it appends the cuts past its rows, rewrites every row
+    bound, re-optimizes and returns it as its ``lp``, so a caller that needs
+    ``start`` again passes ``start.copy()``.  The returned point is a vertex,
+    so the number of fractional coordinates is at most the number of active
+    cut rows + 1.
     """
     s = np.asarray(s, dtype=float)
     n = s.size
@@ -186,48 +253,34 @@ def solve_lp(s: np.ndarray, cuts, k: int,
         raise ValueError(f"k={k} must be at least 1")
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
-    if any(cut.coefficients.shape != (n,) for cut in cuts):
+    lp = _Lp(s, k, 2 * len(cuts) + 16) if start is None else start
+    if start is not None and (
+        start.n != n or len(cuts) < start.rows - 1
+        or (start.s is not s and not np.array_equal(start.c[:n], s))
+        or any(cut.coefficients is not row and not np.array_equal(cut.coefficients, row)
+               for cut, row in zip(cuts, start.coefficients))
+    ):
+        raise ValueError("start does not fit: another s, or rows that are not a prefix of cuts")
+    if any(cut.coefficients.shape != (n,) for cut in cuts[lp.rows - 1 :]):
         raise ValueError("cut coefficient length does not match pool size")
-    # one slack per row with row.a - slack = 0; row 0 is sum(a), slack fixed at k
-    n_rows = 1 + len(cuts)
-    if start is None:
-        status, basis = _top_k_start(s, k, n_rows)
-    else:
-        status, basis = start
-        if status.shape != (n + basis.size,) or basis.size > n_rows:
-            raise ValueError("start basis does not fit this LP")
-        # rows added since the start enter with their slack basic
-        status = np.concatenate([status, np.full(n_rows - basis.size, BASIC)])
-        basis = np.concatenate([basis, n + np.arange(basis.size, n_rows)])
-    A = np.hstack([
-        np.vstack([np.ones(n)] + [cut.coefficients for cut in cuts]),
-        -np.eye(n_rows),
-    ])
-    c = np.concatenate([s, np.zeros(n_rows)])
-    lower = np.concatenate([np.zeros(n), [k], [cut.offset - cut.bound for cut in cuts]])
-    upper = np.concatenate([np.ones(n), [k], [cut.offset + cut.bound for cut in cuts]])
-    x, pivots, feasible = _dual_simplex(A, c, lower, upper, status, basis)
-    fixed = 1 + np.flatnonzero(lower[n + 1:] == upper[n + 1:])
+    lp.append(cuts[lp.rows - 1 :])
+    rows = lp.rows
+    ranges = np.array([(cut.offset - cut.bound, cut.offset + cut.bound) for cut in cuts])
+    lp.lower[n + 1 : n + rows], lp.upper[n + 1 : n + rows] = ranges.reshape(-1, 2).T
+    lp.lower[n] = lp.upper[n] = k
+    x, pivots, feasible = lp.optimize()
+    fixed = 1 + (lp.lower[n + 1 : n + rows] == lp.upper[n + 1 : n + rows]).nonzero()[0]
     if fixed.size:
-        # a fixed slack is dual feasible at either bound; put each nonbasic one
-        # at the bound its reduced cost (the row's dual) favours, so that a
-        # later solve from this basis that gives the row room starts dual feasible
-        y = np.linalg.solve(A[:, basis].T, c[basis])
-        fixed = fixed[status[n + fixed] != BASIC]
-        status[n + fixed] = np.where(y[fixed] > 0, AT_UPPER, AT_LOWER)
-    a = np.clip(x[:n], 0.0, 1.0)
+        # a nonbasic fixed slack goes to the bound its dual (c_B B^-1) favours,
+        # so that a later solve that gives the row room starts dual feasible
+        y = lp.c[lp.basis[:rows]] @ lp.B_inv[:rows, :rows]
+        fixed = fixed[lp.status[n + fixed] != BASIC]
+        lp.status[n + fixed] = np.where(y[fixed] > 0, AT_UPPER, AT_LOWER)
+    a = np.minimum(np.maximum(x[:n], 0.0), 1.0)
     if not feasible or abs(float(a.sum()) - k) > 1e-6:
-        return LpSolution(a=a, objective=float("nan"), status="infeasible",
-                          diagnostics={"pivots": pivots}, basis=(status, basis))
-    n_frac = int(np.sum((a > FRACTIONAL_TOL) & (a < 1.0 - FRACTIONAL_TOL)))
-    return LpSolution(
-        a=a,
-        objective=float(s @ a),
-        status="optimal",
-        n_fractional=n_frac,
-        diagnostics={"rows": len(cuts), "pivots": pivots},
-        basis=(status, basis),
-    )
+        return LpSolution(a, float("nan"), "infeasible", diagnostics={"pivots": pivots}, lp=lp)
+    n_frac = int(np.count_nonzero((a > FRACTIONAL_TOL) & (a < 1.0 - FRACTIONAL_TOL)))
+    return LpSolution(a, float(s @ a), "optimal", n_frac, {"rows": len(cuts), "pivots": pivots}, lp)
 
 
 def round_top_k(a: np.ndarray, k: int) -> Selection:
@@ -243,12 +296,8 @@ def round_top_k(a: np.ndarray, k: int) -> Selection:
 
 def check_cuts(a: np.ndarray, cuts, tol: float = 1e-8) -> list[tuple[int, float]]:
     """(index, violation) for every cut the point violates beyond tolerance."""
-    report = []
-    for idx, cut in enumerate(cuts):
-        v = cut.violation(np.asarray(a, dtype=float))
-        if v > tol:
-            report.append((idx, v))
-    return report
+    a = np.asarray(a, dtype=float)
+    return [(idx, v) for idx, cut in enumerate(cuts) if (v := cut.violation(a)) > tol]
 
 
 def _enumerate_ip(s: np.ndarray, cuts, k: int) -> Selection:
@@ -280,10 +329,7 @@ def solve_ip_exact(s: np.ndarray, cuts, k: int) -> Selection:
     if n > IP_EXACT_MAX_N:
         raise ValueError(f"pool size {n} exceeds exact-solver limit {IP_EXACT_MAX_N}")
     lp = solve_lp(s, cuts, k)
-    if n <= 20:
-        sel = _enumerate_ip(s, cuts, k)
-    else:
-        sel = _branch_and_bound(s, cuts, k)
+    sel = _enumerate_ip(s, cuts, k) if n <= 20 else _branch_and_bound(s, cuts, k)
     ip_obj = float(s @ sel.indicator)
     if lp.status == "optimal" and ip_obj > lp.objective + 1e-6:
         raise AssertionError("IP objective exceeded the LP relaxation bound")
@@ -295,14 +341,12 @@ def _branch_and_bound(s: np.ndarray, cuts, k: int) -> Selection:
 
     A node's rows are the caller's cuts followed by one zero-width row
     ``Cut(e_j, v, 0)`` per item its path fixes.  A node branches on its lowest
-    fractional item, v = 1 before v = 0: each child appends its row to the
-    parent's rows and re-optimizes from the parent's basis.  A node whose LP
+    fractional item, v = 1 before v = 0: each child appends its row to a copy
+    of the parent's LP and re-optimizes it.  A node whose LP
     bound does not beat the incumbent by 1e-9 is pruned, and an integral vertex
     becomes the incumbent if it satisfies the caller's cuts.
     """
-    unit = np.eye(s.size)
-    best_obj = -np.inf
-    best_ind: np.ndarray | None = None
+    unit, best_obj, best_ind = np.eye(s.size), -np.inf, None
 
     def recurse(rows: list[Cut], start):
         nonlocal best_obj, best_ind
@@ -317,7 +361,7 @@ def _branch_and_bound(s: np.ndarray, cuts, k: int) -> Selection:
             return
         j = int(frac[0])
         for fix in (1.0, 0.0):
-            recurse(rows + [Cut(unit[j], fix, 0.0)], lp.basis)
+            recurse(rows + [Cut(unit[j], fix, 0.0)], lp.lp.copy())
 
     recurse(list(cuts), None)
     if best_ind is None:

@@ -100,12 +100,8 @@ class TreeNode:
     def to_dict(self) -> dict:
         if self.is_leaf:
             return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+        return {"feature": self.feature, "threshold": self.threshold,
+                "left": self.left.to_dict(), "right": self.right.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -391,11 +387,7 @@ class NormalizedStatistic:
         return self.scale * self.base.values_from_features(features)
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "scale": self.scale,
-            "context_norm": self.context_norm,
-        }
+        return {"base": self.base.to_dict(), "scale": self.scale, "context_norm": self.context_norm}
 
 
 def target_norm(m: int, k: int) -> float:

@@ -102,22 +102,22 @@ def qp_separator(d_r, d_c, k, rho):
     return separate
 
 
-def run_to_cap(s, k, rho, T, separate, cuts=(), basis=None):
+def run_to_cap(s, k, rho, T, separate, cuts=(), start=None):
     """The cutting-plane loop without the stall halt: a duplicate cut is
     skipped and the loop goes on until the constraint holds or T is reached.
-    Starts from ``cuts`` and ``basis``; returns the selection, its violation,
-    and the cuts and basis where the loop ended."""
+    Starts from ``cuts`` and the LP ``start`` (whose rows they are); returns
+    the selection, its violation, and the cuts and LP where the loop ended."""
     cuts = list(cuts)
     for _ in range(T):
-        lp = solve_lp(s, cuts, k, start=basis)
-        basis = lp.basis
+        lp = solve_lp(s, cuts, k, start=start)
+        start = lp.lp
         sel = round_top_k(lp.a, k)
         violation, cut = separate(sel.indicator.astype(float))
         if violation <= rho + 1e-8:
             break
         if not any(np.max(np.abs(cut.coefficients - old.coefficients)) < 1e-9 for old in cuts):
             cuts.append(cut)
-    return sel, separate(sel.indicator.astype(float))[0], cuts, basis
+    return sel, separate(sel.indicator.astype(float))[0], cuts, start
 
 
 @pytest.mark.parametrize("kind, rho", [("finite", 0.05), ("linear", 0.02), ("qp", 0.02)])
@@ -158,7 +158,7 @@ def record_retrievals(monkeypatch):
 @pytest.mark.parametrize("kind", ["finite", "tree"])
 def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
     # the stall halt holds across grid values: a loop that never halts on a
-    # duplicate, handed the cuts and basis of the value before, selects the same
+    # duplicate, handed the cuts and LP of the value before, selects the same
     d_r, d_c, q = grid_instance()
     k, T, grid = 10, 30, [0.2, 0.1, 0.05, 0.02]
     cfg = MoprConfig(T=T, oracle_kind=kind)
@@ -167,13 +167,104 @@ def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
     assert [t.effective_rho for t in traces] == grid  # no relaxation, which run_to_cap leaves out
     assert all(t.halted_by == "stalled" for t in traces[1:])
     s = similarity_vector(d_r, q)
-    cuts, basis = [], None
+    cuts, lp = [], None
     for rho, trace in zip(grid, traces):
         separate = loop_separator(d_r, d_c, q, k, replace(cfg, rho=rho))
-        sel, achieved, cuts, basis = run_to_cap(
-            s, k, rho, T, separate, [c.with_bound(rho) for c in cuts], basis)
+        sel, achieved, cuts, lp = run_to_cap(
+            s, k, rho, T, separate, [c.with_bound(rho) for c in cuts], lp)
         assert np.array_equal(trace.selection.indicator, sel.indicator)
         assert trace.achieved_mpr == achieved
+
+
+# The loop on grid_instance(seed), k = 10, T = 30: per iteration (lp_pivots,
+# n_fractional), then the selected indices and the halt.  The finite class runs
+# at rho = 0.05 and the linear class at rho = 0.02; the tree class sweeps
+# PINNED_GRID, one entry per grid value (the relaxed ones included).  The
+# pivot and tie rules and the top-k start fix every number here, so a change
+# to the LP's arithmetic that keeps them moves a selection only where LP
+# values tie exactly.
+PINNED_GRID = [0.2, 0.1, 0.05, 0.02]
+PINNED = {
+    "finite/0": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)],
+         [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
+    "linear/0": ([(0, 0), (1, 2), (4, 3), (2, 4), (3, 5)],
+         [4, 5, 14, 27, 34, 51, 53, 71, 72, 75], "stalled"),
+    "tree-sweep/0": [
+        ([(0, 0), (4, 2), (4, 3), (1, 4)],
+         [3, 5, 17, 27, 34, 51, 53, 70, 72, 75], "constraint-satisfied"),
+        ([(6, 3), (8, 5), (3, 5), (2, 6), (1, 7)],
+         [4, 5, 17, 27, 34, 51, 53, 71, 72, 75], "stalled"),
+        ([(4, 6), (0, 6)],
+         [4, 5, 17, 27, 34, 51, 70, 71, 72, 75], "stalled"),
+        ([(7, 7), (1, 7)],
+         [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
+    ],
+    # items 57 and 70 tie at 7/12 in the last LP point; the tie goes to 70
+    # by rounding noise, as round_top_k's exact ties do
+    "finite/1": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 4), (1, 6), (2, 7), (1, 7)],
+         [11, 16, 29, 34, 51, 52, 53, 56, 70, 73], "stalled"),
+    "linear/1": ([(0, 0), (2, 2), (4, 3), (3, 4)],
+         [11, 16, 29, 51, 52, 55, 56, 57, 70, 73], "stalled"),
+    "tree-sweep/1": [
+        ([(0, 0), (2, 2), (1, 3), (2, 3)],
+         [11, 16, 29, 34, 38, 43, 52, 55, 56, 73], "stalled"),
+        ([(5, 3), (2, 4), (1, 5), (2, 5), (0, 5)],
+         [11, 16, 29, 34, 51, 52, 53, 56, 70, 73], "stalled"),
+        ([(1, 5)],
+         [11, 16, 29, 34, 51, 52, 53, 56, 70, 73], "stalled"),
+        ([(2, 5), (0, 5)],
+         [11, 16, 29, 51, 52, 53, 56, 57, 70, 73], "stalled"),
+    ],
+    "finite/2": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (32, 5)],
+         [19, 25, 36, 46, 47, 48, 59, 64, 70, 79], "stalled"),
+    "linear/2": ([(0, 0), (3, 2), (3, 3), (2, 4), (2, 4), (3, 4)],
+         [2, 16, 19, 25, 36, 48, 50, 55, 59, 64], "stalled"),
+    "tree-sweep/2": [
+        ([(0, 0), (2, 2), (3, 2), (4, 3), (1, 4), (1, 5)],
+         [16, 19, 25, 36, 37, 47, 59, 64, 70, 79], "stalled"),
+        ([(15, 5), (12, 6), (3, 6), (8, 6), (10, 6), (8, 7), (73, 5), (66, 6), (63, 7), (51, 7), (57, 7), (66, 7), (82, 7), (52, 7), (46, 7)],
+         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
+        ([(100, 7)],
+         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
+        ([(137, 7)],
+         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
+    ],
+    "finite/3": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 4), (2, 4), (2, 4)],
+         [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
+    "linear/3": ([(0, 0), (3, 2), (4, 3), (5, 4), (2, 5)],
+         [2, 4, 11, 24, 27, 44, 46, 75, 76, 78], "stalled"),
+    "tree-sweep/3": [
+        ([(0, 0), (2, 2), (1, 3), (1, 4), (2, 3)],
+         [1, 11, 24, 32, 34, 44, 46, 75, 76, 78], "constraint-satisfied"),
+        ([(9, 4), (3, 5), (4, 3), (1, 4)],
+         [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "constraint-satisfied"),
+        ([(7, 5), (2, 6)],
+         [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
+        ([(1, 5)],
+         [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
+    ],
+}
+
+
+def pinned_summary(trace):
+    return ([(rec.lp_pivots, rec.n_fractional) for rec in trace.iterations],
+            trace.selection.indices.tolist(), trace.halted_by)
+
+
+class TestPinnedLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind, rho", [("finite", 0.05), ("linear", 0.02)])
+    def test_retrieval(self, seed, kind, rho):
+        d_r, d_c, q = grid_instance(seed)
+        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=rho, T=30, oracle_kind=kind))
+        assert pinned_summary(trace) == PINNED[f"{kind}/{seed}"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_sweep(self, seed, monkeypatch):
+        d_r, d_c, q = grid_instance(seed)
+        traces = record_retrievals(monkeypatch)
+        pareto_sweep(d_r, d_c, q, 10, MoprConfig(T=30, oracle_kind="tree"), PINNED_GRID)
+        assert [pinned_summary(t) for t in traces] == PINNED[f"tree-sweep/{seed}"]
 
 
 class TestMoprRetrieve:
@@ -810,7 +901,7 @@ class TestParetoSweep:
             args["cfg"] = replace(cfg, **{name: value})
         with pytest.raises(ValueError, match="carry was built for a different instance"):
             mopr_retrieve(**args, carry=carry)
-        assert carry.cuts == [] and carry.basis is None
+        assert carry.cuts == [] and carry.lp is None
 
     def test_carry_takes_any_rho_and_T(self):
         d_r, d_c, q = grid_instance()

@@ -317,6 +317,22 @@ class TestCompareIp:
             "--k", "4", "--rho-grid", "0", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1] == "0.0,infeasible,,,,"
 
+    def test_infeasible_integer_program_keeps_the_lp_figures(self, tmp_path):
+        # at rho = 0.1 the LP relaxation is feasible but no selection of 4 is:
+        # branch and bound (n = 22) finds none, and the row says so
+        write_fixture(tmp_path, seed=4, n=22, m=40)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "4", "--rho-grid", "0.3,0.1", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows] == ["optimal", "ip-infeasible"]
+        row = rows[1]
+        assert row["ip_objective"] == ""
+        for name in ("lp_objective", "rounded_objective", "rounded_mpr"):
+            assert np.isfinite(float(row[name]))
+        assert float(row["rounded_mpr"]) > 0.1  # no selection meets rho, the rounded one included
+
     def test_large_pool_rejected(self, tmp_path, capsys):
         write_fixture(tmp_path, n=40)
         code = main(["compare-ip"] + io_args(tmp_path) + [

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mopr.algorithm import MoprConfig, mopr_retrieve
+from mopr.statclasses import all_cell_indicators
+from mopr.metric import mpr_exact_finite
+
 from mopr.datamodel import (
     DataFormatError,
     Dataset,
@@ -14,6 +18,7 @@ from mopr.datamodel import (
     generate_synthetic,
     load_dataset,
     load_query,
+    reconcile,
     save_dataset,
     save_query,
 )
@@ -272,3 +277,50 @@ class TestBalancedCuration:
         hot_a = (ds.labels[:, 0] == 0).astype(float)
         hot_b = (ds.labels[:, 1] == 0).astype(float)
         assert np.mean(hot_a * hot_b) == pytest.approx(np.mean(hot_a) * np.mean(hot_b))
+
+
+class TestReconcile:
+    """Each CSV implies its label cardinalities from the codes it holds."""
+
+    @staticmethod
+    def write_pair(tmp_path, curated_codes, curated_axis="g"):
+        rng = np.random.default_rng(5)
+        codes = [i % 3 for i in range(24)]
+        d_r = Dataset([f"r{i}" for i in range(24)], rng.standard_normal((24, 3)),
+                      [[c] for c in codes], DatasetSchema(d=3, label_cards={"g": 3}))
+        d_c = Dataset([f"c{i}" for i in range(len(curated_codes))],
+                      rng.standard_normal((len(curated_codes), 3)), [[c] for c in curated_codes],
+                      DatasetSchema(d=3, label_cards={curated_axis: 3}), "curated")
+        save_dataset(d_r, tmp_path / "retrieval.csv")
+        save_dataset(d_c, tmp_path / "curated.csv")
+        return (load_dataset(tmp_path / "retrieval.csv", "retrieval"),
+                load_dataset(tmp_path / "curated.csv", "curated"))
+
+    def test_curated_file_without_a_category_retrieves_under_the_finite_class(self, tmp_path):
+        d_r, d_c = self.write_pair(tmp_path, [i % 2 for i in range(16)])
+        assert d_c.schema.label_cards == {"g": 2}  # the file holds no g = 2
+        r_r, r_c = reconcile(d_r, d_c)
+        assert r_r is d_r
+        assert r_c.schema.label_cards == {"g": 3}
+        assert r_c.ids == d_c.ids and np.array_equal(r_c.labels, d_c.labels)
+        assert np.array_equal(r_c.embeddings, d_c.embeddings) and r_c.role == "curated"
+        cfg = MoprConfig(rho=0.4, T=20, oracle_kind="finite")
+        sel, trace = mopr_retrieve(r_r, r_c, Query("q", np.eye(3)[0]), 6, cfg)
+        indicators = all_cell_indicators({"g": 3})
+        assert trace.achieved_mpr == mpr_exact_finite(sel, r_r, r_c, indicators).value
+
+    def test_without_it_the_finite_class_rejects_the_pair(self, tmp_path):
+        d_r, d_c = self.write_pair(tmp_path, [i % 2 for i in range(16)])
+        with pytest.raises(ValueError, match="disagree on label cardinalities"):
+            mopr_retrieve(d_r, d_c, Query("q", np.eye(3)[0]), 6,
+                          MoprConfig(rho=0.4, T=20, oracle_kind="finite"))
+
+    def test_pair_that_agrees_is_returned_as_it_is(self, tmp_path):
+        d_r, d_c = self.write_pair(tmp_path, [i % 3 for i in range(16)])
+        pair = reconcile(d_r, d_c)
+        assert pair[0] is d_r and pair[1] is d_c
+
+    def test_axis_names_must_match(self, tmp_path):
+        d_r, d_c = self.write_pair(tmp_path, [i % 3 for i in range(16)], curated_axis="h")
+        with pytest.raises(ValueError, match=r"retrieval labels \['g'\] and curated labels \['h'\] differ"):
+            reconcile(d_r, d_c)

@@ -400,7 +400,7 @@ class TestSolveLpProperties:
         else:
             before, after = cuts, [loosened(c) for c in cuts]
         first = solve_lp(s, before, k)
-        warm = solve_lp(s, after, k, start=first.basis)
+        warm = solve_lp(s, after, k, start=first.lp)
         cold = solve_lp(s, after, k)
         assert warm.status == cold.status
         if cold.status == "optimal":
@@ -419,7 +419,7 @@ class TestSolveLpProperties:
             before = cuts[:-1] if change == "append" else cuts
             after = cuts if change == "append" else [loosened(c) for c in cuts]
             first = solve_lp(s, before, k)
-            lp, cuts = solve_lp(s, after, k, start=first.basis), after
+            lp, cuts = solve_lp(s, after, k, start=first.lp), after
         assert_matches_highs(lp, s, cuts, k)
 
     @settings(max_examples=200, deadline=None)
@@ -430,7 +430,7 @@ class TestSolveLpProperties:
         if change == "cold":
             lp = solve_lp(s, cuts, k)
         else:
-            lp = solve_lp(s, cuts, k, start=solve_lp(s, cuts[:-1], k).basis)
+            lp = solve_lp(s, cuts, k, start=solve_lp(s, cuts[:-1], k).lp)
         assert_matches_highs(lp, s, cuts, k)
 
     @pytest.mark.parametrize("instance", NEAR_COPY_REGRESSIONS,
@@ -442,7 +442,7 @@ class TestSolveLpProperties:
         # condition 5e9 whose vertex broke two rows by 1.2e-7 and fell 0.375
         # short of the optimum
         s, cuts, k = instance
-        for start in (None, solve_lp(s, cuts[:-1], k).basis):
+        for start in (None, solve_lp(s, cuts[:-1], k).lp):
             assert_matches_highs(solve_lp(s, cuts, k, start=start), s, cuts, k)
 
     def test_group_cut_is_one_pivot_of_many_flips(self):
@@ -453,7 +453,7 @@ class TestSolveLpProperties:
         group_a[:10] = 1.0
         cut = Cut(group_a / 5, 0.2, 0.0)
         first = solve_lp(s, [], 5)
-        warm = solve_lp(s, [cut], 5, start=first.basis)
+        warm = solve_lp(s, [cut], 5, start=first.lp)
         cold = solve_lp(s, [cut], 5)
         assert warm.diagnostics["pivots"] <= 2
         assert cold.diagnostics["pivots"] <= 2
@@ -466,7 +466,7 @@ class TestSolveLpProperties:
         first = solve_lp(s, [], 2)
         assert first.diagnostics["pivots"] == 0
         cut = Cut(np.array([1.0, 1.0, -1.0, -1.0]) / 2, -0.5, 0.51)
-        warm = solve_lp(s, [cut], 2, start=first.basis)
+        warm = solve_lp(s, [cut], 2, start=first.lp)
         assert warm.a == pytest.approx(solve_lp(s, [cut], 2).a)
         assert warm.diagnostics == {"rows": 1, "pivots": 1}
 
@@ -480,11 +480,42 @@ class TestSolveLpProperties:
         first = solve_lp(s, cuts, 2)
         assert first.status == "infeasible"
         after = [loosened(c) for c in cuts]
-        warm = solve_lp(s, after, 2, start=first.basis)
+        warm = solve_lp(s, after, 2, start=first.lp)
         assert warm.objective == pytest.approx(solve_lp(s, after, 2).objective, abs=1e-12)
         assert_matches_highs(warm, s, after, 2)
 
     def test_start_that_does_not_fit_rejected(self):
-        first = solve_lp(np.ones(4), [], 2)
-        with pytest.raises(ValueError, match="start"):
-            solve_lp(np.ones(5), [], 2, start=first.basis)
+        # the start's rows must be a prefix of the new cuts, over the same s
+        s = np.array([4.0, 3.0, 2.0, 1.0])
+        cut = Cut(np.array([1.0, 1.0, -1.0, -1.0]) / 2, -0.5, 0.51)
+        other = Cut(np.array([1.0, -1.0, 1.0, -1.0]) / 2, 0.0, 0.51)
+        for cuts, s_new in (([other], s), ([], s), ([cut], s[::-1].copy()), ([cut], np.ones(5))):
+            first = solve_lp(s, [cut], 2)
+            with pytest.raises(ValueError, match="start"):
+                solve_lp(s_new, cuts, 2, start=first.lp)
+        # a copy of the same rows fits, whatever their bounds
+        first = solve_lp(s, [cut], 2)
+        same = Cut(cut.coefficients.copy(), 0.25, 2.0)
+        assert solve_lp(s, [same], 2, start=first.lp).objective == solve_lp(s, [], 2).objective
+
+    @settings(max_examples=150, deadline=None)
+    @given(lp_instances(min_cuts=1), st.data())
+    def test_one_lp_carried_through_appends_and_rebounds(self, instance, data):
+        # one LP object, taken over by every solve, against a cold solve and HiGHS
+        s, pool, k = instance
+        cuts, lp = [], None
+        for _ in range(data.draw(st.integers(1, 6))):
+            step = data.draw(st.sampled_from(["append", "rebound", "solve"]))
+            if step == "append" and len(cuts) < len(pool):
+                cuts = cuts + [pool[len(cuts)]]
+            elif step == "rebound" and cuts:
+                # new ranges on the same rows: the offset and bound may both move
+                cuts = [Cut(c.coefficients, c.offset + data.draw(GRID),
+                            abs(data.draw(GRID)) if c.bound < 1 else c.bound) for c in cuts]
+            warm = solve_lp(s, cuts, k, start=lp)
+            cold = solve_lp(s, cuts, k)
+            lp = warm.lp
+            assert warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert_matches_highs(warm, s, cuts, k)
