@@ -24,6 +24,7 @@ from mopr.statclasses import (
     fit_linear_ls,
     fit_mlp,
     fit_tree,
+    fit_tree_exact,
     normalize_to_cprime,
 )
 from mopr.metric import (

@@ -27,6 +27,10 @@ the supporting hyperplane of the closed-form norm, and
 fit (Prop. ``closed_form_MPR``).  Every other class uses ``_Oracle``, which
 finds the statistic with the most disproportionate representation (exactly
 over the cell indicators, or by a tree or MLP oracle) and cuts on its mean.
+On the labels view the tree oracle is exact, from a block table built once
+per oracle, so a ``constraint-satisfied`` halt certifies the gap over every
+tree of the depth limit; on the other views it is greedy CART, and the
+halt certifies only the tree it found.
 Both emit the same two-sided ``Cut``.  ``mopr_qp_linear`` is the linear
 retrieval under its older name.  A greedy maximal-marginal-relevance baseline
 and a Pareto sweep harness round out the module.
@@ -132,7 +136,9 @@ class _Oracle:
     is the distinct feature row of retrieval item i, on which every cut is
     constant.  The oracle is deterministic and remembers its last evaluation:
     a loop whose new cut leaves the rounded selection as it was asks again,
-    and so does a sweep's first retrieval after its top-k reference.
+    and so does a sweep's first retrieval after its top-k reference.  Its
+    ``groups`` keep the exact tree fit's block table from the first
+    evaluation on, so a sweep builds it once.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):

@@ -3,9 +3,12 @@
 The representation gap of a selection is the largest difference, over a class
 of statistics, between the statistic's mean on the retrieved items and its
 mean on the curated dataset.  It can be evaluated exactly for finite indicator
-lists, estimated through a regression oracle, computed in closed form for
+lists, reached through a regression oracle, computed in closed form for
 linear statistics via the SVD, or computed for kernel classes as a maximum
-mean discrepancy.
+mean discrepancy.  The tree oracle is exact on the labels view, where every
+statistic is a function of the cell: it maximizes over every tree of the
+depth limit.  On the other views it is greedy CART, and the MLP oracle is a
+trained net; both are lower bounds on their class's gap.
 
 Every evaluator but the finite one works on the distinct feature rows of D_R
 over D_C (``feature_groups``): the intersectional cells present on the labels
@@ -27,19 +30,23 @@ from mopr.datamodel import Dataset
 from mopr.similarity import Selection
 from mopr.solver import Cut
 from mopr.statclasses import (
-    DegenerateStatisticError,
     NormalizedStatistic,
     RepStatistic,
+    TreeBlocks,
     feature_matrix,
     fit_linear_ls,
     fit_mlp,
     fit_tree,
+    fit_tree_exact,
     normalize_values,
     one_hot,
     target_norm,
 )
 
 SV_CUTOFF_REL = 1e-10
+# An oracle fit whose norm over the stack is at most this fraction of the
+# signed weights' norm is rounding noise of the zero fit.
+ZERO_FIT_RTOL = 1e-12
 
 
 def signed_weights(a: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -100,10 +107,17 @@ class FeatureGroups:
 
     rows: np.ndarray
     inverse: np.ndarray
+    _tree_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def identity(cls, X: np.ndarray) -> "FeatureGroups":
         return cls(X, np.arange(len(X)))
+
+    def tree_blocks(self, depth: int) -> TreeBlocks:
+        """The exact tree fit's table of ``rows`` at ``depth``, built on first use."""
+        if depth not in self._tree_blocks:
+            self._tree_blocks[depth] = TreeBlocks.build(self.rows, depth)
+        return self._tree_blocks[depth]
 
 
 def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
@@ -216,26 +230,37 @@ def oracle_gap(
     ``groups`` holds the feature rows of D_R over D_C and ``tilde`` the signed
     weights; ``values`` are the witness's values over every row of the stack.
     The fit runs on the distinct rows with their counts; the gap, the
-    normalization and the mse are taken over every row.  The gap is an
-    absolute value, so the fit of ``-tilde`` counts too; the larger normalized
-    correlation wins, ties to ``+tilde``.  The least-squares and tree fits of
-    ``-tilde`` are exactly the negated fits of ``tilde``, so those two oracles
-    fit ``tilde`` alone.  The MLP's random start breaks that symmetry, so it
-    fits both signs.  If every fit is zero over the stack, no statistic the
-    oracle finds separates the two sets: the gap is 0, and the witness is the
-    zero fit with scale and context norm 0, as in the closed form.
+    normalization and the mse are taken over every row.  The tree oracle is
+    exact on the labels view: ``fit_tree_exact`` finds the best of every tree
+    of depth <= ``tree_depth`` on the one-hot columns, from the block table
+    ``groups`` keeps.  On the embedding and concat views it is greedy CART.
+    The gap is an absolute value, so the fit of ``-tilde`` counts too; the
+    larger normalized correlation wins, ties to ``+tilde``.  The
+    least-squares and tree fits of ``-tilde`` are exactly the negated fits of
+    ``tilde``, so those two oracles fit ``tilde`` alone.  The MLP's random
+    start breaks that symmetry, so it fits both signs.  A fit whose norm over
+    the stack is at most ZERO_FIT_RTOL times the target's is the zero fit up
+    to rounding.  If every fit is zero, no statistic the oracle finds
+    separates the two sets: the gap is 0, and the witness is the zero fit
+    with scale and context norm 0, as in the closed form.
     """
     X = groups.rows
     # without repeated rows the grouping is the identity: fit the rows as they are
     inverse = groups.inverse if len(X) < len(groups.inverse) else None
     fits = {
         "linear": lambda y: fit_linear_ls(X, y, feature_view, inverse),
-        "tree": lambda y: fit_tree(X, y, tree_depth, feature_view, inverse),
+        "tree": lambda y: fit_tree(X if inverse is None else X[inverse], y, tree_depth,
+                                   feature_view),
         "mlp": lambda y: fit_mlp(X, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
                                  seed=seed, feature_view=feature_view, inverse=inverse),
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
+    if oracle == "tree" and feature_view == "labels":
+        blocks = groups.tree_blocks(tree_depth)
+        fits["tree"] = lambda y: fit_tree_exact(X, y, tree_depth, feature_view, inverse,
+                                                blocks=blocks)
+    zero = ZERO_FIT_RTOL * float(np.linalg.norm(tilde))
     best: tuple[float, NormalizedStatistic, float, np.ndarray] | None = None
     for sign in (1.0, -1.0) if oracle == "mlp" else (1.0,):
         target = sign * tilde
@@ -243,17 +268,16 @@ def oracle_gap(
         values = stat.values_from_features(X)
         if inverse is not None:
             values = values[inverse]
-        try:
-            norm_stat = normalize_values(stat, values, m, k)
-        except DegenerateStatisticError:
+        if float(np.linalg.norm(values)) <= zero:
             continue
+        norm_stat = normalize_values(stat, values, m, k)
         fitted = norm_stat.scale * values
         value = abs(float(fitted @ tilde))
         if best is None or value > best[0]:
             best = (value, norm_stat, float(np.mean((fitted - target) ** 2)), fitted)
     if best is None:
-        zero = NormalizedStatistic(stat, 0.0, 0.0)
-        return 0.0, zero, float(np.mean(tilde**2)), np.zeros(len(tilde))
+        zero_fit = NormalizedStatistic(stat, 0.0, 0.0)
+        return 0.0, zero_fit, float(np.mean(tilde**2)), np.zeros(len(tilde))
     return best
 
 

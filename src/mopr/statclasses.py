@@ -2,22 +2,25 @@
 
 A representation statistic is a real-valued function over items whose mean
 quantifies how strongly a group is present in a set.  Four kinds are
-supported: cell indicators over label codes, linear functions, CART regression
+supported: cell indicators over label codes, linear functions, regression
 trees, and one-hidden-layer MLPs.  Statistics can be rescaled so that their
 squared values over the concatenated retrieval+curation rows sum to
 mk/(m+k), which bounds the representation gap in [0, 1].
 
-The tree fit sorts each feature column once and filters the sort orders down
-the tree (SLIQ), scoring the columns of a node in small blocks; splits tie to
-the lower feature, then the lower threshold.
+Two tree fits are offered.  ``fit_tree`` is greedy CART on any feature
+columns: it sorts each column once and filters the sort orders down the tree
+(SLIQ), scoring the columns of a node in small blocks; splits tie to the
+lower feature, then the lower threshold.  ``fit_tree_exact`` is the best
+least-squares tree of a depth on 0/1 columns, the one-hot labels: a dynamic
+program over the blocks of rows that such trees reach (``TreeBlocks``).
 
-Every fit also takes its rows as distinct rows with an ``inverse`` index: the
-data are then the rows ``X[inverse]``, and the fit runs on the distinct rows
-with their counts.  Least squares on repeated rows is weighted least squares
-on the distinct ones, the MLP's count-weighted loss has the full loss's
-gradient, and the tree scores its splits from per-row counts, target sums and
-sums of squares.  The fitted values equal the fit on the expanded rows up to
-rounding; a tree split that ties exactly may go the other way.
+The least-squares, exact tree and MLP fits also take their rows as distinct
+rows with an ``inverse`` index: the data are then the rows ``X[inverse]``,
+and the fit runs on the distinct rows with their counts.  Least squares on
+repeated rows is weighted least squares on the distinct ones, the MLP's
+count-weighted loss has the full loss's gradient, and the exact tree's block
+sums add the distinct rows' counts and target sums.  The fitted values equal
+the fit on the expanded rows up to rounding.
 """
 
 from __future__ import annotations
@@ -208,32 +211,16 @@ _BLOCK_ELEMS = 4096
 
 
 def _grow_tree(
-    X: np.ndarray, y: np.ndarray, in_node: np.ndarray, order: np.ndarray, depth_left: int,
-    groups: tuple | None = None,
+    X: np.ndarray, y: np.ndarray, in_node: np.ndarray, order: np.ndarray, depth_left: int
 ) -> TreeNode:
     """Subtree over the rows flagged by ``in_node``.  ``order[j]`` lists all
     rows sorted stably by column j, and filtering it by ``in_node`` keeps it
-    sorted.  The columns are scored a block at a time.
-
-    ``groups`` is None when row i has the one target y[i].  Otherwise it is
-    (counts, sq, lo, hi): row i stands for counts[i] rows whose targets sum to
-    y[i], whose squares sum to sq[i], and which lie in [lo[i], hi[i]]."""
+    sorted.  The columns are scored a block at a time."""
     rows = np.flatnonzero(in_node)
     n = rows.size
-    if groups is None:
-        ys = y[rows]
-        size = n
-        pure = n < 2 or ys.min() == ys.max()
-    else:
-        counts, sq, lo, hi = groups
-        size = int(counts[rows].sum())
-        pure = size < 2 or lo[rows].min() == hi[rows].max()
-
-    def leaf() -> TreeNode:
-        return TreeNode(value=float(np.mean(ys)) if groups is None else float(np.sum(y[rows]) / size))
-
-    if depth_left == 0 or pure:
-        return leaf()
+    ys = y[rows]
+    if depth_left == 0 or n < 2 or ys.min() == ys.max():
+        return TreeNode(value=float(np.mean(ys)))
     n_all, p = X.shape
     width = max(1, _BLOCK_ELEMS // n)
     best = None  # (sse, column, threshold)
@@ -247,13 +234,13 @@ def _grow_tree(
             continue
         yo = y.take(blk)
         csum = np.cumsum(yo, axis=1).ravel()
-        csq = np.cumsum(yo * yo if groups is None else sq.take(blk), axis=1).ravel()
+        csq = np.cumsum(yo * yo, axis=1).ravel()
         cols = at // (n - 1)
         pos = at - cols * (n - 1)  # the split follows this position of its column
         at += cols  # the same (column, position) in the flattened (width, n) sums
         end = (cols + 1) * n - 1
-        nl = pos + 1 if groups is None else np.cumsum(counts.take(blk), axis=1).ravel()[at]
-        nr = size - nl
+        nl = pos + 1
+        nr = n - nl
         sum_l = csum[at]
         sq_l = csq[at]
         sse = (sq_l - sum_l**2 / nl) + ((csq[end] - sq_l) - (csum[end] - sum_l) ** 2 / nr)
@@ -264,20 +251,19 @@ def _grow_tree(
             mid = 0.5 * (lo_x + hi_x)  # rounds up to hi_x between adjacent floats
             best = (sse[k], j0 + c, mid if mid < hi_x else lo_x)
     if best is None:
-        return leaf()
+        return TreeNode(value=float(np.mean(ys)))
     _, j, thr = best
     go_left = X[:, j] <= thr
     return TreeNode(
         feature=j,
         threshold=float(thr),
-        left=_grow_tree(X, y, in_node & go_left, order, depth_left - 1, groups),
-        right=_grow_tree(X, y, in_node & ~go_left, order, depth_left - 1, groups),
+        left=_grow_tree(X, y, in_node & go_left, order, depth_left - 1),
+        right=_grow_tree(X, y, in_node & ~go_left, order, depth_left - 1),
     )
 
 
 def fit_tree(
-    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels",
-    inverse=None,
+    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels"
 ) -> RepStatistic:
     """Greedy CART regression tree with midpoint thresholds (the lower value
     where the midpoint of two adjacent floats rounds up to the upper one).
@@ -286,29 +272,164 @@ def fit_tree(
     column; ties go to the lower feature index, then to the lower threshold.
     Leaves hold the mean target of their rows.  The columns are sorted once,
     stably, at the root, and each node filters those sort orders to its rows.
-
-    With ``inverse`` the data are the rows ``X[inverse]``: the splits are
-    scored from the counts, target sums and sums of squares of X's rows, and
-    a node stops when all its targets are equal, read from their minima and
-    maxima.
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if X.ndim != 2 or (inverse is None and y.shape != X.shape[:1]):
+    if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValueError(f"fit_tree needs X of shape (N, p), targets (N,); got {X.shape}, {y.shape}")
-    groups = None
-    if inverse is not None:
-        counts, sums = _group_sums(X, y, inverse)
-        lo = np.full(len(X), np.inf)
-        hi = np.full(len(X), -np.inf)
-        np.minimum.at(lo, inverse, y)
-        np.maximum.at(hi, inverse, y)
-        groups = (counts, np.bincount(inverse, y * y, len(X)), lo, hi)
-        y = sums
     order = np.argsort(X.T, axis=1, kind="stable")
-    root = _grow_tree(X, y, np.ones(len(X), dtype=bool), order, depth_limit, groups)
+    root = _grow_tree(X, y, np.ones(len(X), dtype=bool), order, depth_limit)
+    return RepStatistic("tree", {"root": root}, feature_view)
+
+
+# A split of the exact tree must raise sum W^2/C by more than this fraction of
+# the targets' sum of squares, which bounds sum W^2/C over every partition.
+EXACT_TREE_RTOL = 1e-12
+# Elements of the (blocks, columns, rows) masks split together in the table build.
+_SPLIT_ELEMS = 1 << 21
+
+
+@dataclass(frozen=True)
+class TreeBlocks:
+    """The blocks of rows that trees of depth <= ``depth`` on the 0/1 columns
+    of X reach, each a node's rows.  Block 0 holds every row.
+
+    Block b's rows are ``members[block_of == b]``.  Splitting block b on
+    column j sends the rows with x_j = 0 to block ``left[b, j]`` and the rest
+    to ``right[b, j]``; both are -1 where a side would be empty or where b is
+    reached only at the depth limit, which indexes the -inf that ``fit``
+    appends to its table of values.
+    """
+
+    depth: int
+    n_rows: int
+    block_of: np.ndarray
+    members: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.left)
+
+    @classmethod
+    def build(cls, X: np.ndarray, depth: int) -> "TreeBlocks":
+        """The table of X's blocks, found a tree level at a time.  Each level
+        splits the blocks first reached at the level before on every column,
+        a chunk of blocks at a time, and numbers the row sets not seen before
+        in order of first appearance.  Blocks are kept as packed row bits,
+        compared as one byte string each, until the end, when they become
+        lists of rows."""
+        if depth < 1:
+            raise ValueError("depth_limit must be >= 1")
+        X = np.asarray(X)
+        if X.ndim != 2 or len(X) == 0 or not np.isin(X, (0.0, 1.0)).all():
+            raise ValueError("the exact tree fit needs rows of 0/1 feature columns")
+        if X.shape[1] == 0:  # a constant column, which never splits, stands in for none
+            X = np.zeros((len(X), 1))
+        hot = X.T.astype(bool)[:, None, :]  # (p, 1, rows)
+        p, _, n_rows = hot.shape
+        keys = np.packbits(np.ones((1, n_rows), dtype=bool), axis=1)  # block 0: every row
+        as_bytes = np.dtype((np.void, keys.shape[1]))
+        left, right = [], []
+        start, chunk = 0, max(1, _SPLIT_ELEMS // (p * n_rows))
+        for _ in range(depth):
+            stop = len(keys)
+            for b0 in range(start, stop, chunk):
+                blocks = np.unpackbits(keys[b0:min(b0 + chunk, stop)], axis=1, count=n_rows)
+                inside = blocks.astype(bool)[:, None, None, :]
+                sides = np.concatenate([inside & ~hot, inside & hot], axis=2)  # (blocks, p, 2, rows)
+                split = sides.any(axis=3).all(axis=2)  # both sides non-empty
+                ids = np.full(split.shape + (2,), -1)
+                if split.any():
+                    n_old = len(keys)
+                    stacked = np.concatenate(
+                        [keys, np.packbits(sides[split], axis=-1).reshape(-1, keys.shape[1])])
+                    _, first, inverse = np.unique(stacked.view(as_bytes).ravel(),
+                                                  return_index=True, return_inverse=True)
+                    number = np.empty_like(first)
+                    number[np.argsort(first)] = np.arange(first.size)
+                    ids[split] = number[inverse[n_old:]].reshape(-1, 2)
+                    keys = stacked[np.sort(first)]
+                left.append(ids[..., 0])
+                right.append(ids[..., 1])
+            start = stop
+        unsplit = np.full((len(keys) - start, p), -1)  # reached only at the depth limit
+        left = np.concatenate(left + [unsplit])
+        right = np.concatenate(right + [unsplit])
+        block_of, members = np.nonzero(np.unpackbits(keys, axis=1, count=n_rows))
+        return cls(depth, n_rows, block_of, members, left, right)
+
+    def fit(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> TreeNode:
+        """The depth-<=d tree whose leaf blocks B maximize sum W_B^2 / C_B,
+        W_B the summed target ``sums`` and C_B the summed ``counts`` of B's
+        rows, each leaf holding its block's mean W_B / C_B.
+
+        best(B, r) = max(W_B^2 / C_B, max_j best(L_j, r-1) + best(R_j, r-1)),
+        a level of gathers per r.  A split replaces the leaf only when it
+        raises the sum by more than EXACT_TREE_RTOL * ``scale``, and among the
+        splits within that of the largest the lowest column wins, so rounding
+        cannot decide between tied trees.
+        """
+        W = np.bincount(self.block_of, sums[self.members], self.n_blocks)
+        C = np.bincount(self.block_of, counts[self.members], self.n_blocks)
+        leaf = W * W / C
+        tol = EXACT_TREE_RTOL * scale
+        floor = leaf + tol
+        rows = np.arange(self.n_blocks)
+        ext = np.append(leaf, -np.inf)  # best at the remaining depth, and the sentinel
+        choices = []
+        for _ in range(self.depth):
+            cand = ext[self.left]
+            cand += ext[self.right]
+            top = cand.max(axis=1)
+            top -= tol
+            j = (cand >= top[:, None]).argmax(axis=1)
+            value = cand[rows, j]
+            take = value > floor
+            ext[:-1] = np.where(take, value, leaf)
+            choices.append(np.where(take, j, -1).tolist())
+        means = (W / C).tolist()
+
+        def node(b: int, r: int) -> TreeNode:
+            j = choices[r - 1][b] if r else -1
+            if j < 0:
+                return TreeNode(value=means[b])
+            return TreeNode(feature=j, threshold=0.5, left=node(int(self.left[b, j]), r - 1),
+                            right=node(int(self.right[b, j]), r - 1))
+
+        return node(0, self.depth)
+
+
+def fit_tree_exact(
+    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels",
+    inverse=None, blocks: TreeBlocks | None = None,
+) -> RepStatistic:
+    """The least-squares regression tree of depth <= ``depth_limit`` on 0/1
+    feature columns, over every such tree (the DL8.5 dynamic program of
+    Aglin, Nijssen & Schaus 2020, over the blocks of ``TreeBlocks``).
+
+    A fit constant on the blocks of a partition takes each block's mean, and
+    its squared correlation with the targets is sum W_B^2 / C_B; the tree
+    maximizing that sum is the least-squares tree.  Nodes split at 0.5 and
+    leaves hold their block's mean target.  With ``inverse`` the data are the
+    rows ``X[inverse]``.  ``blocks`` is X's block table at ``depth_limit``,
+    when the caller keeps one.
+    """
+    if blocks is None:
+        blocks = TreeBlocks.build(X, depth_limit)
+    elif (blocks.n_rows, blocks.depth) != (len(X), depth_limit):
+        raise ValueError("blocks were built for other rows or another depth")
+    y = np.asarray(targets, dtype=float)
+    if inverse is None:
+        if y.shape != (len(X),):
+            raise ValueError(f"fit_tree_exact needs targets (N,) for N = {len(X)}; got {y.shape}")
+        counts, sums = np.ones(len(X)), y
+    else:
+        counts, sums = _group_sums(X, y, inverse)
+    root = blocks.fit(sums, counts, float(y @ y))
     return RepStatistic("tree", {"root": root}, feature_view)
 
 

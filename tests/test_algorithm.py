@@ -179,10 +179,10 @@ def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
 # The loop on grid_instance(seed), k = 10, T = 30: per iteration (lp_pivots,
 # n_fractional), then the selected indices and the halt.  The finite class runs
 # at rho = 0.05 and the linear class at rho = 0.02; the tree class sweeps
-# PINNED_GRID, one entry per grid value (the relaxed ones included).  The
-# pivot and tie rules and the top-k start fix every number here, so a change
-# to the LP's arithmetic that keeps them moves a selection only where LP
-# values tie exactly.
+# PINNED_GRID, one entry per grid value (the relaxed ones included), with the
+# exact tree oracle of the labels view.  The pivot and tie rules and the top-k
+# start fix every number here, so a change to the LP's arithmetic that keeps
+# them moves a selection only where LP values tie exactly.
 PINNED_GRID = [0.2, 0.1, 0.05, 0.02]
 PINNED = {
     "finite/0": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)],
@@ -192,11 +192,11 @@ PINNED = {
     "tree-sweep/0": [
         ([(0, 0), (4, 2), (4, 3), (1, 4)],
          [3, 5, 17, 27, 34, 51, 53, 70, 72, 75], "constraint-satisfied"),
-        ([(6, 3), (8, 5), (3, 5), (2, 6), (1, 7)],
+        ([(6, 3), (8, 5), (3, 5), (2, 6), (0, 6)],
          [4, 5, 17, 27, 34, 51, 53, 71, 72, 75], "stalled"),
-        ([(4, 6), (0, 6)],
-         [4, 5, 17, 27, 34, 51, 70, 71, 72, 75], "stalled"),
-        ([(7, 7), (1, 7)],
+        ([(6, 6), (0, 6)],
+         [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
+        ([(6, 7)],
          [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
     ],
     # items 57 and 70 tie at 7/12 in the last LP point; the tie goes to 70
@@ -221,26 +221,26 @@ PINNED = {
          [2, 16, 19, 25, 36, 48, 50, 55, 59, 64], "stalled"),
     "tree-sweep/2": [
         ([(0, 0), (2, 2), (3, 2), (4, 3), (1, 4), (1, 5)],
-         [16, 19, 25, 36, 37, 47, 59, 64, 70, 79], "stalled"),
-        ([(15, 5), (12, 6), (3, 6), (8, 6), (10, 6), (8, 7), (73, 5), (66, 6), (63, 7), (51, 7), (57, 7), (66, 7), (82, 7), (52, 7), (46, 7)],
-         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
-        ([(100, 7)],
-         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
-        ([(137, 7)],
-         [19, 25, 36, 40, 50, 62, 64, 70, 71, 79], "stalled"),
+         [16, 19, 25, 36, 37, 48, 59, 64, 70, 79], "stalled"),
+        ([(5, 4), (6, 6), (4, 5), (10, 5), (10, 4), (74, 5), (59, 7), (50, 6), (64, 6), (76, 7), (47, 7), (54, 7), (56, 7), (40, 7), (45, 7)],
+         [16, 19, 25, 36, 40, 50, 64, 70, 71, 79], "stalled"),
+        ([(76, 7)],
+         [16, 19, 25, 36, 40, 50, 64, 70, 71, 79], "stalled"),
+        ([(86, 7)],
+         [16, 19, 25, 36, 40, 50, 64, 70, 71, 79], "stalled"),
     ],
     "finite/3": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 4), (2, 4), (2, 4)],
          [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
     "linear/3": ([(0, 0), (3, 2), (4, 3), (5, 4), (2, 5)],
          [2, 4, 11, 24, 27, 44, 46, 75, 76, 78], "stalled"),
     "tree-sweep/3": [
-        ([(0, 0), (2, 2), (1, 3), (1, 4), (2, 3)],
-         [1, 11, 24, 32, 34, 44, 46, 75, 76, 78], "constraint-satisfied"),
-        ([(9, 4), (3, 5), (4, 3), (1, 4)],
+        ([(0, 0), (2, 2), (1, 3), (2, 4)],
+         [1, 11, 24, 32, 34, 44, 57, 75, 76, 78], "stalled"),
+        ([(4, 4), (4, 4), (1, 4)],
          [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "constraint-satisfied"),
-        ([(7, 5), (2, 6)],
+        ([(5, 5), (6, 6)],
          [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
-        ([(1, 5)],
+        ([(3, 7), (2, 7)],
          [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
     ],
 }

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from mopr.statclasses import (
     fit_linear_ls,
     fit_mlp,
     fit_tree,
+    fit_tree_exact,
     normalize_values,
     target_norm,
 )
@@ -204,6 +207,8 @@ def two_sign_fits(X, tilde, m, k, fit):
         target = sign * tilde
         stat = fit(target)
         values = stat.values_from_features(X)
+        if np.linalg.norm(values) <= metric.ZERO_FIT_RTOL * np.linalg.norm(tilde):
+            raise DegenerateStatisticError("a zero fit up to rounding")
         norm = normalize_values(stat, values, m, k)
         fitted = norm.scale * values
         out.append((abs(float(fitted @ tilde)), norm, float(np.mean((fitted - target) ** 2))))
@@ -229,8 +234,9 @@ class TestOneSignFit:
         a = np.zeros(n)
         a[rng.choice(n, size=k, replace=False)] = 1.0
         tilde = signed_weights(a, k, m)
+        tree_fit = fit_tree_exact if view == "labels" else fit_tree  # the oracle's tree
         for oracle, fit in (("linear", lambda y: fit_linear_ls(X, y, view)),
-                            ("tree", lambda y: fit_tree(X, y, depth, view))):
+                            ("tree", lambda y: tree_fit(X, y, depth, view))):
             groups = FeatureGroups.identity(X)
             try:
                 plus, minus = two_sign_fits(X, tilde, m, k, fit)
@@ -298,6 +304,14 @@ class TestOracle:
         ))
         tree_val = mpr_via_oracle(sel, d_r, d_c, "tree", "labels", tree_depth=2).value
         assert tree_val >= ind_val - 1e-9
+
+    @pytest.mark.parametrize("oracle", ["linear", "tree"])
+    def test_labels_view_without_label_axes_reads_zero(self, rng, oracle):
+        # one cell holds every item, so every statistic of the cell is constant
+        d_r = make_dataset(rng.standard_normal((6, 2)), prefix="r")
+        d_c = make_dataset(rng.standard_normal((4, 2)), role="curated", prefix="c")
+        sel = Selection(np.array([1, 1, 0, 0, 0, 0]), 2)
+        assert mpr_via_oracle(sel, d_r, d_c, oracle, "labels").value == 0.0
 
     def test_mlp_runs_and_reports(self, rng):
         d_r, d_c = random_pair(rng, 8, 6, 2)
@@ -380,7 +394,7 @@ class TestGroupedOracle:
     def test_labels_fit_sees_one_row_per_cell(self, monkeypatch, oracle):
         rng = np.random.default_rng(5)
         d_r, d_c = random_pair(rng, 300, 200, 3, n_groups=4)
-        fit_name = {"linear": "fit_linear_ls", "tree": "fit_tree"}[oracle]
+        fit_name = {"linear": "fit_linear_ls", "tree": "fit_tree_exact"}[oracle]
         inner = getattr(metric, fit_name)
         seen = []
 
@@ -395,6 +409,137 @@ class TestGroupedOracle:
         mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.05, T=5, oracle_kind=oracle))
         # the linear class is separated in closed form: only the tree retrieval fits
         assert (len(seen) > 1) == (oracle == "tree") and max(seen) <= 4
+
+
+    @pytest.mark.parametrize("oracle", ["linear", "tree"])
+    def test_signed_weights_that_cancel_on_every_cell_read_zero(self, oracle):
+        # 13 of the 26 selected items and 2 of the 4 curated ones lie in each
+        # of the two cells, so the signed weights sum to zero on both (up to
+        # rounding: -1.1e-16); the count-weighted least-squares fit was noise
+        # of norm 2.6e-17, which the normalization scaled up to a full witness
+        rng = np.random.default_rng(14184)
+        n, m = int(rng.integers(2, 120)), int(rng.integers(2, 100))
+        k = int(rng.integers(1, n + 1))
+        d_r, d_c = random_pair(rng, n, m, 2, int(rng.integers(2, 5)))
+        a = np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        tilde = signed_weights(a, k, m)
+        groups = feature_groups(d_r, d_c, "labels")
+        assert (n, m, k, len(groups.rows)) == (67, 4, 26, 2)
+        for rows in (groups, FeatureGroups.identity(combined_features(d_r, d_c, "labels"))):
+            value, witness, mse, values = oracle_gap(rows, tilde, m, k, oracle, "labels")
+            assert value == 0.0 and witness.scale == 0.0 and witness.context_norm == 0.0
+            assert mse == float(np.mean(tilde**2))
+            assert not values.any()
+
+
+def labels_pair(seed, cards):
+    """Random retrieval and curated datasets over label axes of these
+    cardinalities, and a random selection's signed weights."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 80)), int(rng.integers(2, 60))
+    axes = {f"a{i}": c for i, c in enumerate(cards)}
+
+    def pool(size, **kw):
+        labels = [{name: int(rng.integers(c)) for name, c in axes.items()} for _ in range(size)]
+        return make_dataset(rng.standard_normal((size, 1)), labels, cards=axes, **kw)
+
+    d_r, d_c = pool(n, prefix="r"), pool(m, role="curated", prefix="c")
+    k = int(rng.integers(1, n + 1))
+    a = np.zeros(n)
+    a[rng.choice(n, size=k, replace=False)] = 1.0
+    return d_r, d_c, m, k, signed_weights(a, k, m)
+
+
+def normalized_gap(values, tilde, m, k):
+    """|<values, tilde>| of ``values`` rescaled to the normalized class, 0 for a zero fit."""
+    norm = float(np.linalg.norm(values))
+    if norm <= metric.ZERO_FIT_RTOL * float(np.linalg.norm(tilde)):
+        return 0.0
+    return target_norm(m, k) * abs(float(values @ tilde)) / norm
+
+
+def tree_partitions(X, depth):
+    """Every partition of X's rows into the leaves of a tree of depth <= depth
+    on X's 0/1 columns, found by walking every such tree."""
+
+    @functools.lru_cache(maxsize=None)
+    def parts(rows, d):
+        found = {frozenset([rows])}
+        for j in range(X.shape[1]) if d else ():
+            left = frozenset(i for i in rows if X[i, j] == 0)
+            if left and left != rows:
+                found |= {pl | pr for pl in parts(left, d - 1) for pr in parts(rows - left, d - 1)}
+        return found
+
+    return parts(frozenset(range(len(X))), depth)
+
+
+schemas = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+class TestExactTreeOracle:
+    """The tree oracle on the labels view against other routes to the
+    best tree of depth <= d on the one-hot columns."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), schemas, st.integers(1, 4))
+    def test_at_least_cart_on_every_row(self, seed, cards, depth):
+        d_r, d_c, m, k, tilde = labels_pair(seed, cards)
+        exact = oracle_gap(feature_groups(d_r, d_c, "labels"), tilde, m, k, "tree", "labels",
+                           tree_depth=depth)[0]
+        X = combined_features(d_r, d_c, "labels")
+        cart = normalized_gap(fit_tree(X, tilde, depth).values_from_features(X), tilde, m, k)
+        assert exact >= cart - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([(2,), (3,), (6,), (2, 2), (2, 3), (3, 2), (1, 2, 3), (2, 1, 2)]),
+           st.integers(1, 4))
+    def test_equals_brute_force_over_trees_on_few_cells(self, seed, cards, depth):
+        d_r, d_c, m, k, tilde = labels_pair(seed, cards)
+        groups = feature_groups(d_r, d_c, "labels")
+        assert len(groups.rows) <= 6
+        best = 0.0
+        for part in tree_partitions(groups.rows, depth):
+            block = np.empty(len(groups.rows), dtype=int)
+            for b, rows in enumerate(part):
+                block[list(rows)] = b
+            of_item = block[groups.inverse]
+            means = np.bincount(of_item, tilde) / np.bincount(of_item)
+            best = max(best, normalized_gap(means[of_item], tilde, m, k))
+        value, witness, _, _ = oracle_gap(groups, tilde, m, k, "tree", "labels",
+                                          tree_depth=depth)
+        assert value == pytest.approx(best, rel=0.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), schemas, st.integers(1, 4))
+    def test_witness_is_a_normalized_tree_of_the_gap(self, seed, cards, depth):
+        d_r, d_c, m, k, tilde = labels_pair(seed, cards)
+        value, witness, _, _ = oracle_gap(feature_groups(d_r, d_c, "labels"), tilde, m, k,
+                                          "tree", "labels", tree_depth=depth)
+        assert witness.base.params["root"].depth() <= depth
+        values = np.concatenate([witness.values(d_r), witness.values(d_c)])
+        assert abs(float(values @ tilde)) == pytest.approx(value, rel=0.0, abs=1e-12)
+        if value > 0.0:
+            assert np.linalg.norm(values) == pytest.approx(target_norm(m, k), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), schemas)
+    def test_deep_enough_tree_is_every_function_of_the_cell(self, seed, cards):
+        # a tree of depth sum(c - 1) separates every cell, so its gap is the
+        # gap over every function of the cell.  On one axis the linear class
+        # on the one-hot columns is every function of the cell too, so the two
+        # gaps are equal; on more axes it is the additive functions, a subclass
+        d_r, d_c, m, k, tilde = labels_pair(seed, cards)
+        sel = Selection(np.rint(tilde[: len(d_r)] * k).astype(int), k)
+        depth = max(1, sum(c - 1 for c in cards))
+        tree = mpr_via_oracle(sel, d_r, d_c, "tree", "labels", tree_depth=depth).value
+        linear = mpr_closed_form_linear(sel, d_r, d_c, "labels").value
+        if len(cards) == 1:
+            assert tree == pytest.approx(linear, rel=0.0, abs=1e-12)
+        else:
+            assert tree >= linear - 1e-12
 
 
 class TestRkhs:

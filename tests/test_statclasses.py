@@ -1,3 +1,4 @@
+import itertools
 import re
 from unittest import mock
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_pair, trees_agree
+from conftest import make_dataset, random_pair
 from mopr import statclasses
 from mopr.statclasses import (
     DegenerateStatisticError,
     RepStatistic,
+    TreeBlocks,
     TreeNode,
     all_cell_indicators,
     cell_indicator,
@@ -18,7 +20,9 @@ from mopr.statclasses import (
     fit_linear_ls,
     fit_mlp,
     fit_tree,
+    fit_tree_exact,
     normalize_to_cprime,
+    one_hot,
     one_hot_labels,
     target_norm,
 )
@@ -301,29 +305,6 @@ class TestGroupedFits:
     """A fit on distinct rows with an inverse index against the plain fit on
     the expanded rows ``U[inverse]``."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(grouped_problems())
-    def test_tree_matches_expanded_rows(self, problem):
-        U, inverse, y, depth = problem
-        X = U[inverse]
-        grouped = fit_tree(U, y, depth, "embedding", inverse=inverse)
-        full = fit_tree(X, y, depth, "embedding")
-        if trees_agree(grouped.params["root"], full.params["root"], X, y):
-            scale = max(np.abs(y).max(), 1e-300)
-            assert np.allclose(grouped.values_from_features(X), full.values_from_features(X),
-                               rtol=1e-12, atol=1e-12 * scale)
-
-    def test_tree_splits_groups_with_equal_means(self):
-        # below the root, rows 1 and 2 both have mean target 0, but row 1's
-        # targets differ, so the node is not pure and must split
-        U = np.array([[0.0], [1.0], [2.0]])
-        inverse = np.array([0, 1, 0, 1, 2, 2])
-        y = np.array([5.0, -1.0, 5.0, 1.0, 0.0, 0.0])
-        grouped = fit_tree(U, y, 2, "embedding", inverse=inverse).params["root"]
-        full = fit_tree(U[inverse], y, 2, "embedding").params["root"]
-        assert not grouped.right.is_leaf
-        assert grouped.to_dict() == full.to_dict()
-
     @settings(max_examples=100, deadline=None)
     @given(grouped_problems())
     # exact fits of zero, each w rounding noise: +-8.6e-18 against 0, and
@@ -366,7 +347,7 @@ class TestGroupedFits:
 
     @pytest.mark.parametrize("fit", [
         lambda U, y, inv: fit_linear_ls(U, y, "embedding", inverse=inv),
-        lambda U, y, inv: fit_tree(U, y, 2, "embedding", inverse=inv),
+        lambda U, y, inv: fit_tree_exact(U > 0, y, 2, "labels", inverse=inv),
         lambda U, y, inv: fit_mlp(U, y, 2, epochs=1, feature_view="embedding", inverse=inv),
     ])
     def test_inverse_must_cover_the_rows_once_per_target(self, fit):
@@ -377,6 +358,123 @@ class TestGroupedFits:
             fit(U, np.zeros(3), np.array([0, 1, 1]))
         with pytest.raises(ValueError, match="each of the 3 rows"):
             fit(U, np.zeros(3), np.array([0, 1, 3]))
+
+
+def cell_rows(cards):
+    """One-hot rows of every cell of a label schema with these cardinalities."""
+    return one_hot(np.array(list(itertools.product(*map(range, cards)))), list(cards))
+
+
+def reachable_row_sets(X, depth):
+    """Every set of rows that a node of a depth-<=depth tree on X's 0/1 columns
+    holds, found by walking every such tree."""
+    found = set()
+
+    def walk(rows, d):
+        found.add(rows)
+        for j in range(X.shape[1]) if d else ():
+            left = frozenset(i for i in rows if X[i, j] == 0)
+            if left and left != rows:
+                walk(left, d - 1)
+                walk(rows - left, d - 1)
+
+    walk(frozenset(range(len(X))), depth)
+    return found
+
+
+@st.composite
+def label_rows(draw):
+    """One-hot rows of random cells of a random schema (rows may repeat),
+    targets and a depth limit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    n = draw(st.integers(1, 60))
+    X = one_hot(np.stack([rng.integers(0, c, n) for c in cards], axis=1), cards)
+    k, m = int(rng.integers(1, 20)), int(rng.integers(1, 40))
+    y = np.where(rng.random(n) < 0.4, 1.0 / k, 0.0) - np.where(rng.random(n) < 0.6, 1.0 / m, 0.0)
+    return X, y, draw(st.integers(1, 4))
+
+
+class TestExactTreeFit:
+    @pytest.mark.parametrize("cards, depth, blocks", [
+        ((2, 4), 3, 45), ((2, 3, 4), 3, 243), ((2, 2), 1, 5), ((3,), 4, 7), ((2, 3), 2, None),
+        ((1, 3, 2), 3, None), ((4, 4), 2, None),
+    ])
+    def test_blocks_are_the_reachable_row_sets_once_each(self, cards, depth, blocks):
+        X = cell_rows(cards)
+        table = TreeBlocks.build(X, depth)
+        sets = [frozenset(table.members[table.block_of == b].tolist())
+                for b in range(table.n_blocks)]
+        assert sets[0] == frozenset(range(len(X)))
+        assert len(set(sets)) == len(sets) == (blocks or len(sets))
+        assert set(sets) == reachable_row_sets(X, depth)
+        for b, j in zip(*np.nonzero(table.left >= 0)):
+            zero = frozenset(i for i in sets[b] if X[i, j] == 0)
+            assert (sets[table.left[b, j]], sets[table.right[b, j]]) == (zero, sets[b] - zero)
+
+    def test_chunked_build_equals_one_chunk(self):
+        X = cell_rows((2, 3, 4))
+        whole = TreeBlocks.build(X, 3)
+        with mock.patch.object(statclasses, "_SPLIT_ELEMS", 1):
+            chunked = TreeBlocks.build(X, 3)
+        for name in ("block_of", "members", "left", "right"):
+            assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+
+    @settings(max_examples=200, deadline=None)
+    @given(label_rows())
+    def test_grouped_rows_and_every_row_pick_the_same_tree(self, problem):
+        X, y, depth = problem
+        U, inverse = distinct_rows(X)
+        grouped = fit_tree_exact(U, y, depth, inverse=inverse)
+        full = fit_tree_exact(X, y, depth)
+        assert grouped.params["root"].depth() <= depth
+        scale = np.abs(y).max()
+        assert np.allclose(grouped.values_from_features(X), full.values_from_features(X),
+                           rtol=0.0, atol=1e-12 * scale)
+
+        def shape(node):
+            return None if node.is_leaf else (node.feature, shape(node.left), shape(node.right))
+
+        assert shape(grouped.params["root"]) == shape(full.params["root"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_rows())
+    def test_negated_targets_give_the_negated_tree(self, problem):
+        X, y, depth = problem
+        plus = fit_tree_exact(X, y, depth).values_from_features(X)
+        assert np.array_equal(fit_tree_exact(X, -y, depth).values_from_features(X), -plus)
+
+    def test_leaves_hold_block_means_and_split_at_one_half(self):
+        # cells (g, h) of a 2 x 2 schema; the targets depend on g alone
+        X = cell_rows((2, 2))[[0, 0, 1, 2, 3, 3]]
+        y = np.array([1.0, 1.0, 1.0, -2.0, -2.0, -2.0])
+        root = fit_tree_exact(X, y, 3).params["root"]
+        assert (root.feature, root.threshold) == (0, 0.5)
+        assert (root.left.value, root.right.value) == (-2.0, 1.0)
+
+    def test_tied_splits_go_to_the_lowest_column(self):
+        # g's two columns make the same split, mirrored; a tree of depth 1
+        # can split off either h cell, which ties too
+        X = cell_rows((2,))
+        assert fit_tree_exact(X, np.array([1.0, -1.0]), 1).params["root"].feature == 0
+        X = cell_rows((1, 2))
+        assert fit_tree_exact(X, np.array([1.0, -1.0]), 1).params["root"].feature == 1
+
+    def test_rows_without_columns_are_one_leaf(self):
+        # a labels view without label axes: every row is the one empty cell
+        root = fit_tree_exact(np.zeros((3, 0)), np.array([1.0, 2.0, 6.0]), 2).params["root"]
+        assert root.is_leaf and root.value == 3.0
+
+    def test_rejects_what_it_cannot_fit(self):
+        X = cell_rows((2, 2))
+        with pytest.raises(ValueError, match="0/1 feature columns"):
+            fit_tree_exact(X * 0.5, np.zeros(4), 2)
+        with pytest.raises(ValueError, match="depth_limit"):
+            fit_tree_exact(X, np.zeros(4), 0)
+        with pytest.raises(ValueError, match="targets"):
+            fit_tree_exact(X, np.zeros(5), 2)
+        with pytest.raises(ValueError, match="other rows or another depth"):
+            fit_tree_exact(X, np.zeros(4), 2, blocks=TreeBlocks.build(X, 3))
 
 
 class TestMlpFit:
