@@ -19,6 +19,7 @@ from mopr.datamodel import (
 )
 from mopr.similarity import Selection, cosine_similarity, condition_curation, top_k
 from mopr.statclasses import (
+    FeatureGroups,
     NormalizedStatistic,
     RepStatistic,
     fit_linear_ls,

@@ -55,13 +55,15 @@ from mopr.metric import (
 )
 from mopr.similarity import Selection, condition_curation, similarity_vector
 from mopr.solver import Cut, round_top_k, solve_lp
-from mopr.statclasses import all_cell_indicators, target_norm
+from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators, target_norm
 
 HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
 RELAX_FLOOR = 1e-6  # the first target gap tried when relaxing from rho = 0
 RELAX_RTOL = 1e-6  # relative tolerance of the smallest feasible target gap
 MAX_RHO = 2.0  # the largest gap of a +-1 cell indicator; a normalized statistic's is at most 1
+# "finite" separates exactly over the cell indicators, the others by a regression oracle
+ORACLE_KINDS = ("linear", "tree", "mlp", "finite")
 
 
 class InfeasibleRetrievalError(RuntimeError):
@@ -88,7 +90,7 @@ def _check_run(T: int, rho: float) -> None:
 class MoprConfig:
     rho: float = 0.0
     T: int = 50
-    oracle_kind: str = "linear"  # linear | tree | mlp | finite
+    oracle_kind: str = "linear"  # one of ORACLE_KINDS
     feature_view: str = "labels"
     curation_pool_size: int | None = None
     tree_depth: int = 3
@@ -99,6 +101,10 @@ class MoprConfig:
 
     def __post_init__(self):
         _check_run(self.T, self.rho)
+        if self.oracle_kind not in ORACLE_KINDS:
+            raise ValueError(f"unknown oracle {self.oracle_kind!r}")
+        if self.feature_view not in FEATURE_VIEWS:
+            raise ValueError(f"unknown feature view {self.feature_view!r}")
 
 
 @dataclass
@@ -196,7 +202,7 @@ class _SupportingHyperplane:
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
         self.ctx = svd_context(feature_groups(d_r, d_c, cfg.feature_view))
         self.n, self.m, self.k = len(d_r), len(d_c), k
-        self.classes = self.ctx.inverse[: self.n]
+        self.classes = self.ctx.groups.inverse[: self.n]
 
     def __call__(self, a: np.ndarray):
         value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from mopr import algorithm, bounds, datamodel, metric, similarity, solver
-from mopr.algorithm import MoprConfig
-from mopr.statclasses import all_cell_indicators
+from mopr.algorithm import ORACLE_KINDS, MoprConfig
+from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators
 
 
 def _write_sidecar(out_path: str, config: dict) -> None:
@@ -232,9 +232,8 @@ def _add_io_args(p):
 
 def _add_oracle_args(p):
     """The oracle and loop arguments that ``retrieve`` and ``sweep`` share."""
-    p.add_argument("--oracle", choices=["linear", "tree", "mlp", "finite"], default="linear")
-    p.add_argument("--feature-view", dest="feature_view",
-                   choices=["labels", "embedding", "concat"], default="labels")
+    p.add_argument("--oracle", choices=ORACLE_KINDS, default="linear")
+    p.add_argument("--feature-view", dest="feature_view", choices=FEATURE_VIEWS, default="labels")
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--curation-pool", dest="curation_pool", type=int, default=None)
 
@@ -258,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", help="file of selected item ids (default: top-k)")
     p.add_argument("--method", choices=["oracle", "closed-form", "rkhs", "finite"],
                    default="oracle")
-    p.add_argument("--oracle", choices=["linear", "tree", "mlp", "finite"], default="linear")
-    p.add_argument("--feature-view", dest="feature_view",
-                   choices=["labels", "embedding", "concat"], default="labels")
+    p.add_argument("--oracle", choices=ORACLE_KINDS, default="linear")
+    p.add_argument("--feature-view", dest="feature_view", choices=FEATURE_VIEWS, default="labels")
     p.add_argument("--kernel", default="linear", help="'linear' or 'gaussian:SIGMA'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write report JSON here (default: stdout)")

@@ -11,11 +11,12 @@ depth limit.  On the other views it is greedy CART, and the MLP oracle is a
 trained net; both are lower bounds on their class's gap.
 
 Every evaluator but the finite one works on the distinct feature rows of D_R
-over D_C (``feature_groups``): the intersectional cells present on the labels
-view, found from the label codes, and every row elsewhere.  The oracle fits
-weigh a row by its count and map their values back to every row, the closed
-form factors each row scaled by the root of its count, and the kernel distance
-sums the signed weights per row and drops the rows of zero weight.
+over D_C (``feature_groups``, a ``statclasses.FeatureGroups``): the
+intersectional cells present on the labels view, found from the label codes,
+and every row elsewhere.  The oracle fits take the groups and map their
+values back to every row, the closed form factors the groups' weighted rows,
+and the kernel distance takes the groups' sums of the signed weights and drops
+the rows of zero weight.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from mopr.datamodel import Dataset
 from mopr.similarity import Selection
 from mopr.solver import Cut
 from mopr.statclasses import (
+    FeatureGroups,
     NormalizedStatistic,
     RepStatistic,
-    TreeBlocks,
     feature_matrix,
     fit_linear_ls,
     fit_mlp,
@@ -73,17 +74,17 @@ class MprReport:
 
 @dataclass(frozen=True)
 class SvdContext:
-    """Thin SVD of the stacked feature rows ``rows[inverse]``, truncated to
-    effective rank.  It factors sqrt(c) * ``rows``, c each distinct row's
-    count, which has the stack's singular values and right vectors; ``U_l``
-    is that matrix's left vectors divided by sqrt(c), one row per distinct
-    row, so the stack's orthonormal left vectors are ``U_l[inverse]``."""
+    """Thin SVD of the stacked feature rows of ``groups``, truncated to
+    effective rank ``U_l.shape[1]``.  It factors the groups' weighted rows,
+    which have the stack's singular values and right vectors; ``U_l`` is
+    their left vectors divided by sqrt(c), c each distinct row's count, one
+    row per distinct row, so the stack's orthonormal left vectors are
+    ``U_l[groups.inverse]``."""
 
     U_l: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
-    l: int
-    inverse: np.ndarray
+    groups: FeatureGroups
 
 
 def _check_compatible(d_r: Dataset, d_c: Dataset, view: str) -> None:
@@ -97,27 +98,6 @@ def combined_features(d_r: Dataset, d_c: Dataset, view: str) -> np.ndarray:
     """Feature rows of D_R stacked over D_C."""
     _check_compatible(d_r, d_c, view)
     return np.vstack([feature_matrix(d_r, view), feature_matrix(d_c, view)])
-
-
-@dataclass(frozen=True)
-class FeatureGroups:
-    """The distinct feature rows of D_R over D_C: row i of the stack is
-    ``rows[inverse[i]]``.  Rows are numbered in order of first appearance, so
-    a stack without repeated rows has the identity ``inverse``."""
-
-    rows: np.ndarray
-    inverse: np.ndarray
-    _tree_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def identity(cls, X: np.ndarray) -> "FeatureGroups":
-        return cls(X, np.arange(len(X)))
-
-    def tree_blocks(self, depth: int) -> TreeBlocks:
-        """The exact tree fit's table of ``rows`` at ``depth``, built on first use."""
-        if depth not in self._tree_blocks:
-            self._tree_blocks[depth] = TreeBlocks.build(self.rows, depth)
-        return self._tree_blocks[depth]
 
 
 def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
@@ -151,17 +131,13 @@ def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
 
 
 def svd_context(groups: FeatureGroups) -> SvdContext:
-    X, root = groups.rows, 1.0  # without repeated rows the stack is factored as it is
-    if len(X) < len(groups.inverse):
-        root = np.sqrt(np.bincount(groups.inverse))[:, None]
-        X = root * X
-    U, S, Vt = np.linalg.svd(X, full_matrices=False)
+    U, S, Vt = np.linalg.svd(groups.weighted_rows(), full_matrices=False)
     if S.size == 0 or S[0] <= 0.0:
         raise ValueError("all-zero feature matrix")
     keep = S > SV_CUTOFF_REL * S[0]
     U_l = U[:, keep]
-    U_l /= root
-    return SvdContext(U_l, S[keep], Vt[keep].T, int(np.count_nonzero(keep)), groups.inverse)
+    U_l /= np.sqrt(groups.counts)[:, None]
+    return SvdContext(U_l, S[keep], Vt[keep].T, groups)
 
 
 @dataclass(frozen=True)
@@ -244,30 +220,21 @@ def oracle_gap(
     separates the two sets: the gap is 0, and the witness is the zero fit
     with scale and context norm 0, as in the closed form.
     """
-    X = groups.rows
-    # without repeated rows the grouping is the identity: fit the rows as they are
-    inverse = groups.inverse if len(X) < len(groups.inverse) else None
+    tree = fit_tree_exact if feature_view == "labels" else fit_tree
     fits = {
-        "linear": lambda y: fit_linear_ls(X, y, feature_view, inverse),
-        "tree": lambda y: fit_tree(X if inverse is None else X[inverse], y, tree_depth,
-                                   feature_view),
-        "mlp": lambda y: fit_mlp(X, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
-                                 seed=seed, feature_view=feature_view, inverse=inverse),
+        "linear": lambda y: fit_linear_ls(groups, y, feature_view),
+        "tree": lambda y: tree(groups, y, tree_depth, feature_view),
+        "mlp": lambda y: fit_mlp(groups, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
+                                 seed=seed, feature_view=feature_view),
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
-    if oracle == "tree" and feature_view == "labels":
-        blocks = groups.tree_blocks(tree_depth)
-        fits["tree"] = lambda y: fit_tree_exact(X, y, tree_depth, feature_view, inverse,
-                                                blocks=blocks)
     zero = ZERO_FIT_RTOL * float(np.linalg.norm(tilde))
     best: tuple[float, NormalizedStatistic, float, np.ndarray] | None = None
     for sign in (1.0, -1.0) if oracle == "mlp" else (1.0,):
         target = sign * tilde
         stat = fits[oracle](target)
-        values = stat.values_from_features(X)
-        if inverse is not None:
-            values = values[inverse]
+        values = stat.values_from_features(groups.rows)[groups.inverse]
         if float(np.linalg.norm(values)) <= zero:
             continue
         norm_stat = normalize_values(stat, values, m, k)
@@ -309,8 +276,8 @@ def mpr_via_oracle(
 
 def closed_form_gap(ctx: SvdContext, tilde: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray]:
     """Gap over normalized linear statistics for signed weights ``tilde``, and
-    the coordinates ``z = U_l[inverse]' tilde`` the gap is the scaled norm of."""
-    z = ctx.U_l.T @ np.bincount(ctx.inverse, tilde, len(ctx.U_l))
+    the coordinates ``z = U_l[groups.inverse]' tilde`` the gap is the scaled norm of."""
+    z = ctx.U_l.T @ ctx.groups.sums(tilde)
     return target_norm(m, k) * float(np.linalg.norm(z)), z
 
 
@@ -336,7 +303,7 @@ def mpr_closed_form_linear(
         value=value,
         method="closed-linear",
         witness=witness,
-        diagnostics={"svd_rank": ctx.l, "feature_view": feature_view},
+        diagnostics={"svd_rank": ctx.U_l.shape[1], "feature_view": feature_view},
     )
 
 
@@ -373,8 +340,7 @@ def mpr_rkhs(
     present on the labels view, the selected and curated rows elsewhere.
     """
     groups = feature_groups(d_r, d_c, feature_view)
-    w = np.bincount(groups.inverse, signed_weights(sel.indicator, sel.k, len(d_c)),
-                    len(groups.rows))
+    w = groups.sums(signed_weights(sel.indicator, sel.k, len(d_c)))
     present = np.flatnonzero(w)
     X, w = groups.rows[present], w[present]
     # extended precision: the terms cancel almost exactly when the samples nearly match

@@ -14,19 +14,21 @@ lower feature, then the lower threshold.  ``fit_tree_exact`` is the best
 least-squares tree of a depth on 0/1 columns, the one-hot labels: a dynamic
 program over the blocks of rows that such trees reach (``TreeBlocks``).
 
-The least-squares, exact tree and MLP fits also take their rows as distinct
-rows with an ``inverse`` index: the data are then the rows ``X[inverse]``,
-and the fit runs on the distinct rows with their counts.  Least squares on
-repeated rows is weighted least squares on the distinct ones, the MLP's
-count-weighted loss has the full loss's gradient, and the exact tree's block
-sums add the distinct rows' counts and target sums.  The fitted values equal
-the fit on the expanded rows up to rounding.
+A ``FeatureGroups`` holds the rows of a stack as its distinct rows with an
+``inverse`` index, and is the one place that knows rows repeat.  Every fit
+takes a ``FeatureGroups`` or an array of rows (the identity grouping).  The
+least-squares, exact tree and MLP fits run on the distinct rows with their
+counts: least squares on repeated rows is weighted least squares on the
+distinct ones, the MLP's count-weighted loss has the full loss's gradient,
+and the exact tree's block sums add the distinct rows' counts and target
+sums.  The fitted values equal the fit on the expanded rows up to rounding.
+CART fits the stacked rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -176,30 +178,70 @@ def all_cell_indicators(schema_cards: dict[str, int]) -> list[RepStatistic]:
     return [cell_indicator(c) for c in cells]
 
 
-def _group_sums(X: np.ndarray, y: np.ndarray, inverse) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row counts and target sums of the rows ``X[inverse]``, checking that
-    ``inverse`` indexes every row of X and has one entry per target."""
-    inverse = np.asarray(inverse)
-    if inverse.shape != y.shape:
-        raise ValueError(f"inverse needs one entry per target; got {inverse.shape}, {y.shape}")
-    counts = np.bincount(inverse, minlength=len(X))
-    if counts.size != len(X) or counts.min(initial=1) < 1:
-        raise ValueError(f"inverse must index each of the {len(X)} rows of X")
-    return counts, np.bincount(inverse, y, len(X))
+@dataclass(frozen=True)
+class FeatureGroups:
+    """The rows of a stack as distinct rows: row i of the stack is
+    ``rows[inverse[i]]``, and ``counts[r]`` stack rows are row r.  ``inverse``
+    must index every row and no row past the end."""
+
+    rows: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _tree_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverse = np.asarray(self.inverse)
+        counts = np.bincount(inverse, minlength=len(self.rows))
+        if counts.size != len(self.rows) or counts.min(initial=1) < 1:
+            raise ValueError(f"inverse must index each of the {len(self.rows)} rows")
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def identity(cls, X: np.ndarray) -> "FeatureGroups":
+        return cls(X, np.arange(len(X)))
+
+    @classmethod
+    def of(cls, X) -> "FeatureGroups":
+        """``X`` if it is a FeatureGroups, else the identity grouping of rows ``X``."""
+        return X if isinstance(X, cls) else cls.identity(X)
+
+    def sums(self, values) -> np.ndarray:
+        """Per-row sums of ``values``, one value per stack row."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.inverse.shape:
+            raise ValueError(f"inverse needs one entry per target; got {self.inverse.shape} "
+                             f"and targets {values.shape}")
+        return np.bincount(self.inverse, values, len(self.rows))
+
+    def weighted_rows(self) -> np.ndarray:
+        """sqrt(counts) * rows, whose Gram matrix is the stack's; ``rows``
+        itself when no row repeats, so the rows are not copied."""
+        if len(self.rows) == len(self.inverse):
+            return self.rows
+        return np.sqrt(self.counts)[:, None] * self.rows
+
+    def stack(self) -> np.ndarray:
+        """``rows[inverse]``, or ``rows`` itself when ``inverse`` is the identity."""
+        identity = np.array_equal(self.inverse, np.arange(len(self.inverse)))
+        return self.rows if identity else self.rows[self.inverse]
+
+    def tree_blocks(self, depth: int) -> TreeBlocks:
+        """The exact tree fit's table of ``rows`` at ``depth``, built on first use."""
+        if depth not in self._tree_blocks:
+            self._tree_blocks[depth] = TreeBlocks.build(self.rows, depth)
+        return self._tree_blocks[depth]
 
 
-def fit_linear_ls(
-    X: np.ndarray, targets: np.ndarray, feature_view: str = "labels", inverse=None
-) -> RepStatistic:
-    """Minimum-norm least-squares linear fit of targets on feature rows X, or
-    on ``X[inverse]``.  With counts c and target sums s per row, the latter
-    solves lstsq(sqrt(c) X, s / sqrt(c)), whose normal equations are those of
-    the expanded rows, and so has the same minimum-norm solution."""
-    if inverse is not None:
-        counts, sums = _group_sums(X, np.asarray(targets, dtype=float), inverse)
-        root = np.sqrt(counts)
-        X, targets = X * root[:, None], sums / root
-    w, *_ = np.linalg.lstsq(X, targets, rcond=None)
+def fit_linear_ls(X, targets, feature_view: str = "labels") -> RepStatistic:
+    """Minimum-norm least-squares linear fit of targets on the stack's rows,
+    ``X`` a FeatureGroups or an array of rows.  With counts c and target sums
+    s per distinct row, it solves lstsq(sqrt(c) rows, s / sqrt(c)), whose
+    normal equations are those of the stack, and so has the same minimum-norm
+    solution."""
+    groups = FeatureGroups.of(X)
+    w, *_ = np.linalg.lstsq(groups.weighted_rows(), groups.sums(targets) / np.sqrt(groups.counts),
+                            rcond=None)
     return RepStatistic("linear", {"w": w}, feature_view)
 
 
@@ -262,11 +304,10 @@ def _grow_tree(
     )
 
 
-def fit_tree(
-    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels"
-) -> RepStatistic:
+def fit_tree(X, targets, depth_limit: int, feature_view: str = "labels") -> RepStatistic:
     """Greedy CART regression tree with midpoint thresholds (the lower value
-    where the midpoint of two adjacent floats rounds up to the upper one).
+    where the midpoint of two adjacent floats rounds up to the upper one),
+    fit on the stacked rows of ``X``, a FeatureGroups or an array of rows.
 
     Each node takes the lowest-SSE split between two distinct values of one
     column; ties go to the lower feature index, then to the lower threshold.
@@ -275,7 +316,7 @@ def fit_tree(
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.ascontiguousarray(FeatureGroups.of(X).stack(), dtype=float)
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValueError(f"fit_tree needs X of shape (N, p), targets (N,); got {X.shape}, {y.shape}")
@@ -403,10 +444,7 @@ class TreeBlocks:
         return node(0, self.depth)
 
 
-def fit_tree_exact(
-    X: np.ndarray, targets: np.ndarray, depth_limit: int, feature_view: str = "labels",
-    inverse=None, blocks: TreeBlocks | None = None,
-) -> RepStatistic:
+def fit_tree_exact(X, targets, depth_limit: int, feature_view: str = "labels") -> RepStatistic:
     """The least-squares regression tree of depth <= ``depth_limit`` on 0/1
     feature columns, over every such tree (the DL8.5 dynamic program of
     Aglin, Nijssen & Schaus 2020, over the blocks of ``TreeBlocks``).
@@ -414,53 +452,41 @@ def fit_tree_exact(
     A fit constant on the blocks of a partition takes each block's mean, and
     its squared correlation with the targets is sum W_B^2 / C_B; the tree
     maximizing that sum is the least-squares tree.  Nodes split at 0.5 and
-    leaves hold their block's mean target.  With ``inverse`` the data are the
-    rows ``X[inverse]``.  ``blocks`` is X's block table at ``depth_limit``,
-    when the caller keeps one.
+    leaves hold their block's mean target.  ``X`` is a FeatureGroups, which
+    keeps the block table per depth, or an array of rows.
     """
-    if blocks is None:
-        blocks = TreeBlocks.build(X, depth_limit)
-    elif (blocks.n_rows, blocks.depth) != (len(X), depth_limit):
-        raise ValueError("blocks were built for other rows or another depth")
+    groups = FeatureGroups.of(X)
+    blocks = groups.tree_blocks(depth_limit)
     y = np.asarray(targets, dtype=float)
-    if inverse is None:
-        if y.shape != (len(X),):
-            raise ValueError(f"fit_tree_exact needs targets (N,) for N = {len(X)}; got {y.shape}")
-        counts, sums = np.ones(len(X)), y
-    else:
-        counts, sums = _group_sums(X, y, inverse)
-    root = blocks.fit(sums, counts, float(y @ y))
+    root = blocks.fit(groups.sums(y), groups.counts, float(y @ y))
     return RepStatistic("tree", {"root": root}, feature_view)
 
 
 def fit_mlp(
-    X: np.ndarray,
+    X,
     targets: np.ndarray,
     hidden: int,
     epochs: int = 500,
     step_size: float = 0.05,
     seed: int = 0,
     feature_view: str = "labels",
-    inverse=None,
 ) -> RepStatistic:
     """One-hidden-layer ReLU network trained by full-batch gradient descent on
-    the mean squared error over X's rows, or over ``X[inverse]``: the latter
-    weights each row's error from its mean target by its count, which has the
-    same gradient.
+    the mean squared error over the stacked rows of ``X``, a FeatureGroups or
+    an array of rows.  It weights each distinct row's error from its mean
+    target by its count, which has the full loss's gradient.
 
     Deterministic given the seed; returns whatever the run produces, with no
     optimality claim.
     """
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n = y.size
+    groups = FeatureGroups.of(X)
+    counts = groups.counts
+    y = groups.sums(targets) / counts
+    X = np.asarray(groups.rows, dtype=float)
+    n = len(groups.inverse)
     p = X.shape[1]
-    counts = None
-    if inverse is not None:
-        counts, sums = _group_sums(X, y, inverse)
-        y = sums / counts
     rng = np.random.default_rng(seed)
     lim1 = 1.0 / math.sqrt(p)
     lim2 = 1.0 / math.sqrt(hidden)
@@ -474,12 +500,12 @@ def fit_mlp(
         pred = h @ W2 + b2
         err = pred - y
         with np.errstate(over="ignore"):
-            loss = float(np.mean(err**2) if counts is None else counts @ err**2)
+            loss = float(counts @ err**2)
         if not np.isfinite(loss):
             raise FloatingPointError(
                 f"non-finite training loss at epoch {epoch}; reduce step_size ({step_size})"
             )
-        g_pred = 2.0 * (err if counts is None else counts * err) / n
+        g_pred = 2.0 * (counts * err) / n
         gW2 = h.T @ g_pred
         gb2 = float(np.sum(g_pred))
         g_h = np.outer(g_pred, W2) * (z > 0)

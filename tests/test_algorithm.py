@@ -94,9 +94,9 @@ def qp_separator(d_r, d_c, k, rho):
 
     def separate(a):
         tilde = np.concatenate([a / k, np.full(m, -1.0 / m)])
-        z = ctx.U_l.T @ np.bincount(ctx.inverse, tilde, len(ctx.U_l))
+        z = ctx.U_l.T @ ctx.groups.sums(tilde)
         zn = float(np.linalg.norm(z))
-        grad = (tn * (ctx.U_l @ z) / zn)[ctx.inverse[:n]] / k
+        grad = (tn * (ctx.U_l @ z) / zn)[ctx.groups.inverse[:n]] / k
         return tn * zn, Cut(grad, float(grad @ a) - tn * zn, rho)
 
     return separate
@@ -367,6 +367,15 @@ class TestMoprRetrieve:
             MoprConfig(T=0)
         with pytest.raises(ValueError):
             MoprConfig(rho=-0.1)
+
+    def test_unknown_oracle_or_view_fails_at_construction(self):
+        # before any LP is solved, with the messages the oracle and the views give
+        with pytest.raises(ValueError, match="unknown oracle 'bogus'"):
+            MoprConfig(oracle_kind="bogus")
+        with pytest.raises(ValueError, match="unknown feature view 'bogus'"):
+            MoprConfig(oracle_kind="finite", feature_view="bogus")
+        with pytest.raises(ValueError, match="unknown oracle 'svm'"):
+            replace(MoprConfig(), oracle_kind="svm")
 
     def test_nan_rho_rejected(self, rng):
         d_r, d_c, q = binary_instance(rng)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from mopr.cli import main
+from mopr.algorithm import ORACLE_KINDS
+from mopr.cli import build_parser, main
 from mopr.datamodel import (
     Dataset,
     GroupAxis,
@@ -23,7 +25,7 @@ from mopr.metric import (
     mpr_via_oracle,
 )
 from mopr.similarity import Selection, top_k
-from mopr.statclasses import all_cell_indicators
+from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators
 
 
 def write_fixture(tmp_path, seed=3, n=60, m=40):
@@ -422,3 +424,11 @@ class TestErrors:
                      "--query", str(tmp_path / "nope.csv"), "--k", "5"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mpr", "retrieve", "sweep"])
+def test_oracle_and_view_choices_are_the_library_lists(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+    assert tuple(choices["oracle"]) == ORACLE_KINDS
+    assert tuple(choices["feature_view"]) == FEATURE_VIEWS

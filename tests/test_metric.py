@@ -59,14 +59,14 @@ class TestSvdContext:
     def test_orthonormal_columns(self, rng):
         ctx = svd_context(FeatureGroups.identity(rng.standard_normal((8, 3))))
         gram = ctx.U_l.T @ ctx.U_l
-        assert gram == pytest.approx(np.eye(ctx.l), abs=1e-8)
+        assert gram == pytest.approx(np.eye(ctx.U_l.shape[1]), abs=1e-8)
         assert np.all(np.diff(ctx.singular_values) <= 0)
         assert np.all(ctx.singular_values > 0)
 
     def test_rank_deficiency_truncated(self, rng):
         col = rng.standard_normal((6, 1))
         X = np.hstack([col, 2 * col])
-        assert svd_context(FeatureGroups.identity(X)).l == 1
+        assert svd_context(FeatureGroups.identity(X)).U_l.shape[1] == 1
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -83,8 +83,9 @@ class TestSvdContext:
         X = combined_features(d_r, d_c, view)
         ctx = svd_context(groups)
         U, S, Vt = np.linalg.svd(X, full_matrices=False)
-        assert np.allclose(ctx.singular_values, S[: ctx.l], rtol=1e-12, atol=0.0)
-        assert np.allclose(ctx.U_l[ctx.inverse].T @ ctx.U_l[ctx.inverse], np.eye(ctx.l),
+        rank, inverse = ctx.U_l.shape[1], ctx.groups.inverse
+        assert np.allclose(ctx.singular_values, S[:rank], rtol=1e-12, atol=0.0)
+        assert np.allclose(ctx.U_l[inverse].T @ ctx.U_l[inverse], np.eye(rank),
                            rtol=0.0, atol=1e-12)
         a = np.zeros(n)
         a[rng.choice(n, size=k, replace=False)] = 1.0
@@ -399,7 +400,7 @@ class TestGroupedOracle:
         seen = []
 
         def spy(X, *args, **kwargs):
-            seen.append(len(X))
+            seen.append(len(X.rows))
             return inner(X, *args, **kwargs)
 
         monkeypatch.setattr(metric, fit_name, spy)

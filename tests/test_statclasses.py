@@ -11,6 +11,7 @@ from conftest import make_dataset, random_pair
 from mopr import statclasses
 from mopr.statclasses import (
     DegenerateStatisticError,
+    FeatureGroups,
     RepStatistic,
     TreeBlocks,
     TreeNode,
@@ -315,7 +316,7 @@ class TestGroupedFits:
         U, inverse, y, _ = problem
         U = np.hstack([U, U[:, :1]])  # a repeated column: the minimum-norm w is the one wanted
         X = U[inverse]
-        grouped = fit_linear_ls(U, y, "embedding", inverse=inverse).params["w"]
+        grouped = fit_linear_ls(FeatureGroups(U, inverse), y, "embedding").params["w"]
         full = fit_linear_ls(X, y, "embedding").params["w"]
         scale = np.abs(y).max()
         assert np.allclose(X @ grouped, X @ full, rtol=1e-9, atol=1e-9 * scale)
@@ -339,25 +340,47 @@ class TestGroupedFits:
         X = feature_matrix(d_r, "labels")
         y = rng.standard_normal(n) * 0.1
         U, inverse = distinct_rows(X)
-        grouped = fit_mlp(U, y, hidden, epochs=epochs, seed=seed % 7, inverse=inverse)
+        grouped = fit_mlp(FeatureGroups(U, inverse), y, hidden, epochs=epochs, seed=seed % 7)
         full = fit_mlp(X, y, hidden, epochs=epochs, seed=seed % 7)
         p_grouped, p_full = grouped.values_from_features(X), full.values_from_features(X)
         scale = max(np.abs(y).max(), np.abs(p_full).max())
         assert np.abs(p_grouped - p_full).max() <= 1e-10 * scale
 
+
+class TestFeatureGroups:
+    U = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+    def test_inverse_must_cover_the_rows(self):
+        with pytest.raises(ValueError, match="each of the 3 rows"):
+            FeatureGroups(self.U, np.array([0, 1, 1]))  # skips row 2
+        with pytest.raises(ValueError, match="each of the 3 rows"):
+            FeatureGroups(self.U, np.array([0, 1, 3]))  # points past the rows
+
     @pytest.mark.parametrize("fit", [
-        lambda U, y, inv: fit_linear_ls(U, y, "embedding", inverse=inv),
-        lambda U, y, inv: fit_tree_exact(U > 0, y, 2, "labels", inverse=inv),
-        lambda U, y, inv: fit_mlp(U, y, 2, epochs=1, feature_view="embedding", inverse=inv),
-    ])
-    def test_inverse_must_cover_the_rows_once_per_target(self, fit):
-        U = np.array([[0.0], [1.0], [2.0]])
+        lambda groups, y: groups.sums(y),
+        lambda groups, y: fit_linear_ls(groups, y, "embedding"),
+        lambda groups, y: fit_tree_exact(groups, y, 2, "labels"),
+        lambda groups, y: fit_mlp(groups, y, 2, epochs=1, feature_view="embedding"),
+    ], ids=["sums", "linear", "tree", "mlp"])
+    def test_sums_need_one_value_per_stack_row(self, fit):
+        groups = FeatureGroups(self.U, np.array([0, 1, 2, 2]))
         with pytest.raises(ValueError, match="one entry per target"):
-            fit(U, np.zeros(3), np.array([0, 1, 2, 2]))
-        with pytest.raises(ValueError, match="each of the 3 rows"):
-            fit(U, np.zeros(3), np.array([0, 1, 1]))
-        with pytest.raises(ValueError, match="each of the 3 rows"):
-            fit(U, np.zeros(3), np.array([0, 1, 3]))
+            fit(groups, np.zeros(3))
+        assert groups.counts.tolist() == [1, 1, 2]
+        assert groups.sums([1.0, 2.0, 3.0, 4.0]).tolist() == [1.0, 2.0, 7.0]
+
+    @pytest.mark.parametrize("inverse", [[0, 1, 2], [2, 0, 1]])
+    def test_rows_are_not_copied_when_none_repeats(self, inverse):
+        groups = FeatureGroups(self.U, np.array(inverse))
+        assert groups.weighted_rows() is self.U
+        assert (groups.stack() is self.U) == (inverse == [0, 1, 2])
+        assert np.array_equal(groups.stack(), self.U[inverse])
+        assert FeatureGroups.of(groups) is groups and FeatureGroups.of(self.U).rows is self.U
+
+    def test_weighted_rows_have_the_stacks_gram_matrix(self):
+        groups = FeatureGroups(np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([0, 1, 0, 0]))
+        W, X = groups.weighted_rows(), groups.stack()
+        assert np.allclose(W.T @ W, X.T @ X, rtol=1e-15, atol=0.0)
 
 
 def cell_rows(cards):
@@ -425,7 +448,7 @@ class TestExactTreeFit:
     def test_grouped_rows_and_every_row_pick_the_same_tree(self, problem):
         X, y, depth = problem
         U, inverse = distinct_rows(X)
-        grouped = fit_tree_exact(U, y, depth, inverse=inverse)
+        grouped = fit_tree_exact(FeatureGroups(U, inverse), y, depth)
         full = fit_tree_exact(X, y, depth)
         assert grouped.params["root"].depth() <= depth
         scale = np.abs(y).max()
@@ -473,8 +496,6 @@ class TestExactTreeFit:
             fit_tree_exact(X, np.zeros(4), 0)
         with pytest.raises(ValueError, match="targets"):
             fit_tree_exact(X, np.zeros(5), 2)
-        with pytest.raises(ValueError, match="other rows or another depth"):
-            fit_tree_exact(X, np.zeros(4), 2, blocks=TreeBlocks.build(X, 3))
 
 
 class TestMlpFit:
