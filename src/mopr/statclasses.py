@@ -328,24 +328,22 @@ def fit_tree(X, targets, depth_limit: int, feature_view: str = "labels") -> RepS
 # A split of the exact tree must raise sum W^2/C by more than this fraction of
 # the targets' sum of squares, which bounds sum W^2/C over every partition.
 EXACT_TREE_RTOL = 1e-12
-# Elements of the (blocks, columns, rows) masks split together in the table build.
-_SPLIT_ELEMS = 1 << 21
 
 
 @dataclass(frozen=True)
 class TreeBlocks:
     """The blocks of rows that trees of depth <= ``depth`` on the 0/1 columns
-    of X reach, each a node's rows.  Block 0 holds every row.
+    of X reach, each a node's rows, numbered in the order ``build`` first
+    reaches them.  Block 0 holds every row.
 
-    Block b's rows are ``members[block_of == b]``.  Splitting block b on
-    column j sends the rows with x_j = 0 to block ``left[b, j]`` and the rest
-    to ``right[b, j]``; both are -1 where a side would be empty or where b is
-    reached only at the depth limit, which indexes the -inf that ``fit``
-    appends to its table of values.
+    Block b's rows are ``members[block_of == b]``, in increasing order.
+    Splitting block b on column j sends the rows with x_j = 0 to block
+    ``left[b, j]`` and the rest to ``right[b, j]``; both are -1 where a side
+    would be empty or where b is reached only at the depth limit, which
+    indexes the -inf that ``fit`` appends to its table of values.
     """
 
     depth: int
-    n_rows: int
     block_of: np.ndarray
     members: np.ndarray
     left: np.ndarray
@@ -357,12 +355,12 @@ class TreeBlocks:
 
     @classmethod
     def build(cls, X: np.ndarray, depth: int) -> "TreeBlocks":
-        """The table of X's blocks, found a tree level at a time.  Each level
-        splits the blocks first reached at the level before on every column,
-        a chunk of blocks at a time, and numbers the row sets not seen before
-        in order of first appearance.  Blocks are kept as packed row bits,
-        compared as one byte string each, until the end, when they become
-        lists of rows."""
+        """The table of X's blocks, found a tree level at a time.  A block,
+        like a column, is held as a Python int whose bit i is row i, in a
+        dict from block to number.  Each level walks the blocks first reached
+        at the level before, in order, and splits each on every column, zero
+        side first; a side not seen before takes the next number.  At the
+        end the blocks become lists of rows."""
         if depth < 1:
             raise ValueError("depth_limit must be >= 1")
         X = np.asarray(X)
@@ -370,38 +368,29 @@ class TreeBlocks:
             raise ValueError("the exact tree fit needs rows of 0/1 feature columns")
         if X.shape[1] == 0:  # a constant column, which never splits, stands in for none
             X = np.zeros((len(X), 1))
-        hot = X.T.astype(bool)[:, None, :]  # (p, 1, rows)
-        p, _, n_rows = hot.shape
-        keys = np.packbits(np.ones((1, n_rows), dtype=bool), axis=1)  # block 0: every row
-        as_bytes = np.dtype((np.void, keys.shape[1]))
-        left, right = [], []
-        start, chunk = 0, max(1, _SPLIT_ELEMS // (p * n_rows))
+        n_rows, p = X.shape
+        cols = [int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
+                for x in X.T.astype(bool)]
+        number = {(1 << n_rows) - 1: 0}  # block 0: every row
+        left, right = [], []  # block b's children on column j at b * p + j
         for _ in range(depth):
-            stop = len(keys)
-            for b0 in range(start, stop, chunk):
-                blocks = np.unpackbits(keys[b0:min(b0 + chunk, stop)], axis=1, count=n_rows)
-                inside = blocks.astype(bool)[:, None, None, :]
-                sides = np.concatenate([inside & ~hot, inside & hot], axis=2)  # (blocks, p, 2, rows)
-                split = sides.any(axis=3).all(axis=2)  # both sides non-empty
-                ids = np.full(split.shape + (2,), -1)
-                if split.any():
-                    n_old = len(keys)
-                    stacked = np.concatenate(
-                        [keys, np.packbits(sides[split], axis=-1).reshape(-1, keys.shape[1])])
-                    _, first, inverse = np.unique(stacked.view(as_bytes).ravel(),
-                                                  return_index=True, return_inverse=True)
-                    number = np.empty_like(first)
-                    number[np.argsort(first)] = np.arange(first.size)
-                    ids[split] = number[inverse[n_old:]].reshape(-1, 2)
-                    keys = stacked[np.sort(first)]
-                left.append(ids[..., 0])
-                right.append(ids[..., 1])
-            start = stop
-        unsplit = np.full((len(keys) - start, p), -1)  # reached only at the depth limit
-        left = np.concatenate(left + [unsplit])
-        right = np.concatenate(right + [unsplit])
-        block_of, members = np.nonzero(np.unpackbits(keys, axis=1, count=n_rows))
-        return cls(depth, n_rows, block_of, members, left, right)
+            for block in list(number)[len(left) // p:]:
+                for col in cols:
+                    zero, one = block & ~col, block & col
+                    if zero and one:
+                        left.append(number.setdefault(zero, len(number)))
+                        right.append(number.setdefault(one, len(number)))
+                    else:
+                        left.append(-1)
+                        right.append(-1)
+        unsplit = [-1] * (len(number) * p - len(left))  # blocks reached only at the depth limit
+        left = np.array(left + unsplit).reshape(-1, p)
+        right = np.array(right + unsplit).reshape(-1, p)
+        n_bytes = (n_rows + 7) // 8
+        bits = np.frombuffer(b"".join(b.to_bytes(n_bytes, "little") for b in number), np.uint8)
+        block_of, members = np.nonzero(np.unpackbits(
+            bits.reshape(len(number), n_bytes), axis=1, count=n_rows, bitorder="little"))
+        return cls(depth, block_of, members, left, right)
 
     def fit(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> TreeNode:
         """The depth-<=d tree whose leaf blocks B maximize sum W_B^2 / C_B,

@@ -405,6 +405,42 @@ def reachable_row_sets(X, depth):
     return found
 
 
+def first_reached(X, depth):
+    """The shallowest tree level at which a node holds each row set that
+    trees of depth <= depth on X's 0/1 columns reach."""
+    level = {frozenset(range(len(X))): 0}
+    frontier = list(level)
+    for d in range(1, depth + 1):
+        reached = []
+        for rows in frontier:
+            for j in range(X.shape[1]):
+                zero = frozenset(i for i in rows if X[i, j] == 0)
+                for side in (zero, rows - zero) if zero and zero != rows else ():
+                    if side not in level:
+                        level[side] = d
+                        reached.append(side)
+        frontier = reached
+    return level
+
+
+@st.composite
+def zero_one_rows(draw):
+    """A 0/1 matrix of 1-10 rows, which may repeat, whose columns may be
+    constant, all zero or copies of one another, and a depth limit."""
+    n = draw(st.integers(1, 10))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["bits", "zeros", "ones", "copy"]), max_size=6)):
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind in ("zeros", "ones"):
+            columns.append([float(kind == "ones")] * n)
+        else:
+            columns.append([float(v) for v in draw(st.lists(st.booleans(), min_size=n, max_size=n))])
+    X = np.array(columns).reshape(len(columns), n).T
+    repeat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+    return X[repeat], draw(st.integers(1, 4))
+
+
 @st.composite
 def label_rows(draw):
     """One-hot rows of random cells of a random schema (rows may repeat),
@@ -435,13 +471,26 @@ class TestExactTreeFit:
             zero = frozenset(i for i in sets[b] if X[i, j] == 0)
             assert (sets[table.left[b, j]], sets[table.right[b, j]]) == (zero, sets[b] - zero)
 
-    def test_chunked_build_equals_one_chunk(self):
-        X = cell_rows((2, 3, 4))
-        whole = TreeBlocks.build(X, 3)
-        with mock.patch.object(statclasses, "_SPLIT_ELEMS", 1):
-            chunked = TreeBlocks.build(X, 3)
-        for name in ("block_of", "members", "left", "right"):
-            assert np.array_equal(getattr(whole, name), getattr(chunked, name))
+    @settings(max_examples=300, deadline=None)
+    @given(zero_one_rows())
+    def test_any_zero_one_rows_give_the_reachable_row_sets(self, problem):
+        X, depth = problem
+        table = TreeBlocks.build(X, depth)
+        sets = [frozenset(table.members[table.block_of == b].tolist())
+                for b in range(table.n_blocks)]
+        assert sets[0] == frozenset(range(len(X)))
+        assert len(set(sets)) == len(sets)
+        assert set(sets) == reachable_row_sets(X, depth)
+        if X.shape[1] == 0:  # the constant column that stands in for none
+            X = np.zeros((len(X), 1))
+        level = first_reached(X, depth)
+        assert table.left.shape == table.right.shape == (len(sets), X.shape[1])
+        for b, j in itertools.product(range(len(sets)), range(X.shape[1])):
+            zero = frozenset(i for i in sets[b] if X[i, j] == 0)
+            if zero and zero != sets[b] and level[sets[b]] < depth:
+                assert (sets[table.left[b, j]], sets[table.right[b, j]]) == (zero, sets[b] - zero)
+            else:
+                assert table.left[b, j] == table.right[b, j] == -1
 
     @settings(max_examples=200, deadline=None)
     @given(label_rows())
