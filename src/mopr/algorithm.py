@@ -4,9 +4,10 @@ One loop, ``_cutting_plane``, does the retrieval.  Each iteration re-solves
 the similarity LP under the cuts found so far (one LP object, carried from
 solve to solve, with the target gap relaxed to the smallest feasible one if
 it is infeasible), rounds the LP point to its k largest coordinates, and
-hands the rounded selection to a separator.  The separator returns the
-selection's violation and, only when asked, a cut that the selection
-violates.  The loop stops when the selection is certified, when the new cut
+hands the rounded selection to a separator: one call ``sep(a) -> (violation,
+cut)`` at any point of [0,1]^n, the cut over all n items with bound 0 and
+tight at ``a``.  The loop restricts the cut to its LP columns, bounds it by
+its rho, and stops when the selection is certified, when the new cut
 duplicates an old one (the LP would not change), or after T iterations.
 
 The LP has a column only for the items an optimum can choose.  Each
@@ -135,16 +136,13 @@ class MoprTrace:
 class _Oracle:
     """Separator by the most disproportionate statistic of the configured class.
 
-    ``oracle(a)`` returns (violation, witness) for a binary selection.  The
-    witness is the worst statistic's values on the D_R items and its mean over
-    D_C, as the search computed them; ``cut_for(witness, rho)`` bounds the gap
-    between its selection mean and that curated mean by rho.  ``classes[i]``
-    is the distinct feature row of retrieval item i, on which every cut is
-    constant.  The oracle is deterministic and remembers its last evaluation:
-    a loop whose new cut leaves the rounded selection as it was asks again,
-    and so does a sweep's first retrieval after its top-k reference.  Its
-    ``groups`` keep the exact tree fit's block table from the first
-    evaluation on, so a sweep builds it once.
+    ``oracle(a)`` returns (violation, cut): the cut bounds by 0 the gap between
+    the worst statistic's mean over the selection and its mean over D_C, its
+    coefficients the statistic's values on the D_R items over k, as the search
+    computed them.  ``classes[i]`` is the distinct feature row of retrieval
+    item i, on which every cut is constant.  The oracle is deterministic; its
+    ``groups`` keep the exact tree fit's block table from the first evaluation
+    on, so a sweep builds it once.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
@@ -158,45 +156,34 @@ class _Oracle:
         else:
             self.groups = feature_groups(d_r, d_c, cfg.feature_view)
             self.classes = self.groups.inverse[: self.n]
-        self._last: tuple[np.ndarray, tuple] | None = None
 
-    def __call__(self, a: np.ndarray):
-        if self._last is not None and np.array_equal(self._last[0], a):
-            return self._last[1]
-        result = self._evaluate(a)
-        self._last = (a.copy(), result)
-        return result
-
-    def _evaluate(self, a: np.ndarray):
+    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
         cfg = self.cfg
         if cfg.oracle_kind == "finite":
             value, i = self.table.worst(a, self.k)
-            return value, (self.table.on_retrieval[i], float(self.table.curated_means[i]))
+            return value, Cut(self.table.on_retrieval[i] / self.k,
+                              float(self.table.curated_means[i]), 0.0)
         value, _, _, values = oracle_gap(
             self.groups, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
             cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
             cfg.seed,
         )
-        return value, (values[: self.n], float(np.mean(values[self.n :])))
-
-    def cut_for(self, witness, rho: float, columns=slice(None)) -> Cut:
-        on_retrieval, curated_mean = witness
-        return Cut(on_retrieval[columns] / self.k, curated_mean, rho)
+        return value, Cut(values[: self.n] / self.k, float(np.mean(values[self.n :])), 0.0)
 
 
 class _SupportingHyperplane:
     """Separator of the linear class by its closed-form norm.
 
-    ``sep(a)`` returns (MPR, witness) for a binary selection: the MPR is
-    tn * ||z||, z the signed weights in the stack's left singular vectors U.
-    The worst statistic is tn * U z / ||z||, the normalized least-squares fit
-    of the signed weights; its values on the D_R items over k are the norm's
-    gradient at ``a``, and its curated mean is gradient . a - MPR.
-    ``cut_for`` bounds the gap between the two means by rho, the oracle's
-    cut: its upper side is the norm's supporting hyperplane, and the class
-    is closed under negation, so both sides are necessary conditions.  The
-    gradient is computed once per distinct feature row and gathered to the
-    items, so it is exactly constant on each of the ``classes``.
+    ``sep(a)`` returns (MPR, cut): the MPR is tn * ||z||, z the signed weights
+    in the stack's left singular vectors U.  The worst statistic is
+    tn * U z / ||z||, the normalized least-squares fit of the signed weights;
+    its values on the D_R items over k are the norm's gradient at ``a``, the
+    cut's coefficients, and its curated mean is gradient . a - MPR, the cut's
+    offset.  The cut's upper side is the norm's supporting hyperplane, and the
+    class is closed under negation, so both sides are necessary conditions.
+    At z = 0 no linear statistic separates the sets: the MPR is 0 and the cut
+    the zero row.  The gradient is computed once per distinct feature row and
+    gathered to the items, so it is exactly constant on each of the ``classes``.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
@@ -204,17 +191,14 @@ class _SupportingHyperplane:
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.classes = self.ctx.groups.inverse[: self.n]
 
-    def __call__(self, a: np.ndarray):
+    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
         value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
-        return value, (a, value, z)
-
-    def cut_for(self, witness, rho: float, columns=slice(None)) -> Cut:
-        # only asked for when the value exceeds rho >= 0, so z is nonzero; the
-        # selection lies in the LP's columns, so the offset is the same on them
-        a, value, z = witness
+        zn = float(np.linalg.norm(z))
+        if zn == 0.0:
+            return value, Cut(np.zeros(self.n), 0.0, 0.0)
         tn = target_norm(self.m, self.k)
-        grad = (tn * (self.ctx.U_l @ z) / float(np.linalg.norm(z)))[self.classes] / self.k
-        return Cut(grad[columns], float(grad @ a) - value, rho)
+        grad = (tn * (self.ctx.U_l @ z) / zn)[self.classes] / self.k
+        return value, Cut(grad, float(grad @ a) - value, 0.0)
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
@@ -277,9 +261,10 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
     """The cutting-plane loop of every retrieval; see the module docstring.
 
     Its whole state is the ``carry``.  The LP is solved over the items
-    ``keep`` (``_selectable`` of the separator's classes), with every cut
-    restricted to them, and its top k are the selection.  The separator sees
-    the selection over all n items.  A new cut whose coefficients lie within
+    ``keep`` (``_selectable`` of the separator's classes), and its top k are
+    the selection.  ``carry.separate`` sees the selection over all n items,
+    and its cut, restricted to ``keep`` and bounded by the effective rho, is
+    the LP's new row.  A new cut whose coefficients lie within
     DUPLICATE_CUT_TOL of a row of the LP leaves the LP unchanged, and
     re-solving it from its own optimal basis returns the same point, so every
     later iteration would return the same selection: the loop halts there.
@@ -287,7 +272,7 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
     and keeps its own cuts and LP there, so they stay the LP's rows even when
     the relaxation raises.
     """
-    s, keep, k, separate = carry.s, carry.keep, carry.k, carry.separator
+    s, keep, k = carry.s, carry.keep, carry.k
     trace = MoprTrace(effective_rho=rho)
     carry.cuts = cuts = [c.with_bound(rho) for c in carry.cuts]
     rho_eff = rho
@@ -299,14 +284,14 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
         trace.effective_rho = rho_eff
         chosen = np.zeros(s.size)
         chosen[keep[round_top_k(lp.a, k).indices]] = 1.0
-        violation, witness = separate(chosen)
+        violation, row = carry.separate(chosen)
         record = IterationRecord(iteration=it, violation=violation, lp_objective=lp.objective,
                                  n_fractional=lp.n_fractional, lp_pivots=pivots,
                                  rho_eff=rho_eff, cut_added=False)
         trace.iterations.append(record)
         if violation <= rho_eff + HALT_TOL or it == T:
             break
-        cut = separate.cut_for(witness, rho_eff, keep)
+        cut = Cut(row.coefficients[keep], row.offset, rho_eff)
         if (np.abs(lp.lp.cut_rows - cut.coefficients).max(axis=1) < DUPLICATE_CUT_TOL).any():
             record.duplicate_cut = stalled = True
             break
@@ -334,9 +319,11 @@ class _SweepCarry:
     pool (restricted to ``keep``) and the LP (``solve_lp``'s ``lp``, its rows
     those cuts) where the last retrieval from it ended.  A cut is a necessary
     condition of MPR <= rho at any rho once its bound is set to that rho,
-    because its witness is a member of the class, so the pool stays valid
+    because its statistic is a member of the class, so the pool stays valid
     down the grid; only row bounds change, which ``solve_lp(start=)`` writes
-    into the carried LP.
+    into the carried LP.  ``separate`` calls the separator and remembers its
+    last answer, which a loop whose new cut leaves the selection as it was
+    asks for again, as does a sweep's first retrieval after its top-k reference.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
@@ -352,6 +339,12 @@ class _SweepCarry:
         self.separator = (_SupportingHyperplane if linear else _Oracle)(d_r, d_c, k, cfg)
         self.keep = _selectable(self.s, self.separator.classes, k)
         self.cuts, self.lp = [], None
+        self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
+
+    def separate(self, a: np.ndarray) -> tuple[float, Cut]:
+        if self._last is None or not np.array_equal(self._last[0], a):
+            self._last = (a.copy(), self.separator(a))
+        return self._last[1]
 
     @staticmethod
     def _fixed(cfg: MoprConfig) -> MoprConfig:
@@ -480,7 +473,7 @@ def pareto_sweep(
     carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
     s = carry.s
     sel0 = round_top_k(s, k)
-    mpr0, _ = carry.separator(sel0.indicator.astype(float))
+    mpr0, _ = carry.separate(sel0.indicator.astype(float))
     sim0 = float(np.mean(s[sel0.indices]))
     points: list[ParetoPoint] = []
     for rho, cfg in zip(rho_grid, cfgs):

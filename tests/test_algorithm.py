@@ -77,12 +77,12 @@ def grid_instance(seed=0, n=80, m=60):
 
 
 def loop_separator(d_r, d_c, q, k, cfg):
-    """The separator ``mopr_retrieve`` builds for ``cfg``, returning its cut."""
+    """The separator ``mopr_retrieve`` builds for ``cfg``, its cut bounded by ``cfg.rho``."""
     separator = _SweepCarry(d_r, d_c, q, k, cfg).separator
 
     def separate(a):
-        violation, witness = separator(a)
-        return violation, separator.cut_for(witness, cfg.rho)
+        violation, cut = separator(a)
+        return violation, cut.with_bound(cfg.rho)
 
     return separate
 
@@ -350,6 +350,19 @@ class TestMoprRetrieve:
         indicators = all_cell_indicators(d_r.schema.label_cards)
         assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
 
+    @pytest.mark.parametrize("kind, view", [("tree", "embedding"), ("tree", "concat"),
+                                            ("mlp", "labels"), ("mlp", "embedding"),
+                                            ("mlp", "concat")])
+    def test_oracle_achieved_mpr_is_its_own_gap(self, kind, view):
+        d_r, d_c, q = grid_instance()
+        cfg = MoprConfig(rho=0.05, T=5, oracle_kind=kind, feature_view=view, mlp_hidden=4,
+                         mlp_epochs=30)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 10, cfg)
+        assert trace.selection is sel
+        assert trace.achieved_mpr == metric.mpr_via_oracle(
+            sel, d_r, d_c, kind, view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
+            cfg.mlp_step, cfg.seed).value
+
     def test_k_too_large(self, rng):
         d_r, d_c, q = binary_instance(rng, n=15)
         with pytest.raises(ValueError, match="exceeds"):
@@ -568,7 +581,7 @@ class TestOracleCut:
         _, w, _, _ = oracle_gap(groups, signed_weights(a, k, m), m, k, kind, view,
                                 cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
                                 cfg.mlp_step, cfg.seed)
-        cut = oracle.cut_for(oracle(a)[1], cfg.rho)
+        cut = oracle(a)[1].with_bound(cfg.rho)
         searched = w.values_from_features(groups.rows)[groups.inverse]
         assert np.array_equal(cut.coefficients, searched[:n] / k)
         assert cut.offset == float(np.mean(searched[n:]))
@@ -590,10 +603,48 @@ class TestOracleCut:
         oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="finite"))
         table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
         _, i = table.worst(a, k)
-        cut = oracle.cut_for(oracle(a)[1], 0.1)
+        cut = oracle(a)[1].with_bound(0.1)
         expected = table.cuts(k, 0.1)[i]
         assert np.array_equal(cut.coefficients, expected.coefficients)
         assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
+
+
+SEPARATORS = [("finite", "labels")] + [
+    (kind, view) for kind in ("hyperplane", "linear", "tree", "mlp")
+    for view in ("labels", "embedding", "concat")
+]
+
+
+class TestCutIsTight:
+    """A separator's cut at ``a`` spans all n retrieval items with bound 0,
+    and its two sides are apart by the violation at ``a``, at a selection and
+    at a fractional point of the LP's polytope (0 <= a <= 1, sum(a) = k)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(SEPARATORS), st.booleans())
+    def test_cut_is_tight(self, seed, separator, fractional):
+        kind, view = separator
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 120)), int(rng.integers(2, 100))
+        k = int(rng.integers(1, n + 1))
+        d_r, d_c = random_pair(rng, n, m, int(rng.integers(1, 6)), int(rng.integers(2, 5)))
+        a, b = np.zeros(n), np.zeros(n)
+        a[rng.choice(n, size=k, replace=False)] = 1.0
+        if fractional:  # a convex combination of two selections and the uniform point
+            b[rng.choice(n, size=k, replace=False)] = 1.0
+            w = rng.dirichlet(np.ones(3))
+            a = w[0] * a + w[1] * b + w[2] * (k / n)
+        if kind == "hyperplane":
+            separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
+        else:
+            separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind, feature_view=view,
+                                                       mlp_hidden=4, mlp_epochs=20,
+                                                       seed=seed % 7))
+        violation, cut = separate(a)
+        assert cut.coefficients.shape == (n,) and cut.bound == 0.0
+        assert np.all(np.isfinite(cut.coefficients))
+        assert abs(float(cut.coefficients @ a) - cut.offset) == pytest.approx(
+            violation, rel=1e-9, abs=1e-12)
 
 
 class TestLinearSeparator:
@@ -617,14 +668,29 @@ class TestLinearSeparator:
         # rounding, and both witnesses are then rounding noise
         assume(gap > 1e-12)
         separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
-        value, witness = separate(a)
-        cut = separate.cut_for(witness, 0.05)
+        value, cut = separate(a)
+        cut = cut.with_bound(0.05)
         coefficients, offset = values[:n] / k, float(np.mean(values[n:]))
         assert value == pytest.approx(gap, rel=1e-9)
         scale = np.abs(values).max()
         assert np.allclose(cut.coefficients, coefficients, rtol=1e-9, atol=1e-9 * scale / k)
         assert cut.offset == pytest.approx(offset, rel=1e-9, abs=1e-9 * scale)
         assert cut.bound == 0.05
+
+    def test_zero_gap_is_the_zero_row(self):
+        # one selected and two curated items per cell: the selection's cell
+        # counts over k are the curated ones over m, so no linear statistic
+        # separates the sets
+        cells = [{"g": g} for g in (0, 0, 1, 1)]
+        rng = np.random.default_rng(0)
+        d_r = make_dataset(rng.standard_normal((4, 3)), cells, cards={"g": 2}, prefix="r")
+        d_c = make_dataset(rng.standard_normal((4, 3)), cells, cards={"g": 2},
+                           role="curated", prefix="c")
+        violation, cut = _SupportingHyperplane(d_r, d_c, 2, MoprConfig())(
+            np.array([1.0, 0.0, 1.0, 0.0]))
+        assert violation == 0.0
+        assert np.array_equal(cut.coefficients, np.zeros(4))
+        assert (cut.offset, cut.bound) == (0.0, 0.0)
 
     def test_linear_retrieval_and_sweep_fit_nothing(self, monkeypatch):
         d_r, d_c, q = grid_instance()
@@ -729,10 +795,10 @@ class TestPrunedLp:
         for _ in range(3):
             a = np.zeros(len(d_r))
             a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
-            value, witness = separate(a)
+            value, cut = separate(a)
             if value > rho:
-                full.append(separate.cut_for(witness, rho))
-                pruned.append(separate.cut_for(witness, rho, keep))
+                full.append(cut.with_bound(rho))
+                pruned.append(Cut(cut.coefficients[keep], cut.offset, rho))
         lp = solve_lp(s[keep], pruned, k)
         ref = scipy_reference(s, full, k)
         assert ref.status in (0, 2)
@@ -788,9 +854,9 @@ class TestPrunedLp:
         a = np.zeros(len(d_r))
         a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
         separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
-        value, witness = separate(a)
+        value, cut = separate(a)
         assert value > 0.0
-        coefficients = separate.cut_for(witness, 0.0).coefficients
+        coefficients = cut.coefficients
         for c in np.unique(separate.classes):
             on_class = coefficients[separate.classes == c]
             assert np.all(on_class == on_class[0])
@@ -815,25 +881,34 @@ class TestPrunedLp:
 
 
 class TestOracleMemo:
-    def test_repeats_the_last_evaluation_only(self, monkeypatch):
+    """The retrieval state remembers its separator's last answer, for every class."""
+
+    @staticmethod
+    def assert_repeats_the_last_answer_only(kind, evaluation, monkeypatch):
         d_r, d_c, q = grid_instance()
-        oracle = _Oracle(d_r, d_c, 10, MoprConfig(oracle_kind="linear"))
+        carry = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind=kind))
         calls = []
-        inner = algorithm.oracle_gap
+        inner = getattr(algorithm, evaluation)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(algorithm, "oracle_gap", counting)
+        monkeypatch.setattr(algorithm, evaluation, counting)
         a, b = np.zeros(len(d_r)), np.zeros(len(d_r))
         a[:10], b[10:20] = 1.0, 1.0
-        first = oracle(a)
-        assert oracle(a.copy()) is first and len(calls) == 1
-        oracle(b)
+        first = carry.separate(a)
+        assert carry.separate(a.copy()) is first and len(calls) == 1
+        carry.separate(b)
         assert len(calls) == 2
-        a[:2], a[20:22] = 0.0, 1.0  # the oracle kept a copy, not this array
-        assert oracle(a)[0] != first[0] and len(calls) == 3
+        a[:2], a[20:22] = 0.0, 1.0  # the carry kept a copy, not this array
+        assert carry.separate(a)[0] != first[0] and len(calls) == 3
+
+    def test_repeats_the_last_evaluation_only(self, monkeypatch):
+        self.assert_repeats_the_last_answer_only("tree", "oracle_gap", monkeypatch)
+
+    def test_linear_class_repeats_the_last_evaluation_only(self, monkeypatch):
+        self.assert_repeats_the_last_answer_only("linear", "closed_form_gap", monkeypatch)
 
 
 class TestParetoSweep:
