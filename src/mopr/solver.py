@@ -284,11 +284,17 @@ def solve_lp(s: np.ndarray, cuts, k: int, start: _Lp | None = None) -> LpSolutio
 
 
 def round_top_k(a: np.ndarray, k: int) -> Selection:
-    """Indicator of the k largest entries of ``a``; ties to the lower index."""
+    """Indicator of the k largest entries of ``a``; an entry within TOL of the
+    next larger one ties with it, and ties go to the lower index, so rounding
+    noise between two solves of one LP point moves no selection."""
     a = np.asarray(a, dtype=float)
     if a.size < k:
         raise ValueError("fewer entries than k")
     order = np.argsort(-a, kind="stable")
+    if 0 < k < a.size and a[order[k - 1]] - a[order[k]] <= TOL:  # a tie at the k-th place
+        tie_group = np.concatenate(([0], np.cumsum(np.diff(a[order]) < -TOL)))
+        at_k = tie_group == tie_group[k - 1]
+        order[at_k] = np.sort(order[at_k])
     indicator = np.zeros(a.size, dtype=int)
     indicator[order[:k]] = 1
     return Selection(indicator, k)

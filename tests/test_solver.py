@@ -130,6 +130,13 @@ class TestRoundTopK:
     def test_tie_rule(self):
         assert round_top_k(np.array([0.5, 0.5, 0.5]), 1).indicator.tolist() == [1, 0, 0]
 
+    def test_ties_within_tol_go_to_the_lower_index(self):
+        # one LP point reached by two pivot sequences, 1 ulp apart at the k-th place
+        a = np.array([1.0, 0.49999999999999967, 0.5000000000000004, 0.1])
+        assert round_top_k(a, 2).indicator.tolist() == [1, 1, 0, 0]
+        assert round_top_k(a[[0, 2, 1, 3]], 2).indicator.tolist() == [1, 1, 0, 0]
+        assert round_top_k(np.array([0.5, 0.5 + 2e-9, 0.1]), 1).indicator.tolist() == [0, 1, 0]
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=3, max_size=10),
            st.integers(min_value=1, max_value=3))
