@@ -12,8 +12,8 @@ duplicates an old one (the LP would not change), or after T iterations.
 
 The LP has a column only for the items an optimum can choose.  Each
 separator names the class of every retrieval item, the distinct feature row
-its cuts are constant on: the label cell for the finite class, read from its
-indicator table, and otherwise its ``feature_groups`` inverse over D_R, the
+its cuts are constant on: the label cell for the finite class, from its
+``CellCounts``, and otherwise its ``feature_groups`` inverse over D_R, the
 label cell on the labels view and the item itself elsewhere.  Moving LP
 weight within a class to a more similar item keeps every cut row and raises
 the objective, so an optimum takes at most k items of a class, and the most
@@ -27,7 +27,8 @@ the supporting hyperplane of the closed-form norm, and
 ``_SupportingHyperplane`` builds that cut from the norm's gradient without a
 fit (Prop. ``closed_form_MPR``).  Every other class uses ``_Oracle``, which
 finds the statistic with the most disproportionate representation (exactly
-over the cell indicators, or by a tree or MLP oracle) and cuts on its mean.
+over the cell indicators from their counts, or by a tree or MLP oracle) and
+cuts on its mean.
 On the labels view the tree oracle is exact, from a block table built once
 per oracle, so a ``constraint-satisfied`` halt certifies the gap over every
 tree of the depth limit; on the other views it is greedy CART, and the
@@ -46,8 +47,7 @@ import numpy as np
 
 from mopr.datamodel import Dataset, Query
 from mopr.metric import (
-    FiniteTable,
-    _check_compatible,
+    CellCounts,
     closed_form_gap,
     feature_groups,
     oracle_gap,
@@ -56,7 +56,7 @@ from mopr.metric import (
 )
 from mopr.similarity import Selection, condition_curation, similarity_vector
 from mopr.solver import Cut, round_top_k, solve_lp
-from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators, target_norm
+from mopr.statclasses import FEATURE_VIEWS, target_norm
 
 HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
@@ -106,6 +106,8 @@ class MoprConfig:
             raise ValueError(f"unknown oracle {self.oracle_kind!r}")
         if self.feature_view not in FEATURE_VIEWS:
             raise ValueError(f"unknown feature view {self.feature_view!r}")
+        if self.oracle_kind == "finite" and self.feature_view != "labels":
+            raise ValueError(f"the finite class needs the labels view, not {self.feature_view!r}")
 
 
 @dataclass
@@ -149,10 +151,8 @@ class _Oracle:
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
         if cfg.oracle_kind == "finite":
-            _check_compatible(d_r, d_c, "labels")  # the cells come from D_R's schema
-            self.table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-            # an item is +1 on its own cell's indicator and -1 on every other
-            self.classes = np.argmax(self.table.on_retrieval, axis=0)
+            self.counts = CellCounts.build(d_r, d_c)
+            self.classes = self.counts.cells
         else:
             self.groups = feature_groups(d_r, d_c, cfg.feature_view)
             self.classes = self.groups.inverse[: self.n]
@@ -160,9 +160,8 @@ class _Oracle:
     def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
         cfg = self.cfg
         if cfg.oracle_kind == "finite":
-            value, i = self.table.worst(a, self.k)
-            return value, Cut(self.table.on_retrieval[i] / self.k,
-                              float(self.table.curated_means[i]), 0.0)
+            value, cell = self.counts.worst(a, self.k)
+            return value, self.counts.cut(cell, self.k, 0.0)
         value, _, _, values = oracle_gap(
             self.groups, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
             cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,

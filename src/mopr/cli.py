@@ -121,9 +121,10 @@ def cmd_mpr(args) -> int:
         kernel, sigma = _parse_kernel(args.kernel)
         report = metric.mpr_rkhs(sel, d_r, d_c, kernel, sigma, args.feature_view)
     elif args.method == "finite" or args.oracle == "finite":
-        report = metric.mpr_exact_finite(
-            sel, d_r, d_c, all_cell_indicators(d_r.schema.label_cards)
-        )
+        if args.feature_view != "labels":
+            raise ValueError(f"the finite class needs the labels view, not {args.feature_view!r}")
+        indicators = all_cell_indicators(d_r.schema.label_cards)
+        report = metric.mpr_exact_finite(sel, d_r, d_c, indicators)
     else:
         report = metric.mpr_via_oracle(
             sel, d_r, d_c, oracle=args.oracle, feature_view=args.feature_view, seed=args.seed
@@ -196,11 +197,10 @@ def cmd_compare_ip(args) -> int:
             f"compare-ip requires a retrieval pool of at most {solver.IP_EXACT_MAX_N} items"
         )
     s = similarity.similarity_vector(d_r, q)
-    table = metric.FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-    grid = _floats("--rho-grid", args.rho_grid)
+    counts = metric.CellCounts.build(d_r, d_c)
     rows = []
-    for rho in grid:
-        cuts = table.cuts(args.k, rho)
+    for rho in _floats("--rho-grid", args.rho_grid):
+        cuts = [counts.cut(cell, args.k, rho) for cell in range(counts.curated.size)]
         lp = solver.solve_lp(s, cuts, args.k)
         if lp.status != "optimal":
             rows.append([rho, "infeasible", "", "", "", ""])
@@ -208,7 +208,7 @@ def cmd_compare_ip(args) -> int:
         rounded = solver.round_top_k(lp.a, args.k)
         # the rounded set's own MPR is above rho when rounding broke a cut
         figures = ["%.17g" % v for v in (lp.objective, float(s @ rounded.indicator),
-                                         table.worst(rounded.indicator, args.k)[0])]
+                                         counts.worst(rounded.indicator, args.k)[0])]
         try:
             ip_sel = solver.solve_ip_exact(s, cuts, args.k)
         except ValueError:  # the relaxation is feasible, but no selection is

@@ -10,13 +10,16 @@ statistic is a function of the cell: it maximizes over every tree of the
 depth limit.  On the other views it is greedy CART, and the MLP oracle is a
 trained net; both are lower bounds on their class's gap.
 
-Every evaluator but the finite one works on the distinct feature rows of D_R
-over D_C (``feature_groups``, a ``statclasses.FeatureGroups``): the
-intersectional cells present on the labels view, found from the label codes,
-and every row elsewhere.  The oracle fits take the groups and map their
-values back to every row, the closed form factors the groups' weighted rows,
-and the kernel distance takes the groups' sums of the signed weights and drops
-the rows of zero weight.
+The cell indicators, +1 on a cell's items and -1 elsewhere, are held as
+counts (``CellCounts``): a cell's gap depends only on how many selected and
+curated items fall in it.  Every other evaluator works on the distinct
+feature rows of D_R over D_C (``feature_groups``, a
+``statclasses.FeatureGroups``): the intersectional cells present on the
+labels view, found as ``CellCounts`` finds them (``_label_cells``), and every
+row elsewhere.  The oracle fits take the groups and map their values back to
+every row, the closed form factors the groups' weighted rows, and the kernel
+distance takes the groups' sums of the signed weights and drops the rows of
+zero weight.
 """
 
 from __future__ import annotations
@@ -100,33 +103,33 @@ def combined_features(d_r: Dataset, d_c: Dataset, view: str) -> np.ndarray:
     return np.vstack([feature_matrix(d_r, view), feature_matrix(d_c, view)])
 
 
-def _cell_codes(labels: np.ndarray, cards: list[int]) -> np.ndarray:
-    """A mixed-radix code of each row of label codes, so equal rows get equal codes."""
-    code, span = np.zeros(len(labels), dtype=np.int64), 1
+def _label_cells(d_r: Dataset, d_c: Dataset):
+    """The label rows of D_R over D_C, their cards, and each present cell's
+    first row and each row's cell, the cells in lexicographic order."""
+    _check_compatible(d_r, d_c, "labels")
+    labels = np.vstack([d_r.labels, d_c.labels])
+    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
+    code, span = np.zeros(len(labels), dtype=np.int64), 1  # a mixed-radix code of each row
     for j, card in enumerate(cards):
         if span * card >= 2**62:  # renumber the codes so far before they overflow
             code = np.unique(code, return_inverse=True)[1]
             span = len(labels)
         code, span = code * card + labels[:, j], span * card
-    return code
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    return labels, cards, first, inverse
 
 
 def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
     """Distinct feature rows of D_R stacked over D_C.
 
     On the labels view a row is a function of the item's intersectional cell,
-    so the rows are grouped by a mixed-radix code of the label codes.  The
+    so the rows are grouped by cell, in order of first appearance.  The
     embedding and concat views take the stacked rows as they are."""
     if view != "labels":
         return FeatureGroups.identity(combined_features(d_r, d_c, view))
-    _check_compatible(d_r, d_c, view)
-    labels = np.vstack([d_r.labels, d_c.labels])
-    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
-    _, first, inverse = np.unique(_cell_codes(labels, cards), return_index=True,
-                                  return_inverse=True)
+    labels, cards, first, inverse = _label_cells(d_r, d_c)
     by_first = np.argsort(first)
-    renumber = np.empty_like(by_first)
-    renumber[by_first] = np.arange(by_first.size)
+    renumber = np.argsort(by_first)  # the inverse permutation
     return FeatureGroups(one_hot(labels[first[by_first]], cards), renumber[inverse])
 
 
@@ -141,50 +144,48 @@ def svd_context(groups: FeatureGroups) -> SvdContext:
 
 
 @dataclass(frozen=True)
-class FiniteTable:
-    """A finite statistic list: its values on the retrieval items, one row per
-    statistic, and each statistic's mean over the curated items."""
+class CellCounts:
+    """The cell indicators as counts.  ``cells[i]`` is retrieval item i's
+    cell, in lexicographic order over the cells present in D_R or D_C, and
+    ``curated[j]`` cell j's indicator mean over D_C, (2C - m)/m for C of the
+    m curated items in it.  A cell absent from both has gap |1 - sum(a)/k|,
+    0 at a selection, so it is left out."""
 
-    on_retrieval: np.ndarray
-    curated_means: np.ndarray
+    cells: np.ndarray
+    curated: np.ndarray
 
     @classmethod
-    def build(cls, stats: list, d_r: Dataset, d_c: Dataset) -> "FiniteTable":
-        if not stats:
-            raise ValueError("indicator list must be nonempty")
-        return cls(
-            np.stack([st.values(d_r) for st in stats]),
-            np.array([float(np.mean(st.values(d_c))) for st in stats]),
-        )
+    def build(cls, d_r: Dataset, d_c: Dataset) -> "CellCounts":
+        n, m, inverse = len(d_r), len(d_c), _label_cells(d_r, d_c)[3]
+        counts = np.bincount(inverse[n:], minlength=inverse.max() + 1)
+        return cls(inverse[:n], (2 * counts - m) / m)
 
     def worst(self, a: np.ndarray, k: int) -> tuple[float, int]:
-        """Largest |selection mean - curated mean| for selection weights ``a``
-        summing to k, and the index of its statistic in the list the table was
-        built from; ties to the first.  The selection mean is (values @ a) / k,
-        which for ±1 values and a binary ``a`` is exact."""
-        gaps = np.abs(self.on_retrieval @ a / k - self.curated_means)
+        """Largest |selection mean - curated mean| for selection weights
+        ``a`` summing to k, and its cell; ties to the lowest.  A cell of
+        weight c has selection mean (2c - sum(a))/k, exact for a binary ``a``."""
+        c = np.bincount(self.cells, a, self.curated.size)
+        gaps = np.abs((2 * c - np.sum(a)) / k - self.curated)
         best = int(np.argmax(gaps))
         return float(gaps[best]), best
 
-    def cuts(self, k: int, rho: float) -> list[Cut]:
-        """One cut |mean over the selection - curated mean| <= rho per statistic."""
-        return [
-            Cut(row / k, float(mean), rho)
-            for row, mean in zip(self.on_retrieval, self.curated_means)
-        ]
+    def cut(self, cell: int, k: int, rho: float) -> Cut:
+        """The cut |``cell``'s selection mean - its curated mean| <= rho."""
+        return Cut(np.where(self.cells == cell, 1.0, -1.0) / k, float(self.curated[cell]), rho)
 
 
 def mpr_exact_finite(
     sel: Selection, d_r: Dataset, d_c: Dataset, indicators: list[RepStatistic]
 ) -> MprReport:
     """Exact supremum over an explicit finite statistic list; ties to the first."""
-    value, best = FiniteTable.build(indicators, d_r, d_c).worst(sel.indicator, sel.k)
-    return MprReport(
-        value=value,
-        method="exact-finite",
-        witness=indicators[best],
-        diagnostics={"class_size": len(indicators)},
-    )
+    if not indicators:
+        raise ValueError("indicator list must be nonempty")
+    on_retrieval = np.stack([st.values(d_r) for st in indicators])
+    curated_means = np.array([float(np.mean(st.values(d_c))) for st in indicators])
+    gaps = np.abs(on_retrieval @ sel.indicator / sel.k - curated_means)
+    best = int(np.argmax(gaps))
+    return MprReport(value=float(gaps[best]), method="exact-finite", witness=indicators[best],
+                     diagnostics={"class_size": len(indicators)})
 
 
 def oracle_gap(

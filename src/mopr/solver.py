@@ -52,7 +52,7 @@ class Cut:
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
-        if not np.all(np.isfinite(coef)):
+        if not np.isfinite(coef).all():
             raise ValueError("cut coefficients must be finite")
         if not math.isfinite(self.offset):
             raise ValueError(f"cut offset must be finite, got {self.offset}")

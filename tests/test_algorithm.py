@@ -33,7 +33,6 @@ from mopr.datamodel import (
     generate_synthetic,
 )
 from mopr.metric import (
-    FiniteTable,
     feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -41,7 +40,7 @@ from mopr.metric import (
     signed_weights,
     svd_context,
 )
-from mopr.similarity import similarity_vector, top_k
+from mopr.similarity import Selection, similarity_vector, top_k
 from mopr.solver import check_cuts, round_top_k, solve_ip_exact, solve_lp, Cut
 from mopr.statclasses import all_cell_indicators, target_norm
 
@@ -74,6 +73,23 @@ def grid_instance(seed=0, n=80, m=60):
     spec = SyntheticSpec(n=n, m=m, d=4, group_axes=axes,
                          similarity_bias={"a": (0.5, -0.5)}, seed=seed)
     return generate_synthetic(spec)
+
+
+def cell_cuts(d_r, d_c, k, rho):
+    """One cut per cell of the full product, from its indicator's values."""
+    return [Cut(ind.values(d_r) / k, float(np.mean(ind.values(d_c))), rho)
+            for ind in all_cell_indicators(d_r.schema.label_cards)]
+
+
+def finite_scan(sel, d_r, d_c):
+    """The cell-indicator gap of ``sel`` by a plain scan of the label tuples
+    present in D_R or D_C; a cell absent from both has gap 0 at a selection."""
+    rows = [tuple(r) for r in d_r.labels.tolist()]
+    curated = [tuple(r) for r in d_c.labels.tolist()]
+    picked = [rows[i] for i in sel.indices]
+    k, m = sel.k, len(curated)
+    return max(abs((2 * picked.count(c) - k) / k - (2 * curated.count(c) - m) / m)
+               for c in set(rows) | set(curated))
 
 
 def loop_separator(d_r, d_c, q, k, cfg):
@@ -350,6 +366,17 @@ class TestMoprRetrieve:
         indicators = all_cell_indicators(d_r.schema.label_cards)
         assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
 
+    def test_finite_on_twenty_binary_axes(self):
+        # 2^20 cells, of which at most n + m are present
+        axes = tuple(GroupAxis(f"a{j:02d}", 2, (0.7, 0.3), (0.5, 0.5)) for j in range(20))
+        spec = SyntheticSpec(n=300, m=100, d=4, group_axes=axes,
+                             similarity_bias={"a00": (0.5, -0.5)}, seed=5)
+        d_r, d_c, q = generate_synthetic(spec)
+        sel, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.1, T=5, oracle_kind="finite"))
+        assert any(record.cut_added for record in trace.iterations)
+        assert trace.selection is sel
+        assert trace.achieved_mpr == finite_scan(sel, d_r, d_c)
+
     @pytest.mark.parametrize("kind, view", [("tree", "embedding"), ("tree", "concat"),
                                             ("mlp", "labels"), ("mlp", "embedding"),
                                             ("mlp", "concat")])
@@ -389,6 +416,12 @@ class TestMoprRetrieve:
             MoprConfig(oracle_kind="finite", feature_view="bogus")
         with pytest.raises(ValueError, match="unknown oracle 'svm'"):
             replace(MoprConfig(), oracle_kind="svm")
+        # the finite class is the label cells, so another view is no run of it
+        for view in ("embedding", "concat"):
+            with pytest.raises(ValueError, match=f"needs the labels view, not '{view}'"):
+                MoprConfig(oracle_kind="finite", feature_view=view)
+            with pytest.raises(ValueError, match=f"needs the labels view, not '{view}'"):
+                replace(MoprConfig(feature_view=view), oracle_kind="finite")
 
     def test_nan_rho_rejected(self, rng):
         d_r, d_c, q = binary_instance(rng)
@@ -601,10 +634,10 @@ class TestOracleCut:
         a = np.zeros(len(d_r))
         a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
         oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="finite"))
-        table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
-        _, i = table.worst(a, k)
+        indicators = all_cell_indicators(d_r.schema.label_cards)
+        witness = mpr_exact_finite(Selection(a.astype(int), k), d_r, d_c, indicators).witness
         cut = oracle(a)[1].with_bound(0.1)
-        expected = table.cuts(k, 0.1)[i]
+        expected = cell_cuts(d_r, d_c, k, 0.1)[indicators.index(witness)]
         assert np.array_equal(cut.coefficients, expected.coefficients)
         assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
 
@@ -871,7 +904,7 @@ class TestPrunedLp:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_classes_are_the_label_cells(self, seed, monkeypatch):
-        # read from the indicator table, without grouping the feature rows
+        # read from the cell counts, without grouping the feature rows
         d_r, d_c, _ = grid_instance(seed)
         cells = feature_groups(d_r, d_c, "labels").inverse[: len(d_r)]
         monkeypatch.setattr(algorithm, "feature_groups", None)
@@ -1010,7 +1043,6 @@ class TestParetoSweep:
         grid = sorted(grid, reverse=True)
         cfg = MoprConfig(T=10, oracle_kind="finite")
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
-        table = FiniteTable.build(all_cell_indicators(d_r.schema.label_cards), d_r, d_c)
         lp_cuts = []
 
         def spy(s, cuts, k, **kwargs):
@@ -1025,7 +1057,7 @@ class TestParetoSweep:
                 carried = lp_cuts[start]  # the cuts of the first LP at this rho
                 assert all(c.bound == rho for c in carried)
                 try:
-                    opt = solve_ip_exact(carry.s, table.cuts(k, rho), k)
+                    opt = solve_ip_exact(carry.s, cell_cuts(d_r, d_c, k, rho), k)
                 except ValueError:  # no selection reaches rho
                     continue
                 assert np.isin(opt.indices, carry.keep).all()

@@ -418,6 +418,24 @@ class TestErrors:
         assert "query has dimension 5, but the dataset's embeddings have dimension 3" in err
         assert "matmul" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["retrieve", "--algo", "mopr", "--oracle", "finite", "--rho", "0.2"],
+        ["sweep", "--oracle", "finite", "--rho-grid", "0.2"],
+        ["mpr", "--method", "finite"],
+        ["mpr", "--oracle", "finite"],
+    ])
+    @pytest.mark.parametrize("view", ["embedding", "concat"])
+    def test_finite_class_rejects_other_views(self, tmp_path, capsys, argv, view):
+        # the finite class is the label cells: a sidecar naming another view
+        # would name a view the run did not use
+        write_fixture(tmp_path)
+        out = tmp_path / "out"
+        code = main(argv[:1] + io_args(tmp_path) + ["--k", "10", *argv[1:], "--feature-view", view,
+                                                    "--out", str(out)])
+        assert code == 1
+        assert f"the finite class needs the labels view, not '{view}'" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.config.json").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["mpr", "--retrieval", str(tmp_path / "nope.csv"),
                      "--curated", str(tmp_path / "nope.csv"),

@@ -10,6 +10,7 @@ from mopr import metric
 from mopr.algorithm import MoprConfig, mopr_retrieve
 from mopr.datamodel import Query
 from mopr.metric import (
+    CellCounts,
     FeatureGroups,
     combined_features,
     feature_groups,
@@ -22,6 +23,7 @@ from mopr.metric import (
     svd_context,
 )
 from mopr.similarity import Selection
+from mopr.solver import Cut
 from mopr.statclasses import (
     DegenerateStatisticError,
     all_cell_indicators,
@@ -101,6 +103,60 @@ class TestSvdContext:
             assert np.array_equal(ctx.singular_values, S[keep])
             assert np.array_equal(ctx.V, Vt[keep].T)
             assert np.array_equal(z, U[:, keep].T @ tilde)
+
+
+@st.composite
+def cell_pairs(draw):
+    """D_R, D_C and a selection on 0-3 label axes of 2-4 categories, small
+    enough that cells are absent from D_R, from D_C and from both."""
+    cards = {name: draw(st.integers(2, 4)) for name in "abc"[: draw(st.integers(0, 3))]}
+    cell = st.fixed_dictionaries({name: st.integers(0, card - 1) for name, card in cards.items()})
+    r_labels = draw(st.lists(cell, min_size=1, max_size=14))
+    c_labels = draw(st.lists(cell, min_size=1, max_size=14))
+    d_r = make_dataset(np.zeros((len(r_labels), 1)), r_labels, cards=cards, prefix="r")
+    d_c = make_dataset(np.zeros((len(c_labels), 1)), c_labels, cards=cards, role="curated",
+                       prefix="c")
+    n = len(r_labels)
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    indicator = np.zeros(n, dtype=int)
+    indicator[chosen] = 1
+    return d_r, d_c, Selection(indicator, len(chosen))
+
+
+class TestCellCounts:
+    """The cell indicators held as counts are the explicit list of every
+    cell's indicator (``mpr_exact_finite`` over ``all_cell_indicators``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_pairs(), st.sampled_from([0.0, 0.05, 0.5]))
+    def test_worst_is_the_explicit_list(self, pair, rho):
+        d_r, d_c, sel = pair
+        report = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators(d_r.schema.label_cards))
+        counts = CellCounts.build(d_r, d_c)
+        value, cell = counts.worst(sel.indicator, sel.k)
+        assert value == report.value
+        if value > 0.0:  # at gap 0 a tie may name another cell; the loop adds no such cut
+            witness = report.witness
+            expected = Cut(witness.values(d_r) / sel.k, float(np.mean(witness.values(d_c))), rho)
+            cut = counts.cut(cell, sel.k, rho)
+            assert np.array_equal(cut.coefficients, expected.coefficients)
+            assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
+
+    def test_cells_present_in_either_set_in_lexicographic_order(self):
+        # of the 2 x 2 cells, (0, 0) is only in D_R, (0, 1) only in D_C,
+        # (1, 0) in both and (1, 1) in neither
+        cards = {"a": 2, "b": 2}
+        r_labels = [{"a": 1, "b": 0}, {"a": 0, "b": 0}, {"a": 1, "b": 0}]
+        d_r = make_dataset(np.zeros((3, 1)), r_labels, cards=cards, prefix="r")
+        d_c = make_dataset(np.zeros((4, 1)), [{"a": 0, "b": 1}] * 3 + [{"a": 1, "b": 0}],
+                           cards=cards, role="curated", prefix="c")
+        counts = CellCounts.build(d_r, d_c)
+        assert counts.cells.tolist() == [2, 0, 2]
+        assert counts.curated.tolist() == [-1.0, 0.5, -0.5]
+        # selecting item 1: cell (0, 0) has selection mean 1 and curated mean -1
+        assert counts.worst(np.array([0.0, 1.0, 0.0]), 1) == (2.0, 0)
+        cut = counts.cut(1, 1, 0.1)
+        assert cut.coefficients.tolist() == [-1.0, -1.0, -1.0] and cut.offset == 0.5
 
 
 class TestExactFinite:

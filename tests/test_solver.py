@@ -199,7 +199,7 @@ class TestIpExact:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_branch_and_bound_matches_enumeration_property(self, data):
-        # n <= 14, so both paths run; cell cuts as FiniteTable.cuts builds them
+        # n <= 14, so both paths run; cell cuts as CellCounts.cut builds them
         # (each item +-1 on a cell's indicator), or random grid rows
         n = data.draw(st.integers(4, 14))
         k = data.draw(st.integers(1, n - 1))
