@@ -25,15 +25,15 @@ The linear class is separated in closed form.  Its least-squares witness is
 the projection of the signed weights onto the feature columns, so its cut is
 the supporting hyperplane of the closed-form norm, and
 ``_SupportingHyperplane`` builds that cut from the norm's gradient without a
-fit (Prop. ``closed_form_MPR``).  Every other class uses ``_Oracle``, which
-finds the statistic with the most disproportionate representation (exactly
-over the cell indicators from their counts, or by a tree or MLP oracle) and
-cuts on its mean.
+fit (Prop. ``closed_form_MPR``).  The finite class separates itself:
+``CellCounts`` cuts on the cell of the most disproportionate representation.
+The tree and MLP classes use ``_Oracle``, the regression oracle, which finds
+the statistic of the most disproportionate representation and cuts on its mean.
 On the labels view the tree oracle is exact, from a block table built once
 per oracle, so a ``constraint-satisfied`` halt certifies the gap over every
 tree of the depth limit; on the other views it is greedy CART, and the
 halt certifies only the tree it found.
-Both emit the same two-sided ``Cut``.  ``mopr_qp_linear`` is the linear
+All three emit the same two-sided ``Cut``.  ``mopr_qp_linear`` is the linear
 retrieval under its older name.  A greedy maximal-marginal-relevance baseline
 and a Pareto sweep harness round out the module.
 """
@@ -54,7 +54,7 @@ from mopr.metric import (
     signed_weights,
     svd_context,
 )
-from mopr.similarity import Selection, condition_curation, similarity_vector
+from mopr.similarity import Selection, condition_curation, similarity_vector, top_k_indices
 from mopr.solver import Cut, round_top_k, solve_lp
 from mopr.statclasses import FEATURE_VIEWS, target_norm
 
@@ -63,7 +63,7 @@ DUPLICATE_CUT_TOL = 1e-9
 RELAX_FLOOR = 1e-6  # the first target gap tried when relaxing from rho = 0
 RELAX_RTOL = 1e-6  # relative tolerance of the smallest feasible target gap
 MAX_RHO = 2.0  # the largest gap of a +-1 cell indicator; a normalized statistic's is at most 1
-# "finite" separates exactly over the cell indicators, the others by a regression oracle
+# "finite" is separated by its cell counts, "linear" in closed form, the others by _Oracle
 ORACLE_KINDS = ("linear", "tree", "mlp", "finite")
 
 
@@ -136,7 +136,7 @@ class MoprTrace:
 
 
 class _Oracle:
-    """Separator by the most disproportionate statistic of the configured class.
+    """Separator by the regression oracle of the configured class.
 
     ``oracle(a)`` returns (violation, cut): the cut bounds by 0 the gap between
     the worst statistic's mean over the selection and its mean over D_C, its
@@ -150,18 +150,11 @@ class _Oracle:
     def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
         self.n, self.m, self.k = len(d_r), len(d_c), k
         self.cfg = cfg
-        if cfg.oracle_kind == "finite":
-            self.counts = CellCounts.build(d_r, d_c)
-            self.classes = self.counts.cells
-        else:
-            self.groups = feature_groups(d_r, d_c, cfg.feature_view)
-            self.classes = self.groups.inverse[: self.n]
+        self.groups = feature_groups(d_r, d_c, cfg.feature_view)
+        self.classes = self.groups.inverse[: self.n]
 
     def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
         cfg = self.cfg
-        if cfg.oracle_kind == "finite":
-            value, cell = self.counts.worst(a, self.k)
-            return value, self.counts.cut(cell, self.k, 0.0)
         value, _, _, values = oracle_gap(
             self.groups, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
             cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
@@ -313,16 +306,17 @@ class _SweepCarry:
     Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
     every ``MoprConfig`` field but rho and T.  It is the whole state of
     ``_cutting_plane``: that instance's similarity vector, k, separator
-    (``_SupportingHyperplane`` for the linear class, ``_Oracle`` otherwise)
-    and LP columns ``keep`` (the items an optimum can choose), and the cut
-    pool (restricted to ``keep``) and the LP (``solve_lp``'s ``lp``, its rows
-    those cuts) where the last retrieval from it ended.  A cut is a necessary
-    condition of MPR <= rho at any rho once its bound is set to that rho,
-    because its statistic is a member of the class, so the pool stays valid
-    down the grid; only row bounds change, which ``solve_lp(start=)`` writes
-    into the carried LP.  ``separate`` calls the separator and remembers its
-    last answer, which a loop whose new cut leaves the selection as it was
-    asks for again, as does a sweep's first retrieval after its top-k reference.
+    (``CellCounts`` for the finite class, ``_SupportingHyperplane`` for the
+    linear one, ``_Oracle`` otherwise) and LP columns ``keep`` (the items an
+    optimum can choose), and the cut pool (restricted to ``keep``) and the LP
+    (``solve_lp``'s ``lp``, its rows those cuts) where the last retrieval from
+    it ended.  A cut is a necessary condition of MPR <= rho at any rho once its
+    bound is set to that rho, because its statistic is a member of the class,
+    so the pool stays valid down the grid; only row bounds change, which
+    ``solve_lp(start=)`` writes into the carried LP.  ``separate`` calls the
+    separator and remembers its last answer, which a loop whose new cut leaves
+    the selection as it was asks for again, as does a sweep's first retrieval
+    after its top-k reference.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
@@ -334,8 +328,9 @@ class _SweepCarry:
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
         self.s = similarity_vector(d_r, q)
-        linear = cfg.oracle_kind == "linear"
-        self.separator = (_SupportingHyperplane if linear else _Oracle)(d_r, d_c, k, cfg)
+        kind = cfg.oracle_kind
+        self.separator = CellCounts.build(d_r, d_c, k) if kind == "finite" else (
+            _SupportingHyperplane if kind == "linear" else _Oracle)(d_r, d_c, k, cfg)
         self.keep = _selectable(self.s, self.separator.classes, k)
         self.cuts, self.lp = [], None
         self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
@@ -388,9 +383,9 @@ def mopr_qp_linear(
 ) -> tuple[Selection, MoprTrace]:
     """The linear-class retrieval under its older name.
 
-    It returns what ``mopr_retrieve`` returns with ``oracle_kind="linear"``:
-    the linear class is separated in closed form, by the supporting
-    hyperplane of its norm, whichever name is called.
+    It returns what ``mopr_retrieve`` returns with ``oracle_kind="linear"``,
+    the linear class separated in closed form whichever name is called.  The
+    CLI has only ``--algo mopr``; this name stays for the benchmark, which times it.
     """
     cfg = MoprConfig(rho=rho, T=T, oracle_kind="linear", feature_view=feature_view)
     return _cutting_plane(_SweepCarry(d_r, d_c, q, k, cfg), T, rho)
@@ -412,10 +407,7 @@ def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
     available = np.ones(n, dtype=bool)
     max_sim_to_selected = np.full(n, -np.inf)
     for step in range(k):
-        if not selected:
-            scores = sims.copy()
-        else:
-            scores = lam * sims - (1.0 - lam) * max_sim_to_selected
+        scores = lam * sims - (1.0 - lam) * max_sim_to_selected if selected else sims
         scores = np.where(available, scores, -np.inf)
         pick = int(np.argmax(scores))  # first max = lowest index on ties
         selected.append(pick)
@@ -455,7 +447,7 @@ def pareto_sweep(
     cfg_template: MoprConfig,
     rho_grid: list[float],
 ) -> list[ParetoPoint]:
-    """One constrained retrieval per grid value, normalized against plain top-k.
+    """One constrained retrieval per grid value, normalized against ``similarity.top_k``.
 
     The sweep is one warm-started computation.  It builds one similarity
     vector and one separator, which also measure the top-k reference, and
@@ -470,10 +462,10 @@ def pareto_sweep(
     if list(rho_grid) != sorted(rho_grid, reverse=True):
         raise ValueError("rho grid must be descending")
     carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
-    s = carry.s
-    sel0 = round_top_k(s, k)
-    mpr0, _ = carry.separate(sel0.indicator.astype(float))
-    sim0 = float(np.mean(s[sel0.indices]))
+    top, chosen = top_k_indices(carry.s, k), np.zeros(carry.s.size)
+    chosen[top] = 1.0
+    mpr0, _ = carry.separate(chosen)
+    sim0 = float(np.mean(carry.s[top]))
     points: list[ParetoPoint] = []
     for rho, cfg in zip(rho_grid, cfgs):
         try:

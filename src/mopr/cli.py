@@ -18,7 +18,7 @@ import numpy as np
 
 from mopr import algorithm, bounds, datamodel, metric, similarity, solver
 from mopr.algorithm import ORACLE_KINDS, MoprConfig
-from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators
+from mopr.statclasses import FEATURE_VIEWS
 
 
 def _write_sidecar(out_path: str, config: dict) -> None:
@@ -123,8 +123,7 @@ def cmd_mpr(args) -> int:
     elif args.method == "finite" or args.oracle == "finite":
         if args.feature_view != "labels":
             raise ValueError(f"the finite class needs the labels view, not {args.feature_view!r}")
-        indicators = all_cell_indicators(d_r.schema.label_cards)
-        report = metric.mpr_exact_finite(sel, d_r, d_c, indicators)
+        report = metric.CellCounts.build(d_r, d_c, sel.k).report(sel.indicator, d_r.schema)
     else:
         report = metric.mpr_via_oracle(
             sel, d_r, d_c, oracle=args.oracle, feature_view=args.feature_view, seed=args.seed
@@ -145,14 +144,8 @@ def cmd_retrieve(args) -> int:
         sel, _ = similarity.top_k(d_r, q, args.k)
     elif args.algo == "mmr":
         sel = algorithm.mmr_retrieve(d_r, q, args.k, args.lam)
-    elif args.algo == "mopr-qp":
-        sel, trace = algorithm.mopr_qp_linear(
-            d_r, d_c, q, args.k, args.rho, T=args.iterations, feature_view=args.feature_view
-        )
-    elif args.algo == "mopr":
-        sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
     else:
-        raise ValueError(f"unknown algorithm {args.algo!r}")
+        sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
     _write_ids(sel, d_r, args.out)
     sidecar = _resolved(args)
     if trace is not None:
@@ -197,10 +190,10 @@ def cmd_compare_ip(args) -> int:
             f"compare-ip requires a retrieval pool of at most {solver.IP_EXACT_MAX_N} items"
         )
     s = similarity.similarity_vector(d_r, q)
-    counts = metric.CellCounts.build(d_r, d_c)
+    counts = metric.CellCounts.build(d_r, d_c, args.k)
     rows = []
     for rho in _floats("--rho-grid", args.rho_grid):
-        cuts = [counts.cut(cell, args.k, rho) for cell in range(counts.curated.size)]
+        cuts = [counts.cut(cell, rho) for cell in range(counts.curated.size)]
         lp = solver.solve_lp(s, cuts, args.k)
         if lp.status != "optimal":
             rows.append([rho, "infeasible", "", "", "", ""])
@@ -208,7 +201,7 @@ def cmd_compare_ip(args) -> int:
         rounded = solver.round_top_k(lp.a, args.k)
         # the rounded set's own MPR is above rho when rounding broke a cut
         figures = ["%.17g" % v for v in (lp.objective, float(s @ rounded.indicator),
-                                         counts.worst(rounded.indicator, args.k)[0])]
+                                         counts.worst(rounded.indicator)[0])]
         try:
             ip_sel = solver.solve_ip_exact(s, cuts, args.k)
         except ValueError:  # the relaxation is feasible, but no selection is
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="run constrained retrieval or a baseline")
     _add_io_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algo", choices=["mopr", "mopr-qp", "topk", "mmr"], default="mopr")
+    p.add_argument("--algo", choices=["mopr", "topk", "mmr"], default="mopr")
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="MMR trade-off")
     _add_oracle_args(p)

@@ -271,12 +271,6 @@ class SyntheticSpec:
         return cls(**{**payload, "group_axes": axes, "similarity_bias": bias})
 
 
-def _query_direction(d: int) -> np.ndarray:
-    q = np.zeros(d)
-    q[0] = 1.0
-    return q
-
-
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Query]:
     """Generate (retrieval pool, curated pool, query), a pure function of the spec.
 
@@ -285,7 +279,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Query]:
     the similarity bias of the item's categories.
     """
     rng = np.random.default_rng(spec.seed)
-    qhat = _query_direction(spec.d)
+    qhat = np.zeros(spec.d)
+    qhat[0] = 1.0  # the unit query direction
     cards = {ax.name: ax.cardinality for ax in spec.group_axes}
     schema = DatasetSchema(d=spec.d, label_cards=cards)
     axes = sorted(spec.group_axes, key=lambda ax: ax.name)

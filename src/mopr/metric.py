@@ -11,15 +11,15 @@ depth limit.  On the other views it is greedy CART, and the MLP oracle is a
 trained net; both are lower bounds on their class's gap.
 
 The cell indicators, +1 on a cell's items and -1 elsewhere, are held as
-counts (``CellCounts``): a cell's gap depends only on how many selected and
-curated items fall in it.  Every other evaluator works on the distinct
-feature rows of D_R over D_C (``feature_groups``, a
-``statclasses.FeatureGroups``): the intersectional cells present on the
-labels view, found as ``CellCounts`` finds them (``_label_cells``), and every
-row elsewhere.  The oracle fits take the groups and map their values back to
-every row, the closed form factors the groups' weighted rows, and the kernel
-distance takes the groups' sums of the signed weights and drops the rows of
-zero weight.
+counts (``CellCounts``, which also reports their MPR): a cell's gap
+depends only on how many selected and curated items fall in it.  Every other
+evaluator works on the distinct feature rows of D_R over D_C
+(``feature_groups``, a ``statclasses.FeatureGroups``): the intersectional
+cells present on the labels view, found as ``CellCounts`` finds them
+(``_label_cells``), and every row elsewhere.  The oracle fits take the
+groups and map their values back to every row, the closed form factors the
+groups' weighted rows, and the kernel distance takes the groups' sums of the
+signed weights and drops the rows of zero weight.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mopr.datamodel import Dataset
+from mopr.datamodel import Dataset, DatasetSchema
 from mopr.similarity import Selection
 from mopr.solver import Cut
 from mopr.statclasses import (
     FeatureGroups,
     NormalizedStatistic,
     RepStatistic,
+    cell_indicator,
     feature_matrix,
     fit_linear_ls,
     fit_mlp,
@@ -145,33 +146,52 @@ def svd_context(groups: FeatureGroups) -> SvdContext:
 
 @dataclass(frozen=True)
 class CellCounts:
-    """The cell indicators as counts.  ``cells[i]`` is retrieval item i's
-    cell, in lexicographic order over the cells present in D_R or D_C, and
-    ``curated[j]`` cell j's indicator mean over D_C, (2C - m)/m for C of the
-    m curated items in it.  A cell absent from both has gap |1 - sum(a)/k|,
-    0 at a selection, so it is left out."""
+    """The finite class's separator for k items: the cell indicators as
+    counts.  Retrieval item i is in cell ``classes[i]``, the cells present in
+    D_R or D_C numbered in lexicographic order; cell j has label ``codes[j]``
+    and curated mean ``curated[j]`` = (2C - m)/m, C of the m curated items in
+    it.  A cell absent from both has gap 0 at a selection and is left out."""
 
-    cells: np.ndarray
+    classes: np.ndarray
+    codes: np.ndarray
     curated: np.ndarray
+    k: int
 
     @classmethod
-    def build(cls, d_r: Dataset, d_c: Dataset) -> "CellCounts":
-        n, m, inverse = len(d_r), len(d_c), _label_cells(d_r, d_c)[3]
-        counts = np.bincount(inverse[n:], minlength=inverse.max() + 1)
-        return cls(inverse[:n], (2 * counts - m) / m)
+    def build(cls, d_r: Dataset, d_c: Dataset, k: int) -> "CellCounts":
+        n, m = len(d_r), len(d_c)
+        labels, _, first, inverse = _label_cells(d_r, d_c)
+        counts = np.bincount(inverse[n:], minlength=first.size)
+        return cls(inverse[:n], labels[first], (2 * counts - m) / m, k)
 
-    def worst(self, a: np.ndarray, k: int) -> tuple[float, int]:
+    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
+        """(violation, cut) at ``a``: the worst cell's gap and its cut, bound 0."""
+        value, cell = self.worst(a)
+        return value, self.cut(cell, 0.0)
+
+    def worst(self, a: np.ndarray) -> tuple[float, int]:
         """Largest |selection mean - curated mean| for selection weights
         ``a`` summing to k, and its cell; ties to the lowest.  A cell of
         weight c has selection mean (2c - sum(a))/k, exact for a binary ``a``."""
-        c = np.bincount(self.cells, a, self.curated.size)
-        gaps = np.abs((2 * c - np.sum(a)) / k - self.curated)
+        c = np.bincount(self.classes, a, self.curated.size)
+        gaps = np.abs((2 * c - np.sum(a)) / self.k - self.curated)
         best = int(np.argmax(gaps))
         return float(gaps[best]), best
 
-    def cut(self, cell: int, k: int, rho: float) -> Cut:
+    def cut(self, cell: int, rho: float) -> Cut:
         """The cut |``cell``'s selection mean - its curated mean| <= rho."""
-        return Cut(np.where(self.cells == cell, 1.0, -1.0) / k, float(self.curated[cell]), rho)
+        return Cut(np.where(self.classes == cell, 1.0, -1.0) / self.k,
+                   float(self.curated[cell]), rho)
+
+    def report(self, a: np.ndarray, schema: DatasetSchema) -> MprReport:
+        """``mpr_exact_finite`` over every cell indicator of ``schema``.  A cell
+        absent from both sets has gap 0, so at gap 0 the first cell, (0, ..., 0),
+        is the witness, present or not, as the explicit list's ties to the first."""
+        value, cell = self.worst(a)
+        codes = self.codes[cell] if value > 0.0 else np.zeros_like(self.codes[cell])
+        witness = cell_indicator(dict(zip(schema.label_names, codes.tolist())))
+        return MprReport(value, "exact-finite", witness,
+                         {"class_size": math.prod(schema.label_cards.values())})
 
 
 def mpr_exact_finite(

@@ -58,8 +58,8 @@ def similarity_vector(dataset: Dataset, q: Query) -> np.ndarray:
     return np.clip(emb @ q.embedding / (norms * qn), -1.0, 1.0)
 
 
-def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    # stable sort on -scores: ties resolve to the lower item index
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k largest scores' indices, ascending; ties go to the lower index."""
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k])
 
@@ -71,7 +71,7 @@ def top_k(dataset: Dataset, q: Query, k: int) -> tuple[Selection, np.ndarray]:
         raise ValueError(f"k={k} out of range [1, {n}]")
     scores = similarity_vector(dataset, q)
     indicator = np.zeros(n, dtype=int)
-    indicator[_top_k_indices(scores, k)] = 1
+    indicator[top_k_indices(scores, k)] = 1
     return Selection(indicator, k), scores
 
 
@@ -85,5 +85,5 @@ def condition_curation(curated: Dataset, q: Query, pool_size: int) -> Dataset:
     if pool_size >= len(curated):
         return curated
     scores = similarity_vector(curated, q)
-    keep = _top_k_indices(scores, pool_size)
+    keep = top_k_indices(scores, pool_size)
     return curated.subset(keep)

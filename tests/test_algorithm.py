@@ -33,6 +33,7 @@ from mopr.datamodel import (
     generate_synthetic,
 )
 from mopr.metric import (
+    CellCounts,
     feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -633,7 +634,7 @@ class TestOracleCut:
         k = int(rng.integers(1, len(d_r) + 1))
         a = np.zeros(len(d_r))
         a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
-        oracle = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind="finite"))
+        oracle = CellCounts.build(d_r, d_c, k)
         indicators = all_cell_indicators(d_r.schema.label_cards)
         witness = mpr_exact_finite(Selection(a.astype(int), k), d_r, d_c, indicators).witness
         cut = oracle(a)[1].with_bound(0.1)
@@ -669,6 +670,8 @@ class TestCutIsTight:
             a = w[0] * a + w[1] * b + w[2] * (k / n)
         if kind == "hyperplane":
             separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
+        elif kind == "finite":
+            separate = CellCounts.build(d_r, d_c, k)
         else:
             separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind, feature_view=view,
                                                        mlp_hidden=4, mlp_epochs=20,
@@ -820,6 +823,8 @@ class TestPrunedLp:
         s = similarity_vector(d_r, q)
         if kind == "qp":
             separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
+        elif kind == "finite":
+            separate = CellCounts.build(d_r, d_c, k)
         else:
             separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind))
         keep = _selectable(s, separate.classes, k)
@@ -905,10 +910,12 @@ class TestPrunedLp:
     @pytest.mark.parametrize("seed", range(5))
     def test_finite_classes_are_the_label_cells(self, seed, monkeypatch):
         # read from the cell counts, without grouping the feature rows
-        d_r, d_c, _ = grid_instance(seed)
+        d_r, d_c, q = grid_instance(seed)
         cells = feature_groups(d_r, d_c, "labels").inverse[: len(d_r)]
         monkeypatch.setattr(algorithm, "feature_groups", None)
-        classes = _Oracle(d_r, d_c, 10, MoprConfig(oracle_kind="finite")).classes
+        separator = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind="finite")).separator
+        assert isinstance(separator, CellCounts)
+        classes = separator.classes
         pairs = set(zip(classes.tolist(), cells.tolist()))
         assert len(pairs) == len(set(classes.tolist())) == len(set(cells.tolist()))
 
@@ -955,6 +962,23 @@ class TestParetoSweep:
         assert len(points) == 1
         assert points[0].sim_frac_topk == pytest.approx(1.0, abs=1e-9)
         assert points[0].mpr_frac_topk == pytest.approx(1.0, abs=1e-9)
+
+    def test_reference_is_plain_top_k_at_a_near_tie(self):
+        # items 0 and 1, in different cells, are about 5e-13 apart in similarity:
+        # plain top-k takes item 1, the more similar, and so does the retrieval at
+        # rho = 2, while rounding's 1e-9 tie would take item 0
+        emb = np.array([[1.0, 1e-6], [1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        d_r = make_dataset(emb, [{"g": 0}, {"g": 1}, {"g": 0}, {"g": 1}], prefix="r")
+        d_c = make_dataset(np.ones((4, 2)), [{"g": 0}] * 3 + [{"g": 1}], role="curated",
+                           prefix="c")
+        q = Query("q", np.array([1.0, 0.0]))
+        s = similarity_vector(d_r, q)
+        assert 0.0 < s[1] - s[0] < 1e-11
+        assert top_k(d_r, q, 1)[0].indices.tolist() == [1]
+        assert round_top_k(s, 1).indices.tolist() == [0]
+        (point,) = pareto_sweep(d_r, d_c, q, 1, MoprConfig(oracle_kind="finite"), [2.0])
+        assert point.halted_by == "constraint-satisfied" and point.iterations == 1
+        assert point.sim_frac_topk == 1.0 and point.mpr_frac_topk == 1.0
 
     def test_nan_in_grid_rejected_before_any_retrieval(self, rng, monkeypatch):
         d_r, d_c, q = binary_instance(rng)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from mopr import cli, statclasses
 from mopr.algorithm import ORACLE_KINDS
 from mopr.cli import build_parser, main
 from mopr.datamodel import (
@@ -199,6 +200,28 @@ class TestLabelReconciliation:
         assert report["value"] == mpr_exact_finite(
             sel, d_r, d_c, all_cell_indicators({"g": 3})).value
 
+    @pytest.mark.parametrize("retrieval, curated", [
+        ([i % 2 for i in range(30)], [0] * 5 + [1] * 5 + [2] * 10),
+        ([1, 2] * 15, [1, 2] * 10),  # gap 0: the witness is the absent cell g = 0
+    ])
+    def test_finite_report_builds_no_indicator_list(self, tmp_path, monkeypatch, retrieval,
+                                                    curated):
+        # the report reads the cells present, not one indicator per cell of the schema
+        d_r, d_c, sel = write_label_pair(tmp_path, retrieval, curated)
+        expected = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators({"g": 3})).to_json()
+
+        def every_cell(cards):
+            raise AssertionError("built an indicator for every cell")
+
+        monkeypatch.setattr(statclasses, "all_cell_indicators", every_cell)
+        monkeypatch.setattr(cli, "all_cell_indicators", every_cell, raising=False)
+        for flags in (["--method", "finite"], ["--oracle", "finite"]):
+            out = tmp_path / "rep.json"
+            assert main(["mpr"] + io_args(tmp_path) + [
+                "--k", "10", "--selection", str(tmp_path / "sel.csv"), *flags,
+                "--out", str(out)]) == 0
+            assert out.read_text() == expected + "\n"
+
     def test_label_names_must_match(self, tmp_path, capsys):
         write_label_pair(tmp_path, [i % 2 for i in range(30)], [i % 2 for i in range(20)],
                          curated_axis="h")
@@ -222,7 +245,7 @@ class TestLoadInputs:
 
 
 class TestRetrieve:
-    @pytest.mark.parametrize("algo", ["topk", "mmr", "mopr", "mopr-qp"])
+    @pytest.mark.parametrize("algo", ["topk", "mmr", "mopr"])
     def test_all_algorithms_write_k_ids(self, tmp_path, algo):
         d_r, _, _ = write_fixture(tmp_path)
         out = tmp_path / f"{algo}.csv"
@@ -237,6 +260,15 @@ class TestRetrieve:
         sidecar = json.loads((tmp_path / f"{algo}.csv.config.json").read_text())
         assert sidecar["algo"] == algo
         assert sidecar["seed"] == 0
+
+    def test_mopr_qp_is_not_an_algorithm(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(["retrieve"] + io_args(tmp_path) + [
+                "--k", "5", "--algo", "mopr-qp", "--out", str(tmp_path / "sel.csv")])
+        assert exited.value.code == 2
+        assert "invalid choice: 'mopr-qp'" in capsys.readouterr().err
+        assert not (tmp_path / "sel.csv").exists()
 
     def test_trace_embedded_for_mopr(self, tmp_path):
         write_fixture(tmp_path)
@@ -347,7 +379,7 @@ class TestEdgeValues:
     """NaN and negative values of rho and sigma fail with a message; +inf is
     no constraint."""
 
-    @pytest.mark.parametrize("algo", ["mopr", "mopr-qp"])
+    @pytest.mark.parametrize("algo", ["mopr"])
     def test_retrieve_nan_rho(self, tmp_path, capsys, algo):
         write_fixture(tmp_path)
         code = main(["retrieve"] + io_args(tmp_path) + [

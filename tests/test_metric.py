@@ -132,13 +132,13 @@ class TestCellCounts:
     def test_worst_is_the_explicit_list(self, pair, rho):
         d_r, d_c, sel = pair
         report = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators(d_r.schema.label_cards))
-        counts = CellCounts.build(d_r, d_c)
-        value, cell = counts.worst(sel.indicator, sel.k)
+        counts = CellCounts.build(d_r, d_c, sel.k)
+        value, cell = counts.worst(sel.indicator)
         assert value == report.value
         if value > 0.0:  # at gap 0 a tie may name another cell; the loop adds no such cut
             witness = report.witness
             expected = Cut(witness.values(d_r) / sel.k, float(np.mean(witness.values(d_c))), rho)
-            cut = counts.cut(cell, sel.k, rho)
+            cut = counts.cut(cell, rho)
             assert np.array_equal(cut.coefficients, expected.coefficients)
             assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
 
@@ -150,13 +150,36 @@ class TestCellCounts:
         d_r = make_dataset(np.zeros((3, 1)), r_labels, cards=cards, prefix="r")
         d_c = make_dataset(np.zeros((4, 1)), [{"a": 0, "b": 1}] * 3 + [{"a": 1, "b": 0}],
                            cards=cards, role="curated", prefix="c")
-        counts = CellCounts.build(d_r, d_c)
-        assert counts.cells.tolist() == [2, 0, 2]
+        counts = CellCounts.build(d_r, d_c, 1)
+        assert counts.classes.tolist() == [2, 0, 2]
+        assert counts.codes.tolist() == [[0, 0], [0, 1], [1, 0]]
         assert counts.curated.tolist() == [-1.0, 0.5, -0.5]
         # selecting item 1: cell (0, 0) has selection mean 1 and curated mean -1
-        assert counts.worst(np.array([0.0, 1.0, 0.0]), 1) == (2.0, 0)
-        cut = counts.cut(1, 1, 0.1)
+        assert counts.worst(np.array([0.0, 1.0, 0.0])) == (2.0, 0)
+        cut = counts.cut(1, 0.1)
         assert cut.coefficients.tolist() == [-1.0, -1.0, -1.0] and cut.offset == 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_pairs())
+    def test_report_is_the_explicit_lists(self, pair):
+        d_r, d_c, sel = pair
+        report = CellCounts.build(d_r, d_c, sel.k).report(sel.indicator, d_r.schema)
+        explicit = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators(d_r.schema.label_cards))
+        assert report.to_json() == explicit.to_json()
+
+    def test_zero_gap_names_the_first_cell_though_absent(self):
+        # one axis of 3 categories, codes 1 and 2 on both sides, one item of
+        # each selected: every gap is 0, and the list's first cell is x = 0
+        d_r = make_dataset(np.zeros((4, 1)), [{"x": c} for c in (1, 2, 2, 1)],
+                           cards={"x": 3}, prefix="r")
+        d_c = make_dataset(np.zeros((2, 1)), [{"x": 1}, {"x": 2}], cards={"x": 3},
+                           role="curated", prefix="c")
+        sel = Selection(np.array([1, 1, 0, 0]), 2)
+        report = CellCounts.build(d_r, d_c, 2).report(sel.indicator, d_r.schema)
+        assert report.value == 0.0 and report.witness.params["cell"] == {"x": 0}
+        assert report.diagnostics == {"class_size": 3}
+        explicit = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators({"x": 3}))
+        assert report.to_json() == explicit.to_json()
 
 
 class TestExactFinite:
