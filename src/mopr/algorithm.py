@@ -12,29 +12,22 @@ duplicates an old one (the LP would not change), or after T iterations.
 
 The LP has a column only for the items an optimum can choose.  Each
 separator names the class of every retrieval item, the distinct feature row
-its cuts are constant on: the label cell for the finite class, from its
-``CellCounts``, and otherwise its ``feature_groups`` inverse over D_R, the
-label cell on the labels view and the item itself elsewhere.  Moving LP
-weight within a class to a more similar item keeps every cut row and raises
-the objective, so an optimum takes at most k items of a class, and the most
-similar ones (the cell-count argument of Celis, Straszak & Vishnoi 2018).
-``_selectable`` keeps those, at most k per class; at n = 3000 over 8 cells
-that is 160 columns, while singleton classes keep every column.
+its cuts are constant on: the label cell on the labels view and the item
+itself elsewhere.  Moving LP weight within a class to a more similar item
+keeps every cut row and raises the objective, so an optimum takes at most k
+items of a class, and the most similar ones (the cell-count argument of
+Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k per
+class; at n = 3000 over 8 cells that is 160 columns, while singleton classes
+keep every column.
 
-The linear class is separated in closed form.  Its least-squares witness is
-the projection of the signed weights onto the feature columns, so its cut is
-the supporting hyperplane of the closed-form norm, and
-``_SupportingHyperplane`` builds that cut from the norm's gradient without a
-fit (Prop. ``closed_form_MPR``).  The finite class separates itself:
-``CellCounts`` cuts on the cell of the most disproportionate representation.
-The tree and MLP classes use ``_Oracle``, the regression oracle, which finds
-the statistic of the most disproportionate representation and cuts on its mean.
-On the labels view the tree oracle is exact, from a block table built once
-per oracle, so a ``constraint-satisfied`` halt certifies the gap over every
-tree of the depth limit; on the other views it is greedy CART, and the
-halt certifies only the tree it found.
-All three emit the same two-sided ``Cut``.  ``mopr_qp_linear`` is the linear
-retrieval under its older name.  A greedy maximal-marginal-relevance baseline
+The separator is the statistic class itself, a ``metric`` object that also
+reports its MPR: ``CellCounts`` for the finite class, ``LinearClass`` for
+the linear one, cut by the closed-form norm's supporting hyperplane without
+a fit, and ``OracleClass`` for the tree and MLP classes, cut on the
+regression oracle's witness.  The tree oracle is exact only on the labels
+view, so only there does a ``constraint-satisfied`` halt certify the gap
+over every tree of the depth limit.  ``mopr_qp_linear`` is the linear
+retrieval under its older name; a greedy maximal-marginal-relevance baseline
 and a Pareto sweep harness round out the module.
 """
 
@@ -46,24 +39,16 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from mopr.datamodel import Dataset, Query
-from mopr.metric import (
-    CellCounts,
-    closed_form_gap,
-    feature_groups,
-    oracle_gap,
-    signed_weights,
-    svd_context,
-)
+from mopr.metric import CellCounts, LinearClass, OracleClass
 from mopr.similarity import Selection, condition_curation, similarity_vector, top_k_indices
 from mopr.solver import Cut, round_top_k, solve_lp
-from mopr.statclasses import FEATURE_VIEWS, target_norm
+from mopr.statclasses import FEATURE_VIEWS, MLP_EPOCHS, MLP_HIDDEN, TREE_DEPTH
 
 HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
 RELAX_FLOOR = 1e-6  # the first target gap tried when relaxing from rho = 0
 RELAX_RTOL = 1e-6  # relative tolerance of the smallest feasible target gap
 MAX_RHO = 2.0  # the largest gap of a +-1 cell indicator; a normalized statistic's is at most 1
-# "finite" is separated by its cell counts, "linear" in closed form, the others by _Oracle
 ORACLE_KINDS = ("linear", "tree", "mlp", "finite")
 
 
@@ -94,10 +79,9 @@ class MoprConfig:
     oracle_kind: str = "linear"  # one of ORACLE_KINDS
     feature_view: str = "labels"
     curation_pool_size: int | None = None
-    tree_depth: int = 3
-    mlp_hidden: int = 64
-    mlp_epochs: int = 500
-    mlp_step: float = 0.05
+    tree_depth: int = TREE_DEPTH
+    mlp_hidden: int = MLP_HIDDEN
+    mlp_epochs: int = MLP_EPOCHS
     seed: int = 0
 
     def __post_init__(self):
@@ -133,64 +117,6 @@ class MoprTrace:
 
     def to_dict(self) -> dict:
         return {key: value for key, value in asdict(self).items() if key != "selection"}
-
-
-class _Oracle:
-    """Separator by the regression oracle of the configured class.
-
-    ``oracle(a)`` returns (violation, cut): the cut bounds by 0 the gap between
-    the worst statistic's mean over the selection and its mean over D_C, its
-    coefficients the statistic's values on the D_R items over k, as the search
-    computed them.  ``classes[i]`` is the distinct feature row of retrieval
-    item i, on which every cut is constant.  The oracle is deterministic; its
-    ``groups`` keep the exact tree fit's block table from the first evaluation
-    on, so a sweep builds it once.
-    """
-
-    def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
-        self.n, self.m, self.k = len(d_r), len(d_c), k
-        self.cfg = cfg
-        self.groups = feature_groups(d_r, d_c, cfg.feature_view)
-        self.classes = self.groups.inverse[: self.n]
-
-    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
-        cfg = self.cfg
-        value, _, _, values = oracle_gap(
-            self.groups, signed_weights(a, self.k, self.m), self.m, self.k, cfg.oracle_kind,
-            cfg.feature_view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.mlp_step,
-            cfg.seed,
-        )
-        return value, Cut(values[: self.n] / self.k, float(np.mean(values[self.n :])), 0.0)
-
-
-class _SupportingHyperplane:
-    """Separator of the linear class by its closed-form norm.
-
-    ``sep(a)`` returns (MPR, cut): the MPR is tn * ||z||, z the signed weights
-    in the stack's left singular vectors U.  The worst statistic is
-    tn * U z / ||z||, the normalized least-squares fit of the signed weights;
-    its values on the D_R items over k are the norm's gradient at ``a``, the
-    cut's coefficients, and its curated mean is gradient . a - MPR, the cut's
-    offset.  The cut's upper side is the norm's supporting hyperplane, and the
-    class is closed under negation, so both sides are necessary conditions.
-    At z = 0 no linear statistic separates the sets: the MPR is 0 and the cut
-    the zero row.  The gradient is computed once per distinct feature row and
-    gathered to the items, so it is exactly constant on each of the ``classes``.
-    """
-
-    def __init__(self, d_r: Dataset, d_c: Dataset, k: int, cfg: MoprConfig):
-        self.ctx = svd_context(feature_groups(d_r, d_c, cfg.feature_view))
-        self.n, self.m, self.k = len(d_r), len(d_c), k
-        self.classes = self.ctx.groups.inverse[: self.n]
-
-    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
-        value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
-        zn = float(np.linalg.norm(z))
-        if zn == 0.0:
-            return value, Cut(np.zeros(self.n), 0.0, 0.0)
-        tn = target_norm(self.m, self.k)
-        grad = (tn * (self.ctx.U_l @ z) / zn)[self.classes] / self.k
-        return value, Cut(grad, float(grad @ a) - value, 0.0)
 
 
 def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
@@ -305,9 +231,8 @@ class _SweepCarry:
 
     Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
     every ``MoprConfig`` field but rho and T.  It is the whole state of
-    ``_cutting_plane``: that instance's similarity vector, k, separator
-    (``CellCounts`` for the finite class, ``_SupportingHyperplane`` for the
-    linear one, ``_Oracle`` otherwise) and LP columns ``keep`` (the items an
+    ``_cutting_plane``: that instance's similarity vector, k, separator (the
+    statistic class of ``oracle_kind``) and LP columns ``keep`` (the items an
     optimum can choose), and the cut pool (restricted to ``keep``) and the LP
     (``solve_lp``'s ``lp``, its rows those cuts) where the last retrieval from
     it ended.  A cut is a necessary condition of MPR <= rho at any rho once its
@@ -328,9 +253,14 @@ class _SweepCarry:
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
         self.s = similarity_vector(d_r, q)
-        kind = cfg.oracle_kind
-        self.separator = CellCounts.build(d_r, d_c, k) if kind == "finite" else (
-            _SupportingHyperplane if kind == "linear" else _Oracle)(d_r, d_c, k, cfg)
+        kind, view = cfg.oracle_kind, cfg.feature_view
+        if kind == "finite":
+            self.separator = CellCounts.build(d_r, d_c, k)
+        elif kind == "linear":
+            self.separator = LinearClass.build(d_r, d_c, k, view)
+        else:
+            self.separator = OracleClass.build(d_r, d_c, k, kind, view, cfg.tree_depth,
+                                               cfg.mlp_hidden, cfg.mlp_epochs, cfg.seed)
         self.keep = _selectable(self.s, self.separator.classes, k)
         self.cuts, self.lp = [], None
         self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
@@ -373,12 +303,7 @@ def mopr_retrieve(
 
 
 def mopr_qp_linear(
-    d_r: Dataset,
-    d_c: Dataset,
-    q: Query,
-    k: int,
-    rho: float,
-    T: int = 50,
+    d_r: Dataset, d_c: Dataset, q: Query, k: int, rho: float, T: int = 50,
     feature_view: str = "labels",
 ) -> tuple[Selection, MoprTrace]:
     """The linear-class retrieval under its older name.

@@ -123,7 +123,7 @@ def cmd_mpr(args) -> int:
     elif args.method == "finite" or args.oracle == "finite":
         if args.feature_view != "labels":
             raise ValueError(f"the finite class needs the labels view, not {args.feature_view!r}")
-        report = metric.CellCounts.build(d_r, d_c, sel.k).report(sel.indicator, d_r.schema)
+        report = metric.CellCounts.build(d_r, d_c, sel.k).report(sel.indicator)
     else:
         report = metric.mpr_via_oracle(
             sel, d_r, d_c, oracle=args.oracle, feature_view=args.feature_view, seed=args.seed
@@ -137,6 +137,11 @@ def _write_ids(sel, d_r, path) -> None:
         csv.writer(fh, lineterminator="\n").writerows([["id"]] + [[ids[i]] for i in sel.indices])
 
 
+# the arguments each algorithm ignores, which its sidecar leaves out
+_LOOP_ARGS = ("rho", "oracle", "feature_view", "iterations", "curation_pool")
+_UNREAD_ARGS = {"topk": ("lam",) + _LOOP_ARGS, "mmr": _LOOP_ARGS, "mopr": ("lam",)}
+
+
 def cmd_retrieve(args) -> int:
     d_r, d_c, q = _load_inputs(args)
     trace = None
@@ -147,7 +152,7 @@ def cmd_retrieve(args) -> int:
     else:
         sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
     _write_ids(sel, d_r, args.out)
-    sidecar = _resolved(args)
+    sidecar = {k: v for k, v in _resolved(args).items() if k not in _UNREAD_ARGS[args.algo]}
     if trace is not None:
         sidecar["trace"] = trace.to_dict()
     _write_sidecar(args.out, sidecar)

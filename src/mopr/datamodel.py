@@ -302,6 +302,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset, Query]:
     return retrieval, curated, Query("q0", qhat)
 
 
+def one_hot(labels: np.ndarray, cards: list[int]) -> np.ndarray:
+    """One-hot encode label code rows whose column j has cardinality cards[j]
+    (all categories kept, none dropped), the axes' blocks side by side."""
+    out = np.zeros((len(labels), sum(cards)))
+    offset = 0
+    for j, card in enumerate(cards):
+        out[np.arange(len(labels)), offset + labels[:, j]] = 1.0
+        offset += card
+    return out
+
+
 def build_balanced_curation(group_axes: dict[str, int], size: int) -> Dataset:
     """Curation dataset with every intersectional cell equally represented.
 
@@ -315,10 +326,7 @@ def build_balanced_curation(group_axes: dict[str, int], size: int) -> Dataset:
     per_cell = size // n_cells
     cells = np.array(list(product(*map(range, cards))), dtype=np.int64)
     labels = np.repeat(cells, per_cell, axis=0)
-    # one-hot block of each axis, the blocks side by side in label-name order
-    offsets = np.cumsum([0] + cards[:-1], dtype=np.int64)
-    embeddings = np.zeros((size, sum(cards)))
-    embeddings[np.arange(size)[:, None], labels + offsets] = 1.0
+    embeddings = one_hot(labels, cards)
     ids = [f"bal-{'-'.join(map(str, cell))}-{rep}" for cell in cells.tolist()
            for rep in range(per_cell)]
     schema = DatasetSchema(d=sum(cards), label_cards=dict(group_axes))

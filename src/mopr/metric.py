@@ -10,10 +10,19 @@ statistic is a function of the cell: it maximizes over every tree of the
 depth limit.  On the other views it is greedy CART, and the MLP oracle is a
 trained net; both are lower bounds on their class's gap.
 
-The cell indicators, +1 on a cell's items and -1 elsewhere, are held as
-counts (``CellCounts``, which also reports their MPR): a cell's gap
-depends only on how many selected and curated items fall in it.  Every other
-evaluator works on the distinct feature rows of D_R over D_C
+Each class the retrieval loop constrains is one object, built once per
+instance with its k, that separates and reports: ``classes`` numbers each
+retrieval item's distinct feature row, on which its cuts are constant, its
+call ``sep(a) -> (violation, Cut)`` cuts at any point of [0,1]^n, and
+``report(a)`` gives its ``MprReport``.  ``CellCounts`` holds the cell
+indicators as counts, since a cell's gap depends only on how many selected
+and curated items fall in it; ``LinearClass`` is the closed form and
+``OracleClass`` a regression class.  Whether a certificate holds for the
+whole class or only for what an oracle found is a property of these objects,
+and a kernel class to retrieve under would join them, cut like
+``LinearClass`` by the supporting hyperplane of its norm.
+
+The other evaluators work on the distinct feature rows of D_R over D_C
 (``feature_groups``, a ``statclasses.FeatureGroups``): the intersectional
 cells present on the labels view, found as ``CellCounts`` finds them
 (``_label_cells``), and every row elsewhere.  The oracle fits take the
@@ -30,10 +39,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mopr.datamodel import Dataset, DatasetSchema
+from mopr.datamodel import Dataset, DatasetSchema, one_hot
 from mopr.similarity import Selection
 from mopr.solver import Cut
 from mopr.statclasses import (
+    MLP_EPOCHS,
+    MLP_HIDDEN,
+    TREE_DEPTH,
     FeatureGroups,
     NormalizedStatistic,
     RepStatistic,
@@ -44,7 +56,6 @@ from mopr.statclasses import (
     fit_tree,
     fit_tree_exact,
     normalize_values,
-    one_hot,
     target_norm,
 )
 
@@ -146,23 +157,25 @@ def svd_context(groups: FeatureGroups) -> SvdContext:
 
 @dataclass(frozen=True)
 class CellCounts:
-    """The finite class's separator for k items: the cell indicators as
+    """The finite class for k items, separator and report: the cell indicators as
     counts.  Retrieval item i is in cell ``classes[i]``, the cells present in
     D_R or D_C numbered in lexicographic order; cell j has label ``codes[j]``
     and curated mean ``curated[j]`` = (2C - m)/m, C of the m curated items in
-    it.  A cell absent from both has gap 0 at a selection and is left out."""
+    it.  A cell absent from both has gap 0 at a selection and is left out.
+    ``schema`` is D_R's, whose label names and cards the report reads."""
 
     classes: np.ndarray
     codes: np.ndarray
     curated: np.ndarray
     k: int
+    schema: DatasetSchema
 
     @classmethod
     def build(cls, d_r: Dataset, d_c: Dataset, k: int) -> "CellCounts":
         n, m = len(d_r), len(d_c)
         labels, _, first, inverse = _label_cells(d_r, d_c)
         counts = np.bincount(inverse[n:], minlength=first.size)
-        return cls(inverse[:n], labels[first], (2 * counts - m) / m, k)
+        return cls(inverse[:n], labels[first], (2 * counts - m) / m, k, d_r.schema)
 
     def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
         """(violation, cut) at ``a``: the worst cell's gap and its cut, bound 0."""
@@ -183,15 +196,15 @@ class CellCounts:
         return Cut(np.where(self.classes == cell, 1.0, -1.0) / self.k,
                    float(self.curated[cell]), rho)
 
-    def report(self, a: np.ndarray, schema: DatasetSchema) -> MprReport:
+    def report(self, a: np.ndarray) -> MprReport:
         """``mpr_exact_finite`` over every cell indicator of ``schema``.  A cell
         absent from both sets has gap 0, so at gap 0 the first cell, (0, ..., 0),
         is the witness, present or not, as the explicit list's ties to the first."""
         value, cell = self.worst(a)
         codes = self.codes[cell] if value > 0.0 else np.zeros_like(self.codes[cell])
-        witness = cell_indicator(dict(zip(schema.label_names, codes.tolist())))
+        witness = cell_indicator(dict(zip(self.schema.label_names, codes.tolist())))
         return MprReport(value, "exact-finite", witness,
-                         {"class_size": math.prod(schema.label_cards.values())})
+                         {"class_size": math.prod(self.schema.label_cards.values())})
 
 
 def mpr_exact_finite(
@@ -209,17 +222,9 @@ def mpr_exact_finite(
 
 
 def oracle_gap(
-    groups: FeatureGroups,
-    tilde: np.ndarray,
-    m: int,
-    k: int,
-    oracle: str = "linear",
-    feature_view: str = "labels",
-    tree_depth: int = 3,
-    mlp_hidden: int = 64,
-    mlp_epochs: int = 500,
-    mlp_step: float = 0.05,
-    seed: int = 0,
+    groups: FeatureGroups, tilde: np.ndarray, m: int, k: int, oracle: str = "linear",
+    feature_view: str = "labels", tree_depth: int = TREE_DEPTH, mlp_hidden: int = MLP_HIDDEN,
+    mlp_epochs: int = MLP_EPOCHS, seed: int = 0,
 ) -> tuple[float, NormalizedStatistic, float, np.ndarray]:
     """(gap, witness, mse, values) of the best regression fit of the signed
     weights.
@@ -245,8 +250,8 @@ def oracle_gap(
     fits = {
         "linear": lambda y: fit_linear_ls(groups, y, feature_view),
         "tree": lambda y: tree(groups, y, tree_depth, feature_view),
-        "mlp": lambda y: fit_mlp(groups, y, mlp_hidden, epochs=mlp_epochs, step_size=mlp_step,
-                                 seed=seed, feature_view=feature_view),
+        "mlp": lambda y: fit_mlp(groups, y, mlp_hidden, epochs=mlp_epochs, seed=seed,
+                                 feature_view=feature_view),
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
@@ -269,30 +274,60 @@ def oracle_gap(
     return best
 
 
+@dataclass(frozen=True)
+class OracleClass:
+    """A regression class for k items, reached through its oracle, ``oracle_gap``.
+
+    Retrieval item i has the distinct feature row ``classes[i]`` of ``groups``,
+    on which every cut is constant.  The cut at ``a`` bounds by 0 the gap
+    between the witness's mean over the selection and over D_C, its
+    coefficients the witness's values on the D_R items over k, as the search
+    computed them.  The oracle is deterministic; ``groups`` keeps the exact
+    tree fit's block table from the first evaluation on, so a sweep builds it once.
+    """
+
+    groups: FeatureGroups
+    classes: np.ndarray
+    m: int
+    k: int
+    oracle: str
+    options: tuple  # oracle_gap's arguments after the oracle: view, depth, hidden, epochs, seed
+
+    @classmethod
+    def build(
+        cls, d_r: Dataset, d_c: Dataset, k: int, oracle: str = "linear",
+        feature_view: str = "labels", tree_depth: int = TREE_DEPTH,
+        mlp_hidden: int = MLP_HIDDEN, mlp_epochs: int = MLP_EPOCHS, seed: int = 0,
+    ) -> "OracleClass":
+        groups = feature_groups(d_r, d_c, feature_view)
+        return cls(groups, groups.inverse[: len(d_r)], len(d_c), k, oracle,
+                   (feature_view, tree_depth, mlp_hidden, mlp_epochs, seed))
+
+    def fit(self, a: np.ndarray) -> tuple[float, NormalizedStatistic, float, np.ndarray]:
+        """``oracle_gap`` at selection weights ``a``."""
+        return oracle_gap(self.groups, signed_weights(a, self.k, self.m), self.m, self.k,
+                          self.oracle, *self.options)
+
+    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
+        """(violation, cut) at ``a``: the witness's gap and its cut, bound 0."""
+        value, _, _, values = self.fit(a)
+        n = self.classes.size
+        return value, Cut(values[:n] / self.k, float(np.mean(values[n:])), 0.0)
+
+    def report(self, a: np.ndarray) -> MprReport:
+        value, witness, mse, _ = self.fit(a)
+        return MprReport(value, "oracle", witness, {"oracle": self.oracle, "oracle_mse": mse,
+                                                    "context_norm": witness.context_norm})
+
+
 def mpr_via_oracle(
-    sel: Selection,
-    d_r: Dataset,
-    d_c: Dataset,
-    oracle: str = "linear",
-    feature_view: str = "labels",
-    tree_depth: int = 3,
-    mlp_hidden: int = 64,
-    mlp_epochs: int = 500,
-    mlp_step: float = 0.05,
-    seed: int = 0,
+    sel: Selection, d_r: Dataset, d_c: Dataset, oracle: str = "linear",
+    feature_view: str = "labels", tree_depth: int = TREE_DEPTH, mlp_hidden: int = MLP_HIDDEN,
+    mlp_epochs: int = MLP_EPOCHS, seed: int = 0,
 ) -> MprReport:
     """Estimate the gap by regressing the signed weight vector over the class."""
-    m = len(d_c)
-    value, witness, mse, _ = oracle_gap(
-        feature_groups(d_r, d_c, feature_view), signed_weights(sel.indicator, sel.k, m), m,
-        sel.k, oracle, feature_view, tree_depth, mlp_hidden, mlp_epochs, mlp_step, seed,
-    )
-    return MprReport(
-        value=value,
-        method="oracle",
-        witness=witness,
-        diagnostics={"oracle": oracle, "oracle_mse": mse, "context_norm": witness.context_norm},
-    )
+    return OracleClass.build(d_r, d_c, sel.k, oracle, feature_view, tree_depth, mlp_hidden,
+                             mlp_epochs, seed).report(sel.indicator)
 
 
 def closed_form_gap(ctx: SvdContext, tilde: np.ndarray, m: int, k: int) -> tuple[float, np.ndarray]:
@@ -302,30 +337,64 @@ def closed_form_gap(ctx: SvdContext, tilde: np.ndarray, m: int, k: int) -> tuple
     return target_norm(m, k) * float(np.linalg.norm(z)), z
 
 
+@dataclass(frozen=True)
+class LinearClass:
+    """The normalized linear statistics for k items, in closed form from one SVD.
+
+    At ``a`` the MPR is tn * ||z||, z the signed weights in the stack's left
+    singular vectors U (``closed_form_gap``); the worst statistic, tn * U z /
+    ||z||, is the normalized least-squares fit of the signed weights (Prop.
+    ``closed_form_MPR``).  Its values on the D_R items over k are the norm's
+    gradient at ``a``, computed per distinct feature row and gathered to the
+    ``classes``: the cut is the norm's supporting hyperplane, and the class is
+    closed under negation, so both sides are necessary conditions.  At z = 0
+    no linear statistic separates the sets: the cut is the zero row and the
+    witness the zero statistic.
+    """
+
+    ctx: SvdContext
+    classes: np.ndarray
+    m: int
+    k: int
+    feature_view: str
+
+    @classmethod
+    def build(cls, d_r: Dataset, d_c: Dataset, k: int,
+              feature_view: str = "labels") -> "LinearClass":
+        ctx = svd_context(feature_groups(d_r, d_c, feature_view))
+        return cls(ctx, ctx.groups.inverse[: len(d_r)], len(d_c), k, feature_view)
+
+    def gap(self, a: np.ndarray) -> tuple[float, np.ndarray, float, float]:
+        """The MPR at selection weights ``a``, z, ||z|| and tn."""
+        value, z = closed_form_gap(self.ctx, signed_weights(a, self.k, self.m), self.m, self.k)
+        return value, z, float(np.linalg.norm(z)), target_norm(self.m, self.k)
+
+    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
+        """(violation, cut) at ``a``: the MPR and its supporting hyperplane, bound 0."""
+        value, z, zn, tn = self.gap(a)
+        if zn == 0.0:
+            return value, Cut(np.zeros(self.classes.size), 0.0, 0.0)
+        grad = (tn * (self.ctx.U_l @ z) / zn)[self.classes] / self.k
+        return value, Cut(grad, float(grad @ a) - value, 0.0)
+
+    def report(self, a: np.ndarray) -> MprReport:
+        value, z, zn, tn = self.gap(a)
+        ctx = self.ctx
+        if zn > 0.0:
+            w_opt, context_norm = ctx.V @ (z / ctx.singular_values) * (tn / zn), tn
+        else:
+            w_opt, context_norm = np.zeros(ctx.V.shape[0]), 0.0
+        witness = NormalizedStatistic(RepStatistic("linear", {"w": w_opt}, self.feature_view),
+                                      1.0, context_norm)
+        return MprReport(value, "closed-linear", witness,
+                         {"svd_rank": ctx.U_l.shape[1], "feature_view": self.feature_view})
+
+
 def mpr_closed_form_linear(
     sel: Selection, d_r: Dataset, d_c: Dataset, feature_view: str = "labels"
 ) -> MprReport:
     """Exact gap for normalized linear statistics via the truncated SVD."""
-    ctx = svd_context(feature_groups(d_r, d_c, feature_view))
-    m = len(d_c)
-    value, z = closed_form_gap(ctx, signed_weights(sel.indicator, sel.k, m), m, sel.k)
-    scale = target_norm(m, sel.k)
-    zn = float(np.linalg.norm(z))
-    if zn > 0.0:
-        w_opt = ctx.V @ (z / ctx.singular_values) * (scale / zn)
-    else:
-        w_opt = np.zeros(ctx.V.shape[0])
-    witness = NormalizedStatistic(
-        base=RepStatistic("linear", {"w": w_opt}, feature_view),
-        scale=1.0,
-        context_norm=scale if zn > 0.0 else 0.0,
-    )
-    return MprReport(
-        value=value,
-        method="closed-linear",
-        witness=witness,
-        diagnostics={"svd_rank": ctx.U_l.shape[1], "feature_view": feature_view},
-    )
+    return LinearClass.build(d_r, d_c, sel.k, feature_view).report(sel.indicator)
 
 
 def _kernel_gram(X: np.ndarray, kernel: str, sigma: float | None) -> np.ndarray:

@@ -33,24 +33,15 @@ from typing import Optional
 
 import numpy as np
 
-from mopr.datamodel import Dataset
+from mopr.datamodel import Dataset, one_hot
 
 FEATURE_VIEWS = ("labels", "embedding", "concat")
+# the oracle defaults: tree depth, hidden units, training epochs and step size
+TREE_DEPTH, MLP_HIDDEN, MLP_EPOCHS, MLP_STEP = 3, 64, 500, 0.05
 
 
 class DegenerateStatisticError(ValueError):
     """The statistic is identically zero over the evaluation context."""
-
-
-def one_hot(labels: np.ndarray, cards: list[int]) -> np.ndarray:
-    """One-hot encode label code rows whose column j has cardinality cards[j]
-    (all categories kept, none dropped)."""
-    out = np.zeros((len(labels), sum(cards)))
-    offset = 0
-    for j, card in enumerate(cards):
-        out[np.arange(len(labels)), offset + labels[:, j]] = 1.0
-        offset += card
-    return out
 
 
 def one_hot_labels(dataset: Dataset) -> np.ndarray:
@@ -455,8 +446,8 @@ def fit_mlp(
     X,
     targets: np.ndarray,
     hidden: int,
-    epochs: int = 500,
-    step_size: float = 0.05,
+    epochs: int = MLP_EPOCHS,
+    step_size: float = MLP_STEP,
     seed: int = 0,
     feature_view: str = "labels",
 ) -> RepStatistic:

@@ -19,7 +19,6 @@ from conftest import make_dataset
 from mopr.algorithm import (
     MoprConfig,
     _cutting_plane,
-    _Oracle,
     _SweepCarry,
     mmr_retrieve,
     mopr_qp_linear,
@@ -40,7 +39,13 @@ from mopr.datamodel import (
     Query,
     build_balanced_curation,
 )
-from mopr.metric import mpr_closed_form_linear, mpr_exact_finite, mpr_rkhs, mpr_via_oracle
+from mopr.metric import (
+    OracleClass,
+    mpr_closed_form_linear,
+    mpr_exact_finite,
+    mpr_rkhs,
+    mpr_via_oracle,
+)
 from mopr.similarity import Selection, top_k
 from mopr.solver import Cut, round_top_k, solve_ip_exact, solve_lp
 from mopr.statclasses import all_cell_indicators
@@ -301,7 +306,7 @@ def test_acceptance_8_qp_variant_agrees():
         # feature_groups(d_r, d_c, "labels") as its separator; both separators
         # have the label cells as classes, so the LP keeps the same columns
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
-        carry.separator = _Oracle(d_r, d_c, k, cfg)
+        carry.separator = OracleClass.build(d_r, d_c, k, cfg.oracle_kind, cfg.feature_view)
         _, t_ls = _cutting_plane(carry, 50, rho)
         _, t_qp = mopr_qp_linear(d_r, d_c, q, k, rho, T=50, feature_view="labels")
         if sim0 is None:

@@ -14,8 +14,6 @@ from mopr.algorithm import (
     MoprConfig,
     MoprTrace,
     SWEEP_CSV_HEADER,
-    _Oracle,
-    _SupportingHyperplane,
     _SweepCarry,
     _selectable,
     _solve_with_relaxation,
@@ -34,6 +32,8 @@ from mopr.datamodel import (
 )
 from mopr.metric import (
     CellCounts,
+    LinearClass,
+    OracleClass,
     feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -378,7 +378,9 @@ class TestMoprRetrieve:
         assert trace.selection is sel
         assert trace.achieved_mpr == finite_scan(sel, d_r, d_c)
 
-    @pytest.mark.parametrize("kind, view", [("tree", "embedding"), ("tree", "concat"),
+    @pytest.mark.parametrize("kind, view", [("linear", "labels"), ("linear", "embedding"),
+                                            ("linear", "concat"), ("tree", "labels"),
+                                            ("tree", "embedding"), ("tree", "concat"),
                                             ("mlp", "labels"), ("mlp", "embedding"),
                                             ("mlp", "concat")])
     def test_oracle_achieved_mpr_is_its_own_gap(self, kind, view):
@@ -387,9 +389,12 @@ class TestMoprRetrieve:
                          mlp_epochs=30)
         sel, trace = mopr_retrieve(d_r, d_c, q, 10, cfg)
         assert trace.selection is sel
-        assert trace.achieved_mpr == metric.mpr_via_oracle(
-            sel, d_r, d_c, kind, view, cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
-            cfg.mlp_step, cfg.seed).value
+        if kind == "linear":  # the loop separates the linear class in closed form
+            report = mpr_closed_form_linear(sel, d_r, d_c, view)
+        else:
+            report = metric.mpr_via_oracle(sel, d_r, d_c, kind, view, cfg.tree_depth,
+                                           cfg.mlp_hidden, cfg.mlp_epochs, cfg.seed)
+        assert trace.achieved_mpr == report.value
 
     def test_k_too_large(self, rng):
         d_r, d_c, q = binary_instance(rng, n=15)
@@ -610,11 +615,11 @@ class TestOracleCut:
         a[rng.choice(n, size=k, replace=False)] = 1.0
         cfg = MoprConfig(rho=0.05, oracle_kind=kind, feature_view=view, tree_depth=3,
                          mlp_hidden=4, mlp_epochs=20, seed=seed % 7)
-        oracle = _Oracle(d_r, d_c, k, cfg)
+        oracle = OracleClass.build(d_r, d_c, k, kind, view, cfg.tree_depth, cfg.mlp_hidden,
+                                   cfg.mlp_epochs, cfg.seed)
         groups = feature_groups(d_r, d_c, view)
         _, w, _, _ = oracle_gap(groups, signed_weights(a, k, m), m, k, kind, view,
-                                cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs,
-                                cfg.mlp_step, cfg.seed)
+                                cfg.tree_depth, cfg.mlp_hidden, cfg.mlp_epochs, cfg.seed)
         cut = oracle(a)[1].with_bound(cfg.rho)
         searched = w.values_from_features(groups.rows)[groups.inverse]
         assert np.array_equal(cut.coefficients, searched[:n] / k)
@@ -669,13 +674,12 @@ class TestCutIsTight:
             w = rng.dirichlet(np.ones(3))
             a = w[0] * a + w[1] * b + w[2] * (k / n)
         if kind == "hyperplane":
-            separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
+            separate = LinearClass.build(d_r, d_c, k, view)
         elif kind == "finite":
             separate = CellCounts.build(d_r, d_c, k)
         else:
-            separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind, feature_view=view,
-                                                       mlp_hidden=4, mlp_epochs=20,
-                                                       seed=seed % 7))
+            separate = OracleClass.build(d_r, d_c, k, kind, view, mlp_hidden=4, mlp_epochs=20,
+                                         seed=seed % 7)
         violation, cut = separate(a)
         assert cut.coefficients.shape == (n,) and cut.bound == 0.0
         assert np.all(np.isfinite(cut.coefficients))
@@ -703,7 +707,7 @@ class TestLinearSeparator:
         # a selection as representative as the curated set has gap 0, up to
         # rounding, and both witnesses are then rounding noise
         assume(gap > 1e-12)
-        separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig(feature_view=view))
+        separate = LinearClass.build(d_r, d_c, k, view)
         value, cut = separate(a)
         cut = cut.with_bound(0.05)
         coefficients, offset = values[:n] / k, float(np.mean(values[n:]))
@@ -722,8 +726,7 @@ class TestLinearSeparator:
         d_r = make_dataset(rng.standard_normal((4, 3)), cells, cards={"g": 2}, prefix="r")
         d_c = make_dataset(rng.standard_normal((4, 3)), cells, cards={"g": 2},
                            role="curated", prefix="c")
-        violation, cut = _SupportingHyperplane(d_r, d_c, 2, MoprConfig())(
-            np.array([1.0, 0.0, 1.0, 0.0]))
+        violation, cut = LinearClass.build(d_r, d_c, 2)(np.array([1.0, 0.0, 1.0, 0.0]))
         assert violation == 0.0
         assert np.array_equal(cut.coefficients, np.zeros(4))
         assert (cut.offset, cut.bound) == (0.0, 0.0)
@@ -743,7 +746,7 @@ class TestLinearSeparator:
 
         counting(metric, "fit_linear_ls")
         counting(statclasses, "fit_linear_ls")
-        counting(algorithm, "svd_context")
+        counting(metric, "svd_context")
         cfg = MoprConfig(rho=0.02, T=30, oracle_kind="linear")
         mopr_retrieve(d_r, d_c, q, 10, cfg)
         assert calls == {"fit_linear_ls": 0, "svd_context": 1}
@@ -822,11 +825,11 @@ class TestPrunedLp:
         d_r, d_c, q, k, rho, rng = instance
         s = similarity_vector(d_r, q)
         if kind == "qp":
-            separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
+            separate = LinearClass.build(d_r, d_c, k)
         elif kind == "finite":
             separate = CellCounts.build(d_r, d_c, k)
         else:
-            separate = _Oracle(d_r, d_c, k, MoprConfig(oracle_kind=kind))
+            separate = OracleClass.build(d_r, d_c, k, kind)
         keep = _selectable(s, separate.classes, k)
         assert np.array_equal(keep, selectable_reference(s, separate.classes, k))
         full, pruned = [], []
@@ -880,7 +883,7 @@ class TestPrunedLp:
         d_r, d_c, q = grid_instance(n=80)
         carry = _SweepCarry(d_r, d_c, q, 3, MoprConfig(oracle_kind="linear", feature_view=view))
         assert np.array_equal(carry.keep, np.arange(80))
-        tree = _Oracle(d_r, d_c, 3, MoprConfig(oracle_kind="tree", feature_view=view))
+        tree = OracleClass.build(d_r, d_c, 3, "tree", view)
         assert np.array_equal(_selectable(carry.s, tree.classes, 3), np.arange(80))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -891,7 +894,7 @@ class TestPrunedLp:
         k = int(rng.integers(1, len(d_r)))
         a = np.zeros(len(d_r))
         a[rng.choice(len(d_r), size=k, replace=False)] = 1.0
-        separate = _SupportingHyperplane(d_r, d_c, k, MoprConfig())
+        separate = LinearClass.build(d_r, d_c, k)
         value, cut = separate(a)
         assert value > 0.0
         coefficients = cut.coefficients
@@ -912,7 +915,7 @@ class TestPrunedLp:
         # read from the cell counts, without grouping the feature rows
         d_r, d_c, q = grid_instance(seed)
         cells = feature_groups(d_r, d_c, "labels").inverse[: len(d_r)]
-        monkeypatch.setattr(algorithm, "feature_groups", None)
+        monkeypatch.setattr(metric, "feature_groups", None)
         separator = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind="finite")).separator
         assert isinstance(separator, CellCounts)
         classes = separator.classes
@@ -928,13 +931,13 @@ class TestOracleMemo:
         d_r, d_c, q = grid_instance()
         carry = _SweepCarry(d_r, d_c, q, 10, MoprConfig(oracle_kind=kind))
         calls = []
-        inner = getattr(algorithm, evaluation)
+        inner = getattr(metric, evaluation)
 
         def counting(*args, **kwargs):
             calls.append(1)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(algorithm, evaluation, counting)
+        monkeypatch.setattr(metric, evaluation, counting)
         a, b = np.zeros(len(d_r)), np.zeros(len(d_r))
         a[:10], b[10:20] = 1.0, 1.0
         first = carry.separate(a)

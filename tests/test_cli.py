@@ -261,6 +261,20 @@ class TestRetrieve:
         assert sidecar["algo"] == algo
         assert sidecar["seed"] == 0
 
+    @pytest.mark.parametrize("algo, read", [
+        ("topk", set()), ("mmr", {"lam"}),
+        ("mopr", {"rho", "oracle", "feature_view", "iterations", "curation_pool", "trace"})],
+        ids=["topk", "mmr", "mopr"])
+    def test_sidecar_records_only_what_shaped_the_selection(self, tmp_path, algo, read):
+        write_fixture(tmp_path)
+        out = tmp_path / "sel.csv"
+        assert main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "10", "--algo", algo, "--rho", "0.3", "--oracle", "finite",
+            "--curation-pool", "4", "--lambda", "0.7", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "sel.csv.config.json").read_text())
+        common = {"command", "retrieval", "curated", "query", "k", "algo", "seed", "out"}
+        assert set(sidecar) == common | read
+
     def test_mopr_qp_is_not_an_algorithm(self, tmp_path, capsys):
         write_fixture(tmp_path)
         with pytest.raises(SystemExit) as exited:

@@ -163,7 +163,7 @@ class TestCellCounts:
     @given(cell_pairs())
     def test_report_is_the_explicit_lists(self, pair):
         d_r, d_c, sel = pair
-        report = CellCounts.build(d_r, d_c, sel.k).report(sel.indicator, d_r.schema)
+        report = CellCounts.build(d_r, d_c, sel.k).report(sel.indicator)
         explicit = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators(d_r.schema.label_cards))
         assert report.to_json() == explicit.to_json()
 
@@ -175,7 +175,7 @@ class TestCellCounts:
         d_c = make_dataset(np.zeros((2, 1)), [{"x": 1}, {"x": 2}], cards={"x": 3},
                            role="curated", prefix="c")
         sel = Selection(np.array([1, 1, 0, 0]), 2)
-        report = CellCounts.build(d_r, d_c, 2).report(sel.indicator, d_r.schema)
+        report = CellCounts.build(d_r, d_c, 2).report(sel.indicator)
         assert report.value == 0.0 and report.witness.params["cell"] == {"x": 0}
         assert report.diagnostics == {"class_size": 3}
         explicit = mpr_exact_finite(sel, d_r, d_c, all_cell_indicators({"x": 3}))
