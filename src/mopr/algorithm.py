@@ -41,7 +41,7 @@ import numpy as np
 from mopr.datamodel import Dataset, Query
 from mopr.metric import CellCounts, LinearClass, OracleClass
 from mopr.similarity import Selection, condition_curation, similarity_vector, top_k_indices
-from mopr.solver import Cut, round_top_k, solve_lp
+from mopr.solver import Cut, _top_k, solve_lp
 from mopr.statclasses import FEATURE_VIEWS, MLP_EPOCHS, MLP_HIDDEN, TREE_DEPTH
 
 HALT_TOL = 1e-8
@@ -201,7 +201,7 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
         carry.lp, carry.cuts = lp.lp, cuts
         trace.effective_rho = rho_eff
         chosen = np.zeros(s.size)
-        chosen[keep[round_top_k(lp.a, k).indices]] = 1.0
+        chosen[keep[_top_k(lp.a, k)]] = 1.0
         violation, row = carry.separate(chosen)
         record = IterationRecord(iteration=it, violation=violation, lp_objective=lp.objective,
                                  n_fractional=lp.n_fractional, lp_pivots=pivots,
@@ -209,7 +209,7 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
         trace.iterations.append(record)
         if violation <= rho_eff + HALT_TOL or it == T:
             break
-        cut = Cut(row.coefficients[keep], row.offset, rho_eff)
+        cut = row.with_bound(rho_eff, keep)
         if (np.abs(lp.lp.cut_rows - cut.coefficients).max(axis=1) < DUPLICATE_CUT_TOL).any():
             record.duplicate_cut = stalled = True
             break

@@ -26,15 +26,24 @@ def _write_sidecar(out_path: str, config: dict) -> None:
     sidecar.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _resolved(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+def _resolved(args: argparse.Namespace, mode: str | None = None) -> dict:
+    """The parsed arguments but those ``mode``, an algorithm or mpr method, ignores."""
+    unread = ("func",) + _UNREAD_ARGS.get(mode, ())
+    return {k: v for k, v in sorted(vars(args).items()) if k not in unread}
 
 
-def _emit(args, text: str) -> int:
-    """Write a report to ``--out``, with its sidecar, or to stdout."""
+# the arguments each retrieve algorithm or mpr method ignores, which its sidecar leaves out
+_LOOP_ARGS = ("rho", "oracle", "feature_view", "iterations", "curation_pool")
+_UNREAD_ARGS = {"topk": ("lam",) + _LOOP_ARGS, "mmr": _LOOP_ARGS, "mopr": ("lam",),
+                "oracle": ("kernel",), "closed-form": ("oracle", "kernel"), "rkhs": ("oracle",),
+                "finite": ("oracle", "kernel")}
+
+
+def _emit(args, text: str, config: dict) -> int:
+    """Write a report to ``--out``, with its sidecar ``config``, or to stdout."""
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
-        _write_sidecar(args.out, _resolved(args))
+        _write_sidecar(args.out, config)
     else:
         sys.stdout.write(text)
     return 0
@@ -93,7 +102,7 @@ def cmd_gen(args) -> int:
 
 
 def _selection_from_args(args, d_r, q):
-    if getattr(args, "selection", None):
+    if args.selection:
         ids = [
             line.strip()
             for line in Path(args.selection).read_text(encoding="utf-8").splitlines()
@@ -108,6 +117,8 @@ def _selection_from_args(args, d_r, q):
                 raise ValueError(f"selection id {item_id!r} appears more than once")
             indicator[index[item_id]] = 1
         return similarity.Selection(indicator, len(ids))
+    if args.k is None:
+        raise ValueError("mpr needs --k, or a --selection file")
     sel, _ = similarity.top_k(d_r, q, args.k)
     return sel
 
@@ -128,18 +139,13 @@ def cmd_mpr(args) -> int:
         report = metric.mpr_via_oracle(
             sel, d_r, d_c, oracle=args.oracle, feature_view=args.feature_view, seed=args.seed
         )
-    return _emit(args, report.to_json() + "\n")
+    return _emit(args, report.to_json() + "\n", {**_resolved(args, args.method), "k": sel.k})
 
 
 def _write_ids(sel, d_r, path) -> None:
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         ids = d_r.ids
         csv.writer(fh, lineterminator="\n").writerows([["id"]] + [[ids[i]] for i in sel.indices])
-
-
-# the arguments each algorithm ignores, which its sidecar leaves out
-_LOOP_ARGS = ("rho", "oracle", "feature_view", "iterations", "curation_pool")
-_UNREAD_ARGS = {"topk": ("lam",) + _LOOP_ARGS, "mmr": _LOOP_ARGS, "mopr": ("lam",)}
 
 
 def cmd_retrieve(args) -> int:
@@ -152,7 +158,7 @@ def cmd_retrieve(args) -> int:
     else:
         sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
     _write_ids(sel, d_r, args.out)
-    sidecar = {k: v for k, v in _resolved(args).items() if k not in _UNREAD_ARGS[args.algo]}
+    sidecar = _resolved(args, args.algo)
     if trace is not None:
         sidecar["trace"] = trace.to_dict()
     _write_sidecar(args.out, sidecar)
@@ -185,7 +191,7 @@ def cmd_bounds(args) -> int:
             args.vc, args.epsilon, args.delta, args.queries,
             conservative=not args.tight_budget,
         )
-    return _emit(args, json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return _emit(args, json.dumps(result, indent=2, sort_keys=True) + "\n", _resolved(args))
 
 
 def cmd_compare_ip(args) -> int:
@@ -251,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mpr", help="report the representation gap of a selection")
     _add_io_args(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--selection", help="file of selected item ids (default: top-k)")
+    p.add_argument("--k", type=int, help="measure the top k (unread with --selection)")
+    p.add_argument("--selection", help="file of selected item ids (default: the top --k)")
     p.add_argument("--method", choices=["oracle", "closed-form", "rkhs", "finite"],
                    default="oracle")
     p.add_argument("--oracle", choices=ORACLE_KINDS, default="linear")

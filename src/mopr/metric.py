@@ -14,7 +14,9 @@ Each class the retrieval loop constrains is one object, built once per
 instance with its k, that separates and reports: ``classes`` numbers each
 retrieval item's distinct feature row, on which its cuts are constant, its
 call ``sep(a) -> (violation, Cut)`` cuts at any point of [0,1]^n, and
-``report(a)`` gives its ``MprReport``.  ``CellCounts`` holds the cell
+``report(a)`` gives its ``MprReport``.  On the labels view the exact tree's
+cut reads the dynamic program's block means per cell, and only ``report``
+builds the ``TreeNode`` witness.  ``CellCounts`` holds the cell
 indicators as counts, since a cell's gap depends only on how many selected
 and curated items fall in it; ``LinearClass`` is the closed form and
 ``OracleClass`` a regression class.  Whether a certificate holds for the
@@ -50,6 +52,7 @@ from mopr.statclasses import (
     NormalizedStatistic,
     RepStatistic,
     cell_indicator,
+    exact_tree_values,
     feature_matrix,
     fit_linear_ls,
     fit_mlp,
@@ -233,9 +236,7 @@ def oracle_gap(
     weights; ``values`` are the witness's values over every row of the stack.
     The fit runs on the distinct rows with their counts; the gap, the
     normalization and the mse are taken over every row.  The tree oracle is
-    exact on the labels view: ``fit_tree_exact`` finds the best of every tree
-    of depth <= ``tree_depth`` on the one-hot columns, from the block table
-    ``groups`` keeps.  On the embedding and concat views it is greedy CART.
+    ``fit_tree_exact`` on the labels view and greedy CART on the others.
     The gap is an absolute value, so the fit of ``-tilde`` counts too; the
     larger normalized correlation wins, ties to ``+tilde``.  The
     least-squares and tree fits of ``-tilde`` are exactly the negated fits of
@@ -255,23 +256,31 @@ def oracle_gap(
     }
     if oracle not in fits:
         raise ValueError(f"unknown oracle {oracle!r}")
-    zero = ZERO_FIT_RTOL * float(np.linalg.norm(tilde))
     best: tuple[float, NormalizedStatistic, float, np.ndarray] | None = None
     for sign in (1.0, -1.0) if oracle == "mlp" else (1.0,):
         target = sign * tilde
         stat = fits[oracle](target)
         values = stat.values_from_features(groups.rows)[groups.inverse]
-        if float(np.linalg.norm(values)) <= zero:
+        if (found := _normalized_fit(values, tilde, m, k)) is None:
             continue
-        norm_stat = normalize_values(stat, values, m, k)
-        fitted = norm_stat.scale * values
-        value = abs(float(fitted @ tilde))
+        value, fitted = found
         if best is None or value > best[0]:
-            best = (value, norm_stat, float(np.mean((fitted - target) ** 2)), fitted)
+            best = (value, normalize_values(stat, values, m, k),
+                    float(np.mean((fitted - target) ** 2)), fitted)
     if best is None:
         zero_fit = NormalizedStatistic(stat, 0.0, 0.0)
         return 0.0, zero_fit, float(np.mean(tilde**2)), np.zeros(len(tilde))
     return best
+
+
+def _normalized_fit(values: np.ndarray, tilde: np.ndarray, m: int, k: int):
+    """(gap, values scaled into the normalized class) of a fit whose values
+    over the stack are ``values``, or None for the zero fit."""
+    norm = float(np.linalg.norm(values))
+    if norm <= ZERO_FIT_RTOL * float(np.linalg.norm(tilde)):
+        return None
+    fitted = target_norm(m, k) / norm * values
+    return abs(float(fitted @ tilde)), fitted
 
 
 @dataclass(frozen=True)
@@ -309,8 +318,16 @@ class OracleClass:
                           self.oracle, *self.options)
 
     def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
-        """(violation, cut) at ``a``: the witness's gap and its cut, bound 0."""
-        value, _, _, values = self.fit(a)
+        """(violation, cut) at ``a``: the witness's gap and its cut, bound 0.
+        The exact tree's values are the dynamic program's block means per
+        distinct row, scaled as ``oracle_gap`` scales them; no tree is built."""
+        if self.oracle != "tree" or self.options[0] != "labels":
+            value, _, _, values = self.fit(a)
+        else:
+            tilde = signed_weights(a, self.k, self.m)
+            values = exact_tree_values(self.groups, tilde, self.options[1])[self.groups.inverse]
+            value, values = (_normalized_fit(values, tilde, self.m, self.k)
+                             or (0.0, np.zeros(len(tilde))))
         n = self.classes.size
         return value, Cut(values[:n] / self.k, float(np.mean(values[n:])), 0.0)
 

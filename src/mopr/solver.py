@@ -56,16 +56,25 @@ class Cut:
             raise ValueError("cut coefficients must be finite")
         if not math.isfinite(self.offset):
             raise ValueError(f"cut offset must be finite, got {self.offset}")
+        self._check_bound()
+        object.__setattr__(self, "coefficients", coef)
+
+    def _check_bound(self) -> None:
         if not self.bound >= 0.0:  # also NaN; +inf is no constraint
             raise ValueError(f"cut bound must be non-negative, got {self.bound}")
-        object.__setattr__(self, "coefficients", coef)
 
     def violation(self, a: np.ndarray) -> float:
         """How far ``a`` sits outside the cut (0 when satisfied)."""
         return max(abs(float(self.coefficients @ a) - self.offset) - self.bound, 0.0)
 
-    def with_bound(self, bound: float) -> "Cut":
-        return Cut(self.coefficients, self.offset, bound)
+    def with_bound(self, bound: float, columns=None) -> "Cut":
+        """This cut on ``columns`` (default: every item) bounded by ``bound``;
+        the coefficients were checked when this cut was built, so only the bound is."""
+        cut = object.__new__(Cut)
+        coef = self.coefficients if columns is None else self.coefficients[columns]
+        cut.__dict__.update(coefficients=coef, offset=self.offset, bound=bound)
+        cut._check_bound()
+        return cut
 
 
 class _Lp:
@@ -290,14 +299,19 @@ def round_top_k(a: np.ndarray, k: int) -> Selection:
     a = np.asarray(a, dtype=float)
     if a.size < k:
         raise ValueError("fewer entries than k")
+    indicator = np.zeros(a.size, dtype=int)
+    indicator[_top_k(a, k)] = 1
+    return Selection(indicator, k)
+
+
+def _top_k(a: np.ndarray, k: int) -> np.ndarray:
+    """The indices ``round_top_k`` selects from the float vector ``a``, in no set order."""
     order = np.argsort(-a, kind="stable")
     if 0 < k < a.size and a[order[k - 1]] - a[order[k]] <= TOL:  # a tie at the k-th place
         tie_group = np.concatenate(([0], np.cumsum(np.diff(a[order]) < -TOL)))
         at_k = tie_group == tie_group[k - 1]
         order[at_k] = np.sort(order[at_k])
-    indicator = np.zeros(a.size, dtype=int)
-    indicator[order[:k]] = 1
-    return Selection(indicator, k)
+    return order[:k]
 
 
 def check_cuts(a: np.ndarray, cuts, tol: float = 1e-8) -> list[tuple[int, float]]:

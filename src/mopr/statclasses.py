@@ -13,6 +13,8 @@ columns: it sorts each column once and filters the sort orders down the tree
 lower feature, then the lower threshold.  ``fit_tree_exact`` is the best
 least-squares tree of a depth on 0/1 columns, the one-hot labels: a dynamic
 program over the blocks of rows that such trees reach (``TreeBlocks``).
+``exact_tree_values`` reads that tree's values per distinct row from the
+program's block means, for the retrieval loop, without building the tree.
 
 A ``FeatureGroups`` holds the rows of a stack as its distinct rows with an
 ``inverse`` index, and is the one place that knows rows repeat.  Every fit
@@ -327,11 +329,12 @@ class TreeBlocks:
     of X reach, each a node's rows, numbered in the order ``build`` first
     reaches them.  Block 0 holds every row.
 
-    Block b's rows are ``members[block_of == b]``, in increasing order.
-    Splitting block b on column j sends the rows with x_j = 0 to block
-    ``left[b, j]`` and the rest to ``right[b, j]``; both are -1 where a side
-    would be empty or where b is reached only at the depth limit, which
-    indexes the -inf that ``fit`` appends to its table of values.
+    Block b's rows are ``members[block_of == b]``, in increasing order, which
+    is ``members[starts[b]:starts[b + 1]]``.  Splitting block b on column j
+    sends the rows with x_j = 0 to block ``left[b, j]`` and the rest to
+    ``right[b, j]``; both are -1 where a side would be empty or where b is
+    reached only at the depth limit, which indexes the -inf that ``solve``
+    appends to its table of values.
     """
 
     depth: int
@@ -339,6 +342,7 @@ class TreeBlocks:
     members: np.ndarray
     left: np.ndarray
     right: np.ndarray
+    starts: np.ndarray
 
     @property
     def n_blocks(self) -> int:
@@ -381,12 +385,14 @@ class TreeBlocks:
         bits = np.frombuffer(b"".join(b.to_bytes(n_bytes, "little") for b in number), np.uint8)
         block_of, members = np.nonzero(np.unpackbits(
             bits.reshape(len(number), n_bytes), axis=1, count=n_rows, bitorder="little"))
-        return cls(depth, block_of, members, left, right)
+        starts = np.searchsorted(block_of, np.arange(len(number) + 1))  # block_of ascends
+        return cls(depth, block_of, members, left, right, starts)
 
-    def fit(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> TreeNode:
+    def solve(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> tuple[list, list]:
         """The depth-<=d tree whose leaf blocks B maximize sum W_B^2 / C_B,
         W_B the summed target ``sums`` and C_B the summed ``counts`` of B's
-        rows, each leaf holding its block's mean W_B / C_B.
+        rows: each block's chosen column at each remaining depth r,
+        ``choices[r - 1][b]`` (-1 for a leaf), and each block's mean W_B / C_B.
 
         best(B, r) = max(W_B^2 / C_B, max_j best(L_j, r-1) + best(R_j, r-1)),
         a level of gathers per r.  A split replaces the leaf only when it
@@ -412,7 +418,11 @@ class TreeBlocks:
             take = value > floor
             ext[:-1] = np.where(take, value, leaf)
             choices.append(np.where(take, j, -1).tolist())
-        means = (W / C).tolist()
+        return choices, (W / C).tolist()
+
+    def fit(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> TreeNode:
+        """``solve``'s tree: nodes split at 0.5, leaves hold their block's mean."""
+        choices, means = self.solve(sums, counts, scale)
 
         def node(b: int, r: int) -> TreeNode:
             j = choices[r - 1][b] if r else -1
@@ -422,6 +432,18 @@ class TreeBlocks:
                             right=node(int(self.right[b, j]), r - 1))
 
         return node(0, self.depth)
+
+    def values(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> np.ndarray:
+        """``fit``'s tree at every row, the mean of the leaf block it falls in:
+        one walk of ``solve``'s choices, which builds no tree."""
+        choices, means = self.solve(sums, counts, scale)
+        out, pending = np.empty(len(counts)), [(0, self.depth)]
+        for b, r in pending:  # the walk appends each split's children
+            if r and (j := choices[r - 1][b]) >= 0:
+                pending += [(self.left[b, j], r - 1), (self.right[b, j], r - 1)]
+            else:
+                out[self.members[self.starts[b]:self.starts[b + 1]]] = means[b]
+        return out
 
 
 def fit_tree_exact(X, targets, depth_limit: int, feature_view: str = "labels") -> RepStatistic:
@@ -440,6 +462,15 @@ def fit_tree_exact(X, targets, depth_limit: int, feature_view: str = "labels") -
     y = np.asarray(targets, dtype=float)
     root = blocks.fit(groups.sums(y), groups.counts, float(y @ y))
     return RepStatistic("tree", {"root": root}, feature_view)
+
+
+def exact_tree_values(X, targets, depth_limit: int) -> np.ndarray:
+    """``fit_tree_exact``'s values on the distinct rows of ``X``, read from
+    the dynamic program's block means without building the tree."""
+    groups = FeatureGroups.of(X)
+    blocks = groups.tree_blocks(depth_limit)
+    y = np.asarray(targets, dtype=float)
+    return blocks.values(groups.sums(y), groups.counts, float(y @ y))
 
 
 def fit_mlp(

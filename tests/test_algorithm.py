@@ -687,6 +687,33 @@ class TestCutIsTight:
             violation, rel=1e-9, abs=1e-12)
 
 
+class TestCutRestriction:
+    """The loop restricts and re-bounds a checked cut without checking its
+    coefficients again; only the new bound is checked."""
+
+    def test_restriction_is_the_constructed_cut(self):
+        cut = Cut(np.array([0.1, -0.2, 0.3, 0.4]), 0.05, 0.0)
+        keep = np.array([0, 2, 3])
+        for restricted, columns in ((cut.with_bound(0.2, keep), keep),
+                                    (cut.with_bound(0.2), slice(None))):
+            built = Cut(cut.coefficients[columns], cut.offset, 0.2)
+            assert np.array_equal(restricted.coefficients, built.coefficients)
+            assert (restricted.offset, restricted.bound) == (built.offset, built.bound)
+        assert cut.bound == 0.0
+
+    @pytest.mark.parametrize("bound", [-0.1, float("nan")])
+    def test_a_new_bound_is_checked(self, bound):
+        cut = Cut(np.ones(3), 0.0, 0.0)
+        for columns in (None, np.array([0, 2])):
+            with pytest.raises(ValueError, match="non-negative"):
+                cut.with_bound(bound, columns)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_coefficient_raises_from_the_constructor(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            Cut(np.array([0.1, bad, 0.2]), 0.0, 0.1)
+
+
 class TestLinearSeparator:
     """The linear class has one separator, the closed form's supporting
     hyperplane, whichever entry point runs it.  The least-squares witness is
@@ -948,7 +975,7 @@ class TestOracleMemo:
         assert carry.separate(a)[0] != first[0] and len(calls) == 3
 
     def test_repeats_the_last_evaluation_only(self, monkeypatch):
-        self.assert_repeats_the_last_answer_only("tree", "oracle_gap", monkeypatch)
+        self.assert_repeats_the_last_answer_only("tree", "exact_tree_values", monkeypatch)
 
     def test_linear_class_repeats_the_last_evaluation_only(self, monkeypatch):
         self.assert_repeats_the_last_answer_only("linear", "closed_form_gap", monkeypatch)

@@ -106,6 +106,38 @@ class TestMprCommand:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("k_args", [[], ["--k", "3"]], ids=["no-k", "other-k"])
+    def test_selection_sets_k_and_the_sidecar_records_it(self, tmp_path, k_args):
+        d_r, _, _ = write_fixture(tmp_path)
+        sel_file = tmp_path / "sel.csv"
+        sel_file.write_text("id\n" + "\n".join(d_r.ids[:10]) + "\n")
+        out, ref = tmp_path / "rep.json", tmp_path / "ref.json"
+        assert main(["mpr"] + io_args(tmp_path) + k_args + [
+            "--selection", str(sel_file), "--out", str(out)]) == 0
+        assert main(["mpr"] + io_args(tmp_path) + [
+            "--k", "10", "--selection", str(sel_file), "--out", str(ref)]) == 0
+        assert out.read_text() == ref.read_text()
+        assert json.loads((tmp_path / "rep.json.config.json").read_text())["k"] == 10
+
+    def test_neither_k_nor_selection_fails(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        assert main(["mpr"] + io_args(tmp_path)) == 1
+        assert "mpr needs --k, or a --selection file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, read", [
+        ("oracle", {"oracle"}), ("closed-form", set()), ("rkhs", {"kernel"}),
+        ("finite", set())])
+    def test_sidecar_records_only_what_the_method_reads(self, tmp_path, method, read):
+        write_fixture(tmp_path)
+        out = tmp_path / "rep.json"
+        assert main(["mpr"] + io_args(tmp_path) + [
+            "--k", "10", "--method", method, "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "rep.json.config.json").read_text())
+        common = {"command", "retrieval", "curated", "query", "k", "selection", "method",
+                  "feature_view", "seed", "out"}
+        assert set(sidecar) == common | read
+        assert sidecar["k"] == 10 and sidecar["seed"] == 0
+
     def test_bad_selection_id_fails(self, tmp_path, capsys):
         write_fixture(tmp_path)
         sel_file = tmp_path / "sel.csv"

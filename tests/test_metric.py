@@ -1,8 +1,9 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_pair, trees_agree
@@ -12,6 +13,7 @@ from mopr.datamodel import Query
 from mopr.metric import (
     CellCounts,
     FeatureGroups,
+    OracleClass,
     combined_features,
     feature_groups,
     mpr_closed_form_linear,
@@ -474,15 +476,17 @@ class TestGroupedOracle:
     def test_labels_fit_sees_one_row_per_cell(self, monkeypatch, oracle):
         rng = np.random.default_rng(5)
         d_r, d_c = random_pair(rng, 300, 200, 3, n_groups=4)
-        fit_name = {"linear": "fit_linear_ls", "tree": "fit_tree_exact"}[oracle]
-        inner = getattr(metric, fit_name)
+        # the tree's report and loop both read the block table of the grouped rows
+        owner, fit_name = {"linear": (metric, "fit_linear_ls"),
+                           "tree": (metric.FeatureGroups, "tree_blocks")}[oracle]
+        inner = getattr(owner, fit_name)
         seen = []
 
         def spy(X, *args, **kwargs):
             seen.append(len(X.rows))
             return inner(X, *args, **kwargs)
 
-        monkeypatch.setattr(metric, fit_name, spy)
+        monkeypatch.setattr(owner, fit_name, spy)
         mpr_via_oracle(random_selection(rng, 300, 10), d_r, d_c, oracle, "labels")
         assert len(seen) == 1
         q = Query("q", rng.standard_normal(3))
@@ -620,6 +624,68 @@ class TestExactTreeOracle:
             assert tree == pytest.approx(linear, rel=0.0, abs=1e-12)
         else:
             assert tree >= linear - 1e-12
+
+
+@st.composite
+def cell_count_instances(draw):
+    """D_R, D_C and selection weights on 1-3 label axes of 2-4 categories,
+    built from per-cell counts drawn from {0, 1, 2} so that many cells share
+    their counts and splits tie; in the cancelling case each cell holds r
+    curated items per selected one, so the signed weights cancel on every
+    cell up to rounding and the fit is the zero fit.  Also a depth of 1-4."""
+    cards = {f"a{i}": c for i, c in enumerate(draw(st.lists(st.integers(2, 4), min_size=1,
+                                                            max_size=3)))}
+    cells = [dict(zip(cards, codes)) for codes in itertools.product(*map(range, cards.values()))]
+    counts = st.integers(0, 2)
+    selected = draw(st.lists(counts, min_size=len(cells), max_size=len(cells)))
+    unselected = draw(st.lists(counts, min_size=len(cells), max_size=len(cells)))
+    r = draw(st.integers(1, 3))
+    curated = ([r * c for c in selected] if draw(st.booleans())
+               else draw(st.lists(counts, min_size=len(cells), max_size=len(cells))))
+    assume(sum(selected) >= 1 and sum(curated) >= 1)
+    r_labels = [c for c, s, u in zip(cells, selected, unselected) for _ in range(s + u)]
+    chosen = [i for c, s, u in zip(cells, selected, unselected) for i in [1] * s + [0] * u]
+    c_labels = [c for c, n in zip(cells, curated) for _ in range(n)]
+    d_r = make_dataset(np.zeros((len(r_labels), 1)), r_labels, cards=cards, prefix="r")
+    d_c = make_dataset(np.zeros((len(c_labels), 1)), c_labels, cards=cards, role="curated",
+                       prefix="c")
+    return d_r, d_c, np.array(chosen, dtype=float), draw(st.integers(1, 4))
+
+
+class TestExactTreeCut:
+    """The loop's exact tree cut, read from the dynamic program's block means
+    per cell, is the report route's: the fitted tree's values, normalized."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_count_instances())
+    def test_loop_cut_is_the_reports_to_the_bit(self, instance):
+        d_r, d_c, a, depth = instance
+        n, m, k = len(d_r), len(d_c), int(a.sum())
+        separator = OracleClass.build(d_r, d_c, k, "tree", "labels", depth)
+        violation, cut = separator(a)
+        value, witness, _, _ = separator.fit(a)
+        groups = separator.groups
+        values = witness.base.values_from_features(groups.rows)[groups.inverse]
+        if witness.scale == 0.0:  # the zero fit
+            assert value == 0.0
+            fitted = np.zeros(n + m)
+        else:
+            fitted = normalize_values(witness.base, values, m, k).scale * values
+        assert violation == value
+        assert np.array_equal(cut.coefficients, fitted[:n] / k)
+        assert cut.offset == float(np.mean(fitted[n:])) and cut.bound == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell_count_instances())
+    def test_block_row_lists_are_block_of_and_members(self, instance):
+        d_r, d_c, _, depth = instance
+        table = feature_groups(d_r, d_c, "labels").tree_blocks(depth)
+        starts = table.starts
+        assert starts.shape == (table.n_blocks + 1,) and starts[0] == 0
+        assert starts[-1] == table.members.size
+        for b in range(table.n_blocks):
+            rows = table.members[starts[b]:starts[b + 1]]
+            assert rows.size > 0 and np.array_equal(rows, table.members[table.block_of == b])
 
 
 class TestRkhs:
