@@ -92,6 +92,11 @@ class MoprConfig:
             raise ValueError(f"unknown feature view {self.feature_view!r}")
         if self.oracle_kind == "finite" and self.feature_view != "labels":
             raise ValueError(f"the finite class needs the labels view, not {self.feature_view!r}")
+        for name, least in (("tree_depth", 1), ("mlp_hidden", 1), ("mlp_epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.curation_pool_size is not None and self.curation_pool_size < 1:
+            raise ValueError(f"curation_pool_size must be >= 1, got {self.curation_pool_size}")
 
 
 @dataclass
@@ -229,8 +234,10 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
 class _SweepCarry:
     """What a sweep passes from one grid value's retrieval to the next.
 
-    Built for one instance: the ``d_r``, ``d_c`` and ``q`` objects, k, and
-    every ``MoprConfig`` field but rho and T.  It is the whole state of
+    Built for one instance, ``d_r``, ``d_c``, ``q``, k and every
+    ``MoprConfig`` field but rho and T, which each retrieval from it sets.
+    Only ``pareto_sweep`` hands one to ``mopr_retrieve``, always for its own
+    instance, so nothing checks it.  It is the whole state of
     ``_cutting_plane``: that instance's similarity vector, k, separator (the
     statistic class of ``oracle_kind``) and LP columns ``keep`` (the items an
     optimum can choose), and the cut pool (restricted to ``keep``) and the LP
@@ -248,7 +255,6 @@ class _SweepCarry:
         _check_k(k)
         if k > len(d_r):
             raise ValueError(f"k={k} exceeds retrieval pool size {len(d_r)}")
-        self.instance = (d_r, d_c, q, k, self._fixed(cfg))
         self.k = k
         if cfg.curation_pool_size is not None:
             d_c = condition_curation(d_c, q, cfg.curation_pool_size)
@@ -270,36 +276,20 @@ class _SweepCarry:
             self._last = (a.copy(), self.separator(a))
         return self._last[1]
 
-    @staticmethod
-    def _fixed(cfg: MoprConfig) -> MoprConfig:
-        return replace(cfg, rho=0.0, T=1)
-
-    def check(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig) -> None:
-        d_r0, d_c0, q0, k0, cfg0 = self.instance
-        if not (d_r is d_r0 and d_c is d_c0 and q is q0 and k == k0
-                and self._fixed(cfg) == cfg0):
-            raise ValueError(
-                "carry was built for a different instance: d_r, d_c and q must be the "
-                "same objects, and k and every MoprConfig field but rho and T equal"
-            )
-
 
 def mopr_retrieve(
     d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig,
-    *, carry: _SweepCarry | None = None,
+    *, _carry: _SweepCarry | None = None,
 ) -> tuple[Selection, MoprTrace]:
     """Cutting-plane retrieval of k items under a representation bound.
 
-    ``carry`` is a sweep's state for this instance: the retrieval reuses its
-    separator and similarity vector, starts from its cuts and LP, and leaves
-    its own there.  ``ValueError`` if it was built for another instance.
-    Without one the retrieval builds a fresh carry of its own.
+    ``_carry`` is private to ``pareto_sweep``, which builds it for this same
+    instance: the retrieval reuses its separator and similarity vector,
+    starts from its cuts and LP, and leaves its own there.
     """
-    if carry is None:
-        carry = _SweepCarry(d_r, d_c, q, k, cfg)
-    else:
-        carry.check(d_r, d_c, q, k, cfg)
-    return _cutting_plane(carry, cfg.T, cfg.rho)
+    if _carry is None:
+        _carry = _SweepCarry(d_r, d_c, q, k, cfg)
+    return _cutting_plane(_carry, cfg.T, cfg.rho)
 
 
 def mopr_qp_linear(
@@ -394,8 +384,9 @@ def pareto_sweep(
     points: list[ParetoPoint] = []
     for rho, cfg in zip(rho_grid, cfgs):
         try:
-            # through the module attribute, so a wrapper sees every retrieval
-            _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, carry=carry)
+            # through the module attribute, cfg fifth, so a wrapper sees every
+            # retrieval and its rho
+            _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, _carry=carry)
         except InfeasibleRetrievalError:
             points.append(ParetoPoint(rho, *[float("nan")] * 4, "infeasible", 0))
             continue

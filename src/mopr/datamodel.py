@@ -67,6 +67,11 @@ class Dataset:
             )
         if labels.shape != (n, len(names)):
             raise DataFormatError(f"labels have shape {labels.shape}, expected {(n, len(names))}")
+        if not np.isfinite(embeddings).all():
+            row, col = np.argwhere(~np.isfinite(embeddings))[0]
+            raise DataFormatError(
+                f"row {row + 1}: embedding e{col}={embeddings[row, col]} is not finite"
+            )
         _, first = np.unique(np.asarray(ids), return_index=True)
         if first.size < n:
             row = int(np.setdiff1d(np.arange(n), first)[0])

@@ -51,6 +51,9 @@ def similarity_vector(dataset: Dataset, q: Query) -> np.ndarray:
             f"query has dimension {np.size(q.embedding)}, "
             f"but the dataset's embeddings have dimension {emb.shape[1]}"
         )
+    if not np.isfinite(q.embedding).all():
+        j = int(np.flatnonzero(~np.isfinite(q.embedding))[0])
+        raise ValueError(f"query {q.id!r}: embedding e{j}={q.embedding[j]} is not finite")
     norms = np.linalg.norm(emb, axis=1)
     qn = np.linalg.norm(q.embedding)
     if qn == 0.0 or np.any(norms == 0.0):

@@ -9,10 +9,11 @@ mk/(m+k), which bounds the representation gap in [0, 1].
 
 Two tree fits are offered.  ``fit_tree`` is greedy CART on any feature
 columns: it sorts each column once and filters the sort orders down the tree
-(SLIQ), scoring the columns of a node in small blocks; splits tie to the
-lower feature, then the lower threshold.  ``fit_tree_exact`` is the best
-least-squares tree of a depth on 0/1 columns, the one-hot labels: a dynamic
-program over the blocks of rows that such trees reach (``TreeBlocks``).
+(SLIQ), and scores every split of a small block of a node's columns in one
+array, +inf between equal values; splits tie to the lower feature, then the
+lower threshold.  ``fit_tree_exact`` is the best least-squares tree of a
+depth on 0/1 columns, the one-hot labels: a dynamic program over the blocks
+of rows that such trees reach (``TreeBlocks``).
 ``exact_tree_values`` reads that tree's values per distinct row from the
 program's block means, for the retrieval loop, without building the tree.
 
@@ -250,7 +251,8 @@ def _grow_tree(
 ) -> TreeNode:
     """Subtree over the rows flagged by ``in_node``.  ``order[j]`` lists all
     rows sorted stably by column j, and filtering it by ``in_node`` keeps it
-    sorted.  The columns are scored a block at a time."""
+    sorted.  The columns are scored a block at a time, every split position
+    of a block in one (columns, n - 1) array, +inf between equal values."""
     rows = np.flatnonzero(in_node)
     n = rows.size
     ys = y[rows]
@@ -258,34 +260,26 @@ def _grow_tree(
         return TreeNode(value=float(np.mean(ys)))
     n_all, p = X.shape
     width = max(1, _BLOCK_ELEMS // n)
-    best = None  # (sse, column, threshold)
+    nl = np.arange(1, n)  # rows left of each split position
+    nr = n - nl
+    best = (np.inf, -1, 0.0)  # (sse, column, threshold); no split yet
     for j0 in range(0, p, width):
         blk = order[j0:j0 + width]
         if n != n_all:
             blk = blk[in_node[blk]].reshape(blk.shape[0], n)
         xs = X.ravel().take(blk * p + np.arange(j0, j0 + blk.shape[0])[:, None])  # X[blk, column]
-        at = np.flatnonzero(xs[:, 1:] > xs[:, :-1])  # candidates, in (column, position) order
-        if at.size == 0:
-            continue
         yo = y.take(blk)
-        csum = np.cumsum(yo, axis=1).ravel()
-        csq = np.cumsum(yo * yo, axis=1).ravel()
-        cols = at // (n - 1)
-        pos = at - cols * (n - 1)  # the split follows this position of its column
-        at += cols  # the same (column, position) in the flattened (width, n) sums
-        end = (cols + 1) * n - 1
-        nl = pos + 1
-        nr = n - nl
-        sum_l = csum[at]
-        sq_l = csq[at]
-        sse = (sq_l - sum_l**2 / nl) + ((csq[end] - sq_l) - (csum[end] - sum_l) ** 2 / nr)
-        k = int(np.argmin(sse))  # the first minimum: lowest feature, then lowest threshold
-        if best is None or sse[k] < best[0]:  # strict: an earlier block wins a tie
-            c, i = int(cols[k]), int(pos[k])
+        csum = np.cumsum(yo, axis=1)
+        csq = np.cumsum(yo * yo, axis=1)
+        sum_l, sq_l = csum[:, :-1], csq[:, :-1]
+        sse = (sq_l - sum_l**2 / nl) + ((csq[:, -1:] - sq_l) - (csum[:, -1:] - sum_l) ** 2 / nr)
+        sse[~(xs[:, 1:] > xs[:, :-1])] = np.inf
+        c, i = divmod(int(np.argmin(sse)), n - 1)  # the first minimum: lowest column, then position
+        if sse[c, i] < best[0]:  # strict: an earlier block wins a tie, and +inf never wins
             lo_x, hi_x = xs[c, i], xs[c, i + 1]
             mid = 0.5 * (lo_x + hi_x)  # rounds up to hi_x between adjacent floats
-            best = (sse[k], j0 + c, mid if mid < hi_x else lo_x)
-    if best is None:
+            best = (sse[c, i], j0 + c, mid if mid < hi_x else lo_x)
+    if best[1] < 0:
         return TreeNode(value=float(np.mean(ys)))
     _, j, thr = best
     go_left = X[:, j] <= thr
@@ -492,6 +486,8 @@ def fit_mlp(
     """
     if hidden < 1:
         raise ValueError("hidden must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     groups = FeatureGroups.of(X)
     counts = groups.counts
     y = groups.sums(targets) / counts

@@ -15,6 +15,7 @@ from mopr.algorithm import (
     MoprTrace,
     SWEEP_CSV_HEADER,
     _SweepCarry,
+    _cutting_plane,
     _selectable,
     _solve_with_relaxation,
     mmr_retrieve,
@@ -428,6 +429,17 @@ class TestMoprRetrieve:
                 MoprConfig(oracle_kind="finite", feature_view=view)
             with pytest.raises(ValueError, match=f"needs the labels view, not '{view}'"):
                 replace(MoprConfig(feature_view=view), oracle_kind="finite")
+
+    @pytest.mark.parametrize("field, value, least", [
+        ("tree_depth", 0, 1), ("mlp_hidden", 0, 1), ("mlp_epochs", -1, 0),
+        ("curation_pool_size", 0, 1)])
+    def test_oracle_field_out_of_range_fails_at_construction(self, field, value, least):
+        # an MLP trained for -1 epochs would certify from its untrained net
+        with pytest.raises(ValueError, match=rf"^{field} must be >= {least}, got {value}$"):
+            MoprConfig(oracle_kind="mlp", **{field: value})
+        with pytest.raises(ValueError, match=rf"^{field} must be >= {least}, got {value}$"):
+            replace(MoprConfig(), **{field: value})
+        MoprConfig(**{field: least})
 
     def test_nan_rho_rejected(self, rng):
         d_r, d_c, q = binary_instance(rng)
@@ -1053,35 +1065,30 @@ class TestParetoSweep:
         assert first.iterations == len(trace.iterations)
         assert traces[0].to_dict() == trace.to_dict()
 
-    @pytest.mark.parametrize("name, value", [
-        ("d_r", None), ("d_c", None), ("q", None), ("k", 9),
-        ("oracle_kind", "finite"), ("feature_view", "embedding"), ("tree_depth", 2),
-        ("curation_pool_size", 30), ("seed", 1), ("mlp_hidden", 8),
-    ])
-    def test_carry_for_another_instance_is_rejected(self, name, value):
+    def test_each_grid_value_is_one_call_through_the_module(self, monkeypatch):
+        # a wrapper of algorithm.mopr_retrieve sees every grid value's
+        # retrieval once, with the value's MoprConfig as its fifth argument
         d_r, d_c, q = grid_instance()
-        cfg = MoprConfig(rho=0.1, T=5, oracle_kind="tree")
-        carry = _SweepCarry(d_r, d_c, q, 10, cfg)
-        args = dict(d_r=d_r, d_c=d_c, q=q, k=10, cfg=cfg)
-        other = dict(zip(("d_r", "d_c", "q"), grid_instance(seed=1)))
-        if name in other:
-            args[name] = other[name]
-        elif name == "k":
-            args[name] = value
-        else:
-            args["cfg"] = replace(cfg, **{name: value})
-        with pytest.raises(ValueError, match="carry was built for a different instance"):
-            mopr_retrieve(**args, carry=carry)
-        assert carry.cuts == [] and carry.lp is None
+        cfg, grid = MoprConfig(T=10, oracle_kind="tree"), [0.2, 0.1, 0.05]
+        calls, inner = [], algorithm.mopr_retrieve
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(algorithm, "mopr_retrieve", recording)
+        pareto_sweep(d_r, d_c, q, 10, cfg, grid)
+        assert [args[4] for args in calls] == [replace(cfg, rho=rho) for rho in grid]
+        assert all(args[:4] == (d_r, d_c, q, 10) for args in calls)
 
     def test_carry_takes_any_rho_and_T(self):
         d_r, d_c, q = grid_instance()
         cfg = MoprConfig(rho=0.1, T=5, oracle_kind="tree")
         carry = _SweepCarry(d_r, d_c, q, 10, cfg)
-        mopr_retrieve(d_r, d_c, q, 10, cfg, carry=carry)
+        _cutting_plane(carry, cfg.T, cfg.rho)
         first = [c.coefficients for c in carry.cuts]
         assert first
-        mopr_retrieve(d_r, d_c, q, 10, replace(cfg, rho=0.05, T=7), carry=carry)
+        _cutting_plane(carry, 7, 0.05)
         assert len(carry.cuts) >= len(first)
         assert all(np.array_equal(a, c.coefficients) for a, c in zip(first, carry.cuts))
 
@@ -1107,7 +1114,7 @@ class TestParetoSweep:
             mp.setattr(algorithm, "solve_lp", spy)
             for rho in grid:
                 start = len(lp_cuts)
-                mopr_retrieve(d_r, d_c, q, k, replace(cfg, rho=rho), carry=carry)
+                _cutting_plane(carry, cfg.T, rho)
                 carried = lp_cuts[start]  # the cuts of the first LP at this rho
                 assert all(c.bound == rho for c in carried)
                 try:

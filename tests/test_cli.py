@@ -496,6 +496,33 @@ class TestErrors:
         assert "query has dimension 5, but the dataset's embeddings have dimension 3" in err
         assert "matmul" not in err
 
+    @pytest.mark.parametrize("algo, value", [("topk", "nan"), ("mopr", "inf")])
+    def test_non_finite_query_cell(self, tmp_path, capsys, algo, value):
+        write_fixture(tmp_path)
+        (tmp_path / "query.csv").write_text(f"id,e0,e1,e2\nq0,{value},1,0\n")
+        out = tmp_path / "sel.csv"
+        code = main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "3", "--algo", algo, "--rho", "0.3", "--out", str(out)])
+        assert code == 1
+        assert f"query 'q0': embedding e0={value} is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_curated_cell(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        path = tmp_path / "curated.csv"
+        rows = path.read_text().splitlines()
+        cells = rows[2].split(",")
+        cells[2] = "nan"  # e1 of the second data row
+        rows[2] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "rep.json"
+        code = main(["mpr"] + io_args(tmp_path) + [
+            "--k", "3", "--method", "closed-form", "--feature-view", "embedding",
+            "--out", str(out)])
+        assert code == 1
+        assert "row 2: embedding e1=nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["retrieve", "--algo", "mopr", "--oracle", "finite", "--rho", "0.2"],
         ["sweep", "--oracle", "finite", "--rho-grid", "0.2"],

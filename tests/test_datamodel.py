@@ -69,6 +69,14 @@ class TestDatasetValidation:
             Dataset([f"i{j}" for j in range(4)], np.zeros((4, 1)), labels[1:],
                     DatasetSchema(d=1, label_cards={"h": 3, "g": 2}))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_embedding_names_row_and_column(self, value):
+        embeddings = np.ones((3, 2))
+        embeddings[1, 1] = value
+        with pytest.raises(DataFormatError, match=rf"^row 2: embedding e1={value} is not finite$"):
+            Dataset(["a", "b", "c"], embeddings, [[0], [1], [0]],
+                    DatasetSchema(d=2, label_cards={"g": 2}))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataFormatError, match="empty"):
             Dataset([], np.zeros((0, 2)), np.zeros((0, 0)), DatasetSchema(d=2, label_cards={}))

@@ -114,6 +114,12 @@ class TestTopK:
         with pytest.raises(ValueError, match="query has dimension 4.*dimension 3"):
             similarity_vector(ds, Query("q", rng.standard_normal(4)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, rng, value):
+        ds = make_dataset(rng.standard_normal((6, 3)))
+        with pytest.raises(ValueError, match=rf"^query 'q': embedding e1={value} is not finite$"):
+            similarity_vector(ds, Query("q", np.array([1.0, value, 0.0])))
+
 
 class TestConditionCuration:
     def test_noop_when_pool_large(self, rng):

@@ -572,6 +572,12 @@ class TestMlpFit:
             fit_mlp(X, y, 8, epochs=500, step_size=50.0, seed=0,
                     feature_view="embedding")
 
+    @pytest.mark.parametrize("hidden, epochs, message", [
+        (0, 10, "hidden must be >= 1"), (8, -1, "epochs must be >= 0")])
+    def test_out_of_range_sizes_rejected(self, hidden, epochs, message):
+        with pytest.raises(ValueError, match=message):
+            fit_mlp(np.ones((3, 2)), np.zeros(3), hidden, epochs=epochs)
+
 
 class TestNormalization:
     def test_scale_formula(self):
