@@ -31,12 +31,25 @@ cells present on the labels view, found as ``CellCounts`` finds them
 groups and map their values back to every row, the closed form factors the
 groups' weighted rows, and the kernel distance takes the groups' sums of the
 signed weights and drops the rows of zero weight.
+
+What depends only on a pair (D_R, D_C) is built once per pair: the feature
+groups of each view and the label cells are kept in a module-level
+``weakref.WeakKeyDictionary`` keyed by the two ``Dataset`` objects, by
+identity (``_per_pair``).  A ``Dataset`` is immutable, so an entry stays
+true for as long as both datasets live, and it goes when either is
+collected; the entry holds no reference to them.  The groups in turn keep
+their SVD (``svd_context``), CART presort and exact tree tables, so these
+too are built once per pair.  A new dataset is a new key, even with the same
+rows, as are those that ``condition_curation`` and ``reconcile`` build.
+Errors are not kept: an incompatible pair raises on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +72,7 @@ from mopr.statclasses import (
     fit_tree,
     fit_tree_exact,
     normalize_values,
+    read_only,
     target_norm,
 )
 
@@ -105,6 +119,28 @@ class SvdContext:
     groups: FeatureGroups
 
 
+# D_R -> D_C -> {(build, args): value}; see the module docstring
+_PAIR_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_pair(build):
+    """``build(d_r, d_c, *args)``, kept per pair of datasets and ``args`` from
+    its first return for as long as both datasets live.  A build that raises
+    keeps nothing."""
+
+    @functools.wraps(build)
+    def memoized(d_r: Dataset, d_c: Dataset, *args):
+        key = (build, *args)
+        memo = _PAIR_MEMO.get(d_r, {}).get(d_c, {})
+        if key not in memo:
+            value = build(d_r, d_c, *args)  # a pair that raises gets no entry
+            memo = _PAIR_MEMO.setdefault(d_r, weakref.WeakKeyDictionary()).setdefault(d_c, {})
+            memo[key] = value
+        return memo[key]
+
+    return memoized
+
+
 def _check_compatible(d_r: Dataset, d_c: Dataset, view: str) -> None:
     if view in ("labels", "concat") and d_r.schema.label_cards != d_c.schema.label_cards:
         raise ValueError("retrieval and curated datasets disagree on label cardinalities")
@@ -118,12 +154,14 @@ def combined_features(d_r: Dataset, d_c: Dataset, view: str) -> np.ndarray:
     return np.vstack([feature_matrix(d_r, view), feature_matrix(d_c, view)])
 
 
+@_per_pair
 def _label_cells(d_r: Dataset, d_c: Dataset):
     """The label rows of D_R over D_C, their cards, and each present cell's
-    first row and each row's cell, the cells in lexicographic order."""
+    first row and each row's cell, the cells in lexicographic order; built
+    once per pair, the arrays read-only."""
     _check_compatible(d_r, d_c, "labels")
     labels = np.vstack([d_r.labels, d_c.labels])
-    cards = [d_r.schema.label_cards[name] for name in d_r.schema.label_names]
+    cards = tuple(d_r.schema.label_cards[name] for name in d_r.schema.label_names)
     code, span = np.zeros(len(labels), dtype=np.int64), 1  # a mixed-radix code of each row
     for j, card in enumerate(cards):
         if span * card >= 2**62:  # renumber the codes so far before they overflow
@@ -131,31 +169,44 @@ def _label_cells(d_r: Dataset, d_c: Dataset):
             span = len(labels)
         code, span = code * card + labels[:, j], span * card
     _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    return labels, cards, first, inverse
+    return read_only(labels), cards, read_only(first), read_only(inverse)
 
 
+@_per_pair
 def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
-    """Distinct feature rows of D_R stacked over D_C.
+    """Distinct feature rows of D_R stacked over D_C, built once per pair and
+    view.
 
     On the labels view a row is a function of the item's intersectional cell,
     so the rows are grouped by cell, in order of first appearance.  The
-    embedding and concat views take the stacked rows as they are."""
+    embedding and concat views take the stacked rows as they are.  The rows
+    and ``inverse`` are read-only."""
     if view != "labels":
-        return FeatureGroups.identity(combined_features(d_r, d_c, view))
+        X = combined_features(d_r, d_c, view)
+        return FeatureGroups(read_only(X), read_only(np.arange(len(X))))
     labels, cards, first, inverse = _label_cells(d_r, d_c)
     by_first = np.argsort(first)
     renumber = np.argsort(by_first)  # the inverse permutation
-    return FeatureGroups(one_hot(labels[first[by_first]], cards), renumber[inverse])
+    return FeatureGroups(read_only(one_hot(labels[first[by_first]], cards)),
+                         read_only(renumber[inverse]))
 
 
 def svd_context(groups: FeatureGroups) -> SvdContext:
+    """``groups``' SVD context.  The factors are computed once per groups and
+    kept read-only by ``groups.cached``.  It keeps the factors, not the
+    context, which refers back to ``groups``: with no reference cycle the
+    groups are freed as soon as their last user lets go."""
+    return SvdContext(*groups.cached("svd", lambda: _svd_factors(groups)), groups)
+
+
+def _svd_factors(groups: FeatureGroups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     U, S, Vt = np.linalg.svd(groups.weighted_rows(), full_matrices=False)
     if S.size == 0 or S[0] <= 0.0:
         raise ValueError("all-zero feature matrix")
     keep = S > SV_CUTOFF_REL * S[0]
     U_l = U[:, keep]
     U_l /= np.sqrt(groups.counts)[:, None]
-    return SvdContext(U_l, S[keep], Vt[keep].T, groups)
+    return read_only(U_l), read_only(S[keep]), read_only(Vt[keep].T)
 
 
 @dataclass(frozen=True)
@@ -291,8 +342,9 @@ class OracleClass:
     on which every cut is constant.  The cut at ``a`` bounds by 0 the gap
     between the witness's mean over the selection and over D_C, its
     coefficients the witness's values on the D_R items over k, as the search
-    computed them.  The oracle is deterministic; ``groups`` keeps the exact
-    tree fit's block table from the first evaluation on, so a sweep builds it once.
+    computed them.  The oracle is deterministic; ``groups``, built once per
+    pair, keeps the exact tree fit's block table and CART's presort from the
+    first evaluation on, so every class on the pair builds them once.
     """
 
     groups: FeatureGroups

@@ -36,6 +36,10 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine of the angle between u and v, clamped to [-1, 1]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    for name, x in (("u", u), ("v", v)):
+        if not np.isfinite(x).all():
+            j = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise ValueError(f"{name}[{j}]={x.flat[j]} is not finite")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:

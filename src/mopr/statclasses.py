@@ -26,6 +26,16 @@ distinct ones, the MLP's count-weighted loss has the full loss's gradient,
 and the exact tree's block sums add the distinct rows' counts and target
 sums.  The fitted values equal the fit on the expanded rows up to rounding.
 CART fits the stacked rows.
+
+A ``FeatureGroups`` is immutable: its arrays are not written after it is
+built.  So it keeps, in a private dict keyed by what was built, everything
+derived from it alone, built on first use and held for as long as the groups
+live: the exact tree's ``tree_blocks`` per depth, CART's ``presort`` (the
+contiguous stack and its columns' stable sort orders, which every
+``fit_tree`` on the groups reads) and whatever ``cached`` is asked for, as
+``metric.svd_context`` asks for the SVD.  A build that raises keeps nothing.
+The cached arrays are read-only.  A fit on a plain array of rows groups it
+afresh, so it builds what it needs each time.
 """
 
 from __future__ import annotations
@@ -172,22 +182,31 @@ def all_cell_indicators(schema_cards: dict[str, int]) -> list[RepStatistic]:
     return [cell_indicator(c) for c in cells]
 
 
+def read_only(a) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself keeps its flags."""
+    view = np.asarray(a).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True)
 class FeatureGroups:
     """The rows of a stack as distinct rows: row i of the stack is
     ``rows[inverse[i]]``, and ``counts[r]`` stack rows are row r.  ``inverse``
-    must index every row and no row past the end."""
+    must index every row and no row past the end.  The groups are immutable:
+    ``cached`` keeps what is derived from them."""
 
     rows: np.ndarray
     inverse: np.ndarray
     counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _tree_blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inverse = np.asarray(self.inverse)
         counts = np.bincount(inverse, minlength=len(self.rows))
         if counts.size != len(self.rows) or counts.min(initial=1) < 1:
             raise ValueError(f"inverse must index each of the {len(self.rows)} rows")
+        counts.setflags(write=False)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "counts", counts)
 
@@ -199,6 +218,13 @@ class FeatureGroups:
     def of(cls, X) -> "FeatureGroups":
         """``X`` if it is a FeatureGroups, else the identity grouping of rows ``X``."""
         return X if isinstance(X, cls) else cls.identity(X)
+
+    def cached(self, key, build):
+        """``build()``, kept under ``key`` from its first return for as long as
+        the groups live.  A build that raises keeps nothing."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def sums(self, values) -> np.ndarray:
         """Per-row sums of ``values``, one value per stack row."""
@@ -222,9 +248,17 @@ class FeatureGroups:
 
     def tree_blocks(self, depth: int) -> TreeBlocks:
         """The exact tree fit's table of ``rows`` at ``depth``, built on first use."""
-        if depth not in self._tree_blocks:
-            self._tree_blocks[depth] = TreeBlocks.build(self.rows, depth)
-        return self._tree_blocks[depth]
+        return self.cached(("tree_blocks", depth), lambda: TreeBlocks.build(self.rows, depth))
+
+    def presort(self) -> tuple[np.ndarray, np.ndarray]:
+        """CART's presort, built on first use: the stack as one contiguous float
+        array X, and ``order``, whose row j lists the stack's rows sorted
+        stably by column j of X."""
+        def build():
+            X = np.ascontiguousarray(self.stack(), dtype=float)
+            return read_only(X), read_only(np.argsort(X.T, axis=-1, kind="stable"))
+
+        return self.cached("presort", build)
 
 
 def fit_linear_ls(X, targets, feature_view: str = "labels") -> RepStatistic:
@@ -298,16 +332,16 @@ def fit_tree(X, targets, depth_limit: int, feature_view: str = "labels") -> RepS
 
     Each node takes the lowest-SSE split between two distinct values of one
     column; ties go to the lower feature index, then to the lower threshold.
-    Leaves hold the mean target of their rows.  The columns are sorted once,
-    stably, at the root, and each node filters those sort orders to its rows.
+    Leaves hold the mean target of their rows.  The columns are sorted once
+    per FeatureGroups, stably (``FeatureGroups.presort``), and each node
+    filters those sort orders to its rows.
     """
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1")
-    X = np.ascontiguousarray(FeatureGroups.of(X).stack(), dtype=float)
+    X, order = FeatureGroups.of(X).presort()
     y = np.asarray(targets, dtype=float)
     if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValueError(f"fit_tree needs X of shape (N, p), targets (N,); got {X.shape}, {y.shape}")
-    order = np.argsort(X.T, axis=1, kind="stable")
     root = _grow_tree(X, y, np.ones(len(X), dtype=bool), order, depth_limit)
     return RepStatistic("tree", {"root": root}, feature_view)
 
@@ -380,7 +414,7 @@ class TreeBlocks:
         block_of, members = np.nonzero(np.unpackbits(
             bits.reshape(len(number), n_bytes), axis=1, count=n_rows, bitorder="little"))
         starts = np.searchsorted(block_of, np.arange(len(number) + 1))  # block_of ascends
-        return cls(depth, block_of, members, left, right, starts)
+        return cls(depth, *map(read_only, (block_of, members, left, right, starts)))
 
     def solve(self, sums: np.ndarray, counts: np.ndarray, scale: float) -> tuple[list, list]:
         """The depth-<=d tree whose leaf blocks B maximize sum W_B^2 / C_B,

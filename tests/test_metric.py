@@ -1,5 +1,7 @@
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset, random_pair, trees_agree
 from mopr import metric
 from mopr.algorithm import MoprConfig, mopr_retrieve
-from mopr.datamodel import Query
+from mopr.datamodel import Query, load_dataset, reconcile, save_dataset
 from mopr.metric import (
     CellCounts,
     FeatureGroups,
@@ -24,7 +26,7 @@ from mopr.metric import (
     signed_weights,
     svd_context,
 )
-from mopr.similarity import Selection
+from mopr.similarity import Selection, condition_curation
 from mopr.solver import Cut
 from mopr.statclasses import (
     DegenerateStatisticError,
@@ -785,3 +787,103 @@ class TestReportSerialization:
         assert set(doc) == {"value", "method", "witness", "diagnostics"}
         assert doc["method"] == "closed-linear"
         assert isinstance(rep.to_json(), str)
+
+
+VIEWS = ("labels", "embedding", "concat")
+EVALUATORS = {
+    "finite": lambda sel, d_r, d_c, view: CellCounts.build(d_r, d_c, sel.k).report(sel.indicator),
+    "oracle-linear": lambda sel, d_r, d_c, view: mpr_via_oracle(sel, d_r, d_c, "linear", view),
+    "oracle-tree": lambda sel, d_r, d_c, view: mpr_via_oracle(sel, d_r, d_c, "tree", view,
+                                                              tree_depth=2),
+    "oracle-mlp": lambda sel, d_r, d_c, view: mpr_via_oracle(sel, d_r, d_c, "mlp", view,
+                                                             mlp_hidden=4, mlp_epochs=10),
+    "closed-form": lambda sel, d_r, d_c, view: mpr_closed_form_linear(sel, d_r, d_c, view),
+    "rkhs": lambda sel, d_r, d_c, view: mpr_rkhs(sel, d_r, d_c, "gaussian", 1.0, view),
+}
+
+
+class TestPairMemo:
+    """What depends only on (D_R, D_C) is built once per pair of dataset
+    objects and dies with them."""
+
+    @pytest.mark.parametrize("evaluator, view", [
+        (name, view) for name in EVALUATORS for view in VIEWS if name != "finite" or view == "labels"
+    ])
+    def test_repeat_calls_report_what_a_fresh_pair_reports(self, tmp_path, evaluator, view):
+        rng = np.random.default_rng(3)
+        for d, name in zip(random_pair(rng, 40, 30, 3, n_groups=3), ("retrieval", "curated")):
+            save_dataset(d, tmp_path / f"{name}.csv")
+        pairs = [(load_dataset(tmp_path / "retrieval.csv"),
+                  load_dataset(tmp_path / "curated.csv", "curated")) for _ in range(2)]
+        sel = random_selection(rng, 40, 7)
+        evaluate = EVALUATORS[evaluator]
+        first = [evaluate(sel, *pairs[0], view).to_json() for _ in range(2)]
+        assert first == [evaluate(sel, *pairs[1], view).to_json()] * 2
+
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_cached_arrays_are_read_only(self, rng, view):
+        d_r, d_c = random_pair(rng, 30, 20, 3, n_groups=3)
+        groups = feature_groups(d_r, d_c, view)
+        cached = [groups.rows, groups.inverse, groups.counts, *groups.presort(),
+                  svd_context(groups).U_l]
+        if view == "labels":
+            table = groups.tree_blocks(2)
+            cached += [a for a in metric._label_cells(d_r, d_c) if isinstance(a, np.ndarray)]
+            cached += [table.block_of, table.members, table.left, table.right, table.starts]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_incompatible_pair_raises_on_every_call(self, rng):
+        d_r = make_dataset(rng.standard_normal((6, 2)), [{"g": i % 2} for i in range(6)],
+                           cards={"g": 2}, prefix="r")
+        d_c = make_dataset(rng.standard_normal((4, 3)), [{"g": i % 3} for i in range(4)],
+                           cards={"g": 3}, role="curated", prefix="c")
+        sel = random_selection(rng, 6, 2)
+        for view, what in (("labels", "label cardinalities"), ("embedding", "embedding dimension"),
+                           ("concat", "label cardinalities")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=what):
+                    feature_groups(d_r, d_c, view)
+                with pytest.raises(ValueError, match=what):
+                    mpr_closed_form_linear(sel, d_r, d_c, view)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="label cardinalities"):
+                CellCounts.build(d_r, d_c, 2)
+        # a pair whose labels agree keeps its labels view and still fails on the other two
+        d_c = make_dataset(rng.standard_normal((4, 3)), [{"g": i % 2} for i in range(4)],
+                           cards={"g": 2}, role="curated", prefix="c")
+        assert feature_groups(d_r, d_c, "labels") is feature_groups(d_r, d_c, "labels")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="embedding dimension"):
+                feature_groups(d_r, d_c, "embedding")
+
+    def test_entry_dies_with_the_datasets(self, rng):
+        d_r, d_c = random_pair(rng, 30, 20, 3)
+        sel = random_selection(rng, 30, 5)
+        for evaluate in EVALUATORS.values():
+            evaluate(sel, d_r, d_c, "concat")
+        groups = weakref.ref(feature_groups(d_r, d_c, "concat"))
+        assert groups() is not None and d_r in metric._PAIR_MEMO
+        del d_r, d_c
+        gc.collect()
+        assert groups() is None
+
+    def test_derived_datasets_get_their_own_entries(self, rng):
+        d_r, d_c = random_pair(rng, 30, 20, 3, n_groups=3)
+        near = condition_curation(d_c, Query("q", rng.standard_normal(3)), 10)
+        assert near is not d_c
+        groups = feature_groups(d_r, near, "embedding")
+        assert groups is feature_groups(d_r, near, "embedding")
+        assert groups is not feature_groups(d_r, d_c, "embedding")
+        assert np.array_equal(groups.rows, combined_features(d_r, near, "embedding"))
+        # a curated set that lacks a category takes the retrieval set's cards
+        lacking = make_dataset(rng.standard_normal((5, 3)), [{"g": i % 2} for i in range(5)],
+                               cards={"g": 2}, role="curated", prefix="c")
+        same_r, wider = reconcile(d_r, lacking)
+        assert same_r is d_r and wider is not lacking
+        with pytest.raises(ValueError, match="label cardinalities"):
+            feature_groups(d_r, lacking, "labels")
+        assert feature_groups(d_r, wider, "labels").rows.shape[1] == 3
+        assert all(d in metric._PAIR_MEMO[d_r] for d in (d_c, near, wider))
+        assert lacking not in metric._PAIR_MEMO[d_r]

@@ -36,6 +36,13 @@ class TestCosine:
         with pytest.raises(ValueError, match="zero-norm"):
             cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"^u\[0\]={value} is not finite$"):
+            cosine_similarity([value, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match=rf"^v\[1\]={value} is not finite$"):
+            cosine_similarity([1.0, 0.0], [1.0, value])
+
     @settings(max_examples=50, deadline=None)
     @given(finite_vec, finite_vec,
            st.floats(min_value=0.01, max_value=100),

@@ -346,6 +346,28 @@ class TestGroupedFits:
         scale = max(np.abs(y).max(), np.abs(p_full).max())
         assert np.abs(p_grouped - p_full).max() <= 1e-10 * scale
 
+    @settings(max_examples=50, deadline=None)
+    @given(grouped_problems())
+    def test_tree_sorts_once_per_groups(self, problem):
+        U, inverse, y, depth = problem
+        groups, X = FeatureGroups(U, inverse), U[inverse]
+        targets = (y, 1.0 - 2.0 * y[::-1])
+        sorts = []
+        argsort = np.argsort
+
+        def counting(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
+        with mock.patch.object(np, "argsort", counting):
+            fits = [fit_tree(groups, t, depth, "embedding") for t in targets]
+        assert len(sorts) == 1
+        stacked, order = groups.presort()
+        assert np.array_equal(stacked, X)
+        assert np.array_equal(order, argsort(X.T, axis=1, kind="stable"))
+        for fit, t in zip(fits, targets):
+            assert fit.to_dict() == fit_tree(X, t, depth, "embedding").to_dict()
+
 
 class TestFeatureGroups:
     U = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
