@@ -33,12 +33,11 @@ and a Pareto sweep harness round out the module.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from mopr.datamodel import Dataset, Query
+from mopr.datamodel import FLOAT_FMT, Dataset, Query, write_csv
 from mopr.metric import CellCounts, LinearClass, OracleClass
 from mopr.similarity import Selection, condition_curation, similarity_vector, top_k_indices
 from mopr.solver import Cut, _top_k, solve_lp
@@ -412,10 +411,7 @@ SWEEP_CSV_HEADER = [
 
 def write_sweep_csv(points: list[ParetoPoint], path) -> None:
     """Emit sweep points in grid order."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for p in points:
-            figures = (p.rho_target, p.mpr_achieved, p.mean_similarity, p.sim_frac_topk,
-                       p.mpr_frac_topk)
-            writer.writerow(["%.17g" % v for v in figures] + [p.halted_by, str(p.iterations)])
+    write_csv(path, SWEEP_CSV_HEADER, (
+        [FLOAT_FMT % v for v in (p.rho_target, p.mpr_achieved, p.mean_similarity,
+                                 p.sim_frac_topk, p.mpr_frac_topk)]
+        + [p.halted_by, str(p.iterations)] for p in points))

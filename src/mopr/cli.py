@@ -8,7 +8,6 @@ structured message on any failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -103,11 +102,7 @@ def cmd_gen(args) -> int:
 
 def _selection_from_args(args, d_r, q):
     if args.selection:
-        ids = [
-            line.strip()
-            for line in Path(args.selection).read_text(encoding="utf-8").splitlines()
-            if line.strip() and line.strip() != "id"
-        ]
+        ids = datamodel.load_ids(args.selection)
         index = {item_id: i for i, item_id in enumerate(d_r.ids)}
         indicator = np.zeros(len(d_r), dtype=int)
         for item_id in ids:
@@ -142,12 +137,6 @@ def cmd_mpr(args) -> int:
     return _emit(args, report.to_json() + "\n", {**_resolved(args, args.method), "k": sel.k})
 
 
-def _write_ids(sel, d_r, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        ids = d_r.ids
-        csv.writer(fh, lineterminator="\n").writerows([["id"]] + [[ids[i]] for i in sel.indices])
-
-
 def cmd_retrieve(args) -> int:
     d_r, d_c, q = _load_inputs(args)
     trace = None
@@ -157,7 +146,7 @@ def cmd_retrieve(args) -> int:
         sel = algorithm.mmr_retrieve(d_r, q, args.k, args.lam)
     else:
         sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
-    _write_ids(sel, d_r, args.out)
+    datamodel.save_ids(map(d_r.ids.__getitem__, sel.indices), args.out)
     sidecar = _resolved(args, args.algo)
     if trace is not None:
         sidecar["trace"] = trace.to_dict()
@@ -211,27 +200,26 @@ def cmd_compare_ip(args) -> int:
             continue
         rounded = solver.round_top_k(lp.a, args.k)
         # the rounded set's own MPR is above rho when rounding broke a cut
-        figures = ["%.17g" % v for v in (lp.objective, float(s @ rounded.indicator),
-                                         counts.worst(rounded.indicator)[0])]
+        figures = [datamodel.FLOAT_FMT % v for v in (lp.objective, float(s @ rounded.indicator),
+                                                     counts.worst(rounded.indicator)[0])]
         try:
             ip_sel = solver.solve_ip_exact(s, cuts, args.k)
         except ValueError:  # the relaxation is feasible, but no selection is
             rows.append([rho, "ip-infeasible", *figures, ""])
             continue
-        rows.append([rho, "optimal", *figures, "%.17g" % float(s @ ip_sel.indicator)])
-    with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rho", "status", "lp_objective", "rounded_objective", "rounded_mpr",
-                         "ip_objective"])
-        writer.writerows(rows)
+        rows.append([rho, "optimal", *figures, datamodel.FLOAT_FMT % float(s @ ip_sel.indicator)])
+    datamodel.write_csv(args.out, ["rho", "status", "lp_objective", "rounded_objective",
+                                   "rounded_mpr", "ip_objective"], rows)
     _write_sidecar(args.out, _resolved(args))
     return 0
 
 
 def _add_io_args(p):
+    """The input files and the seed of every command that reads a pool."""
     p.add_argument("--retrieval", required=True, help="retrieval pool CSV")
     p.add_argument("--curated", required=True, help="curated dataset CSV")
     p.add_argument("--query", required=True, help="query CSV")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_oracle_args(p):
@@ -264,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=ORACLE_KINDS, default="linear")
     p.add_argument("--feature-view", dest="feature_view", choices=FEATURE_VIEWS, default="labels")
     p.add_argument("--kernel", default="linear", help="'linear' or 'gaussian:SIGMA'")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write report JSON here (default: stdout)")
     p.set_defaults(func=cmd_mpr)
 
@@ -275,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5, help="MMR trade-off")
     _add_oracle_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="selected item ids CSV")
     p.set_defaults(func=cmd_retrieve)
 
@@ -285,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", dest="rho_grid", required=True,
                    help="comma-separated descending rho values")
     _add_oracle_args(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 
@@ -307,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho-grid", dest="rho_grid", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="comparison CSV path")
     p.set_defaults(func=cmd_compare_ip)
 

@@ -1,4 +1,4 @@
-"""Datasets, queries, synthetic generation, and balanced curation.
+"""Datasets, queries, the CSV files of both, synthetic generation, and balanced curation.
 
 A dataset is three row-aligned arrays: n item ids, an (n, d) float64
 embedding matrix and an (n, axes) int64 matrix of categorical group labels
@@ -13,14 +13,16 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from itertools import product
-from typing import Sequence
+from itertools import chain, product
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-9
-FLOAT_FMT = "%.17g"
+FLOAT_FMT = "%.17g"  # the float format of every file mopr writes: it round-trips a double
 
 
 class DataFormatError(ValueError):
@@ -36,7 +38,10 @@ class Query:
 @dataclass(frozen=True)
 class DatasetSchema:
     d: int
-    label_cards: dict[str, int]
+    label_cards: Mapping[str, int]
+
+    def __post_init__(self):  # a read-only copy: no caller can change a built dataset's cards
+        object.__setattr__(self, "label_cards", MappingProxyType(dict(self.label_cards)))
 
     @property
     def label_names(self) -> list[str]:
@@ -72,22 +77,20 @@ class Dataset:
             raise DataFormatError(
                 f"row {row + 1}: embedding e{col}={embeddings[row, col]} is not finite"
             )
-        _, first = np.unique(np.asarray(ids), return_index=True)
-        if first.size < n:
-            row = int(np.setdiff1d(np.arange(n), first)[0])
+        if len(set(ids)) < n:  # ids compare as Python strings, not as numpy's NUL-padded ones
+            seen = {}
+            row = next(i for i, item_id in enumerate(ids) if seen.setdefault(item_id, i) != i)
             raise DataFormatError(f"duplicate id {ids[row]!r} at row {row + 1}")
         cards = np.array([schema.label_cards[name] for name in names], dtype=np.int64)
         bad = (labels < 0) | (labels >= cards)
         if bad.any():
             row, axis = np.argwhere(bad)[0]
-            raise DataFormatError(
-                f"row {row + 1}: label {names[axis]}={labels[row, axis]} "
-                f"outside cardinality {cards[axis]}"
-            )
+            raise DataFormatError(f"row {row + 1}: label {names[axis]}={labels[row, axis]} "
+                                  f"outside cardinality {cards[axis]}")
         embeddings.setflags(write=False)
         labels.setflags(write=False)
         self._ids, self._embeddings, self._labels = ids, embeddings, labels
-        self.schema, self.role = schema, role
+        self._schema, self._role = schema, role
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -105,6 +108,9 @@ class Dataset:
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
+
+    schema = property(lambda self: self._schema)
+    role = property(lambda self: self._role)  # 'retrieval' or 'curated'
 
     def subset(self, indices: Sequence[int], role: str | None = None) -> "Dataset":
         """New dataset keeping the rows at ``indices``, in that order."""
@@ -130,7 +136,30 @@ def reconcile(d_r: Dataset, d_c: Dataset) -> tuple[Dataset, Dataset]:
                  for d in (d_r, d_c))
 
 
-def _parse_header(header: list[str]) -> tuple[int, list[str]]:
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV with LF endings; mopr writes every CSV here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # QUOTE_MINIMAL leaves a CR bare when the line ending is LF, and a reader ends a row there
+        minimal, quoted = (csv.writer(fh, lineterminator="\n", quoting=quoting)
+                           for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+        for row in chain([header], rows):
+            (quoted if any("\r" in c for c in row if isinstance(c, str)) else minimal).writerow(row)
+
+
+@contextmanager
+def _csv_rows(path):
+    """The rows of the CSV file at ``path``; a format error in them names the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except (DataFormatError, csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _parse_table(rows) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Ids, label names, (n, d) embeddings and (n, axes) labels of a dataset or query file."""
+    if (header := next(rows, None)) is None:
+        raise DataFormatError("empty dataset")
     if not header or header[0] != "id":
         raise DataFormatError("malformed header: first column must be 'id'")
     d = 0
@@ -138,84 +167,75 @@ def _parse_header(header: list[str]) -> tuple[int, list[str]]:
         d += 1
     if d == 0:
         raise DataFormatError("malformed header: no embedding columns e0..e{d-1}")
-    label_names = []
     for col in header[1 + d:]:
         if not col.startswith("g_") or len(col) <= 2:
             raise DataFormatError(f"malformed header: unexpected column {col!r}")
-        label_names.append(col[2:])
+    label_names = [col[2:] for col in header[1 + d:]]
     if label_names != sorted(label_names):
         raise DataFormatError("malformed header: label columns must be in sorted order")
-    return d, label_names
+    ids, width = [], 1 + d + len(label_names)
+    # flat buffers of C doubles and int64s: a row costs its numbers and no object
+    embeddings, labels = array("d"), array("q")
+    for row_no, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataFormatError(f"row {row_no}: expected {width} cells, got {len(row)}")
+        try:  # float() and int() name the value they refuse
+            embeddings.extend(map(float, row[1:1 + d]))
+            labels.extend(map(int, row[1 + d:]))
+        except ValueError as exc:
+            raise DataFormatError(f"row {row_no}: {exc}") from None
+        ids.append(row[0])
+    if not ids:
+        raise DataFormatError("empty dataset")
+    return (ids, label_names, np.frombuffer(embeddings).reshape(len(ids), d),
+            np.frombuffer(labels, dtype=np.int64).reshape(len(ids), len(label_names)))
 
 
 def load_dataset(path, role: str = "retrieval") -> Dataset:
     """Load a dataset from the CSV format (see :func:`save_dataset`)."""
-    ids = []
-    # flat buffers of C doubles and int64s: a row costs its numbers and no object
-    embeddings, labels = array("d"), array("q")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty dataset") from None
-        d, label_names = _parse_header(header)
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != 1 + d + len(label_names):
-                raise DataFormatError(
-                    f"row {row_no}: expected {1 + d + len(label_names)} cells, got {len(row)}"
-                )
-            try:
-                embeddings.extend(map(float, row[1:1 + d]))
-            except ValueError:
-                raise DataFormatError(f"row {row_no}: non-numeric embedding cell") from None
-            try:
-                labels.extend(map(int, row[1 + d:]))
-            except ValueError:
-                raise DataFormatError(f"row {row_no}: non-integer label cell") from None
-            ids.append(row[0])
-    if not ids:
-        raise DataFormatError("empty dataset")
-    label_matrix = np.frombuffer(labels, dtype=np.int64).reshape(len(ids), len(label_names))
-    cards = dict(zip(label_names, (label_matrix.max(axis=0) + 1).tolist()))
-    return Dataset(ids, np.frombuffer(embeddings).reshape(len(ids), d), label_matrix,
-                   DatasetSchema(d=d, label_cards=cards), role)
+    with _csv_rows(path) as rows:
+        ids, label_names, embeddings, labels = _parse_table(rows)
+        cards = dict(zip(label_names, (labels.max(axis=0) + 1).tolist()))
+        return Dataset(ids, embeddings, labels, DatasetSchema(embeddings.shape[1], cards), role)
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV with 17-significant-digit floats and LF endings."""
-    names = dataset.schema.label_names
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"e{j}" for j in range(dataset.schema.d)] + [f"g_{n}" for n in names])
-        for item_id, embedding, labels in zip(dataset.ids, dataset.embeddings, dataset.labels):
-            writer.writerow(
-                [item_id]
-                + [FLOAT_FMT % v for v in embedding.tolist()]
-                + [str(code) for code in labels.tolist()]
-            )
+    """Write a dataset as CSV ``id,e0..e{d-1},g_<name>..``, one row per item."""
+    d, names = dataset.schema.d, dataset.schema.label_names
+    write_csv(path, ["id"] + [f"e{j}" for j in range(d)] + [f"g_{n}" for n in names],
+              ([item_id] + [FLOAT_FMT % v for v in emb.tolist()] + [str(c) for c in codes.tolist()]
+               for item_id, emb, codes in zip(dataset.ids, dataset.embeddings, dataset.labels)))
 
 
 def load_query(path) -> Query:
-    """Load a query from a one-row CSV ``id,e0,...,e{d-1}``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        row = next(reader, None)
-        if header is None or row is None:
-            raise DataFormatError("query file must have a header and one data row")
-        try:
-            emb = np.array([float(v) for v in row[1:]], dtype=float)
-        except ValueError:
-            raise DataFormatError("non-numeric embedding cell in query file") from None
-        return Query(row[0], emb)
+    """Load a query from a CSV ``id,e0,...,e{d-1}`` of one data row."""
+    with _csv_rows(path) as rows:
+        ids, names, embeddings, _ = _parse_table(rows)
+        if names or len(ids) != 1:
+            raise DataFormatError(f"expected 1 row, 0 label columns; got {len(ids)}, {len(names)}")
+    return Query(ids[0], embeddings[0])
 
 
 def save_query(query: Query, path) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"e{j}" for j in range(query.embedding.size)])
-        writer.writerow([query.id] + [FLOAT_FMT % v for v in query.embedding])
+    write_csv(path, ["id"] + [f"e{j}" for j in range(query.embedding.size)],
+              [[query.id] + [FLOAT_FMT % v for v in query.embedding.tolist()]])
+
+
+def load_ids(path) -> list[str]:
+    """The item ids of an ids file (see :func:`save_ids`), verbatim; the
+    first row is a header, and skipped, only if it is exactly ``id``."""
+    with _csv_rows(path) as rows:
+        ids = []
+        for row_no, row in enumerate(rows, start=1):
+            if len(row) > 1:
+                raise DataFormatError(f"row {row_no}: expected 1 cell, got {len(row)}")
+            ids.extend(row if row_no > 1 or row != ["id"] else [])  # a blank line adds none
+    return ids
+
+
+def save_ids(ids: Iterable[str], path) -> None:
+    """Write item ids as CSV: a header ``id``, then one id per row."""
+    write_csv(path, ["id"], ([item_id] for item_id in ids))
 
 
 @dataclass(frozen=True)

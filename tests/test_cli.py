@@ -167,6 +167,42 @@ class TestMprCommand:
         assert "'r0' appears more than once" in capsys.readouterr().err
 
 
+class TestIdsFile:
+    """The ids ``retrieve --out`` writes are the ids ``mpr --selection`` reads."""
+
+    IDS = ["item,7", 'say "hi"', " lead", "trail ", "two\nlines", "id", "plain"]
+
+    def write_pool(self, tmp_path):
+        d_r, _, _ = write_fixture(tmp_path, n=12, m=24)
+        ids = self.IDS + [f"r{i}" for i in range(len(self.IDS), len(d_r))]
+        save_dataset(Dataset(ids, d_r.embeddings, d_r.labels, d_r.schema), tmp_path / "retrieval.csv")
+        return ids
+
+    @pytest.mark.parametrize("algo", ["topk", "mmr"])
+    def test_quoted_ids_round_trip_from_retrieve_to_mpr(self, tmp_path, algo):
+        ids = self.write_pool(tmp_path)
+        sel = tmp_path / "sel.csv"
+        assert main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "9", "--algo", algo, "--out", str(sel)]) == 0
+        with open(sel, newline="", encoding="utf-8") as fh:
+            picked = [row[0] for row in csv.reader(fh)][1:]
+        assert len(picked) == 9 and set(picked) <= set(ids) and set(self.IDS) & set(picked)
+        by_file, by_k = tmp_path / "by-file.json", tmp_path / "by-k.json"
+        assert main(["mpr"] + io_args(tmp_path) + [
+            "--selection", str(sel), "--method", "closed-form", "--out", str(by_file)]) == 0
+        if algo == "topk":
+            assert main(["mpr"] + io_args(tmp_path) + [
+                "--k", "9", "--method", "closed-form", "--out", str(by_k)]) == 0
+            assert by_file.read_bytes() == by_k.read_bytes()
+
+    def test_hand_written_id_with_spaces_is_not_stripped(self, tmp_path, capsys):
+        self.write_pool(tmp_path)
+        sel = tmp_path / "sel.csv"
+        sel.write_text("id\n r8\n")
+        assert main(["mpr"] + io_args(tmp_path) + ["--selection", str(sel)]) == 1
+        assert "selection id ' r8' not in retrieval dataset" in capsys.readouterr().err
+
+
 def write_label_pair(tmp_path, retrieval_codes, curated_codes, curated_axis="g"):
     """Retrieval and curated CSVs whose label codes are given; returns both
     datasets as they should be read, with 3 categories on axis g.  A CSV
@@ -540,6 +576,27 @@ class TestErrors:
         assert code == 1
         assert f"the finite class needs the labels view, not '{view}'" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "out.config.json").exists()
+
+    @pytest.mark.parametrize("text", ["id,e0,e1,e2,g_g\nq0,1,0,0,1\n",
+                                      "id,e0,e1,e2\nq0,1,0,0\nq1,0,1,0\n",
+                                      "query,e0,e1,e2\nq0,1,0,0\n"],
+                             ids=["label-column", "two-rows", "bad-header"])
+    def test_malformed_query_file_is_named(self, tmp_path, capsys, text):
+        write_fixture(tmp_path)
+        (tmp_path / "query.csv").write_text(text)
+        code = main(["retrieve"] + io_args(tmp_path) + [
+            "--k", "3", "--algo", "topk", "--out", str(tmp_path / "sel.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"mopr: error: {tmp_path / 'query.csv'}: ")
+
+    def test_pool_passed_as_the_query_is_named(self, tmp_path, capsys):
+        write_fixture(tmp_path)
+        pool = str(tmp_path / "retrieval.csv")
+        code = main(["mpr", "--retrieval", pool, "--curated", str(tmp_path / "curated.csv"),
+                     "--query", pool, "--k", "5"])
+        assert code == 1
+        assert f"mopr: error: {pool}: expected 1 row, 0 label columns; got 60, 1" in (
+            capsys.readouterr().err)
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["mpr", "--retrieval", str(tmp_path / "nope.csv"),

@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mopr.algorithm import MoprConfig, mopr_retrieve
 from mopr.statclasses import all_cell_indicators
-from mopr.metric import mpr_exact_finite
+from mopr.metric import feature_groups, mpr_exact_finite
 
 from mopr.datamodel import (
     DataFormatError,
@@ -17,11 +19,18 @@ from mopr.datamodel import (
     build_balanced_curation,
     generate_synthetic,
     load_dataset,
+    load_ids,
     load_query,
     reconcile,
     save_dataset,
+    save_ids,
     save_query,
+    write_csv,
 )
+
+# Python 3.10's csv reader rejects a NUL character, which 3.11 reads back
+ID_TEXT = st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="\x00" if sys.version_info < (3, 11) else ""))
 
 
 def small_spec(seed=0, n=50, m=40):
@@ -94,6 +103,27 @@ class TestDatasetValidation:
         assert ds.labels.tolist() == [[0], [1]]
         assert ds.ids == ["a", "b"]
         assert ds.embeddings.dtype == np.float64 and ds.labels.dtype == np.int64
+
+    def test_ids_differing_by_a_trailing_nul_are_distinct(self):
+        # a numpy string array pads with NULs, so it would take these for one id
+        ds = Dataset(["a", "a\x00"], np.zeros((2, 1)), np.zeros((2, 0)), DatasetSchema(1, {}))
+        assert ds.ids == ["a", "a\x00"]
+
+    def test_schema_and_role_cannot_change_once_the_pair_memo_holds_the_dataset(self, rng):
+        cards = {"g": 2}
+        d_r = Dataset(["a", "b"], rng.standard_normal((2, 2)), [[0], [1]], DatasetSchema(2, cards))
+        d_c = Dataset(["c", "d"], rng.standard_normal((2, 2)), [[1], [0]], DatasetSchema(2, cards),
+                      "curated")
+        feature_groups(d_r, d_c, "labels")
+        cards["g"] = 3  # the schema keeps a copy of the caller's dict
+        assert d_r.schema.label_cards == {"g": 2}
+        with pytest.raises(TypeError):
+            d_r.schema.label_cards["g"] = 3
+        with pytest.raises(AttributeError):
+            d_r.schema = DatasetSchema(2, {"g": 3})
+        with pytest.raises(AttributeError):
+            d_r.role = "curated"
+        assert d_r.schema == DatasetSchema(2, {"g": 2}) and d_r.role == "retrieval"
 
     def test_label_columns_sorted(self):
         ds = Dataset(["a"], np.zeros((1, 1)), [[0, 1]], DatasetSchema(d=1, label_cards={"b": 2, "a": 2}))
@@ -177,6 +207,96 @@ class TestCsvRoundTrip:
         save_dataset(ds, path)
         back = load_dataset(path)
         assert np.array_equal(back.embeddings, ds.embeddings)
+
+
+class TestFiles:
+    """One writer and one reader per file; a read error names its file."""
+
+    @staticmethod
+    def dataset(ids):
+        n = len(ids)
+        return Dataset(ids, np.arange(2.0 * n).reshape(n, 2), np.arange(n)[:, None] % 2,
+                       DatasetSchema(2, {"g": 2}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ID_TEXT, min_size=1, max_size=6, unique=True))
+    @example(["item,7", 'say "hi"', " lead", "two\nlines", "bare\rcr", "", "id", "é✓"])
+    def test_any_ids_round_trip_through_the_dataset_file(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("ids") / "ds.csv"
+        save_dataset(self.dataset(ids), path)
+        assert load_dataset(path).ids == ids
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ID_TEXT, max_size=6))
+    @example(["id", "item,7", 'say "hi"', " lead ", "two\nlines", "bare\rcr", ""])
+    def test_any_ids_round_trip_through_the_ids_file(self, tmp_path_factory, ids):
+        path = tmp_path_factory.mktemp("ids") / "ids.csv"
+        save_ids(ids, path)
+        assert load_ids(path) == ids
+
+    def test_ids_file_header_is_skipped_only_when_exactly_id(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("id\nr1\n\nid\n")
+        assert load_ids(path) == ["r1", "id"]  # a blank line holds no id
+        path.write_text(" id\nr1\n")
+        assert load_ids(path) == [" id", "r1"]  # ids are read verbatim
+
+    def test_ids_file_row_of_two_cells_names_the_file_and_row(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("id\nr1,r2\n")
+        with pytest.raises(DataFormatError, match=r"ids\.csv: row 2: expected 1 cell, got 2$"):
+            load_ids(path)
+
+    def test_a_row_with_a_bare_cr_is_quoted_whole(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_csv(path, ["id", "x"], [["a\rb", "1.5"], ["c", 2.5]])
+        assert path.read_bytes() == b'id,x\n"a\rb","1.5"\nc,2.5\n'
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty dataset"),
+        ("id,e0\n", "empty dataset"),
+        ("name,e0\na,1\n", "malformed header"),
+        ("id,e0\na,1\na,2\n", "duplicate id 'a' at row 2"),
+        ("id,e0\na,nan\n", "row 1: embedding e0=nan is not finite"),
+        ("id,e0,g_g\na,1,1.5\n", "row 1: invalid literal for int() with base 10: '1.5'"),
+        ("id,e0\n" + "a" * 200_000 + ",1\n", "field larger than field limit"),  # a csv.Error
+    ])
+    def test_dataset_read_error_starts_with_the_path(self, tmp_path, text, message):
+        path = tmp_path / "pool.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(b"id,e0\n\xff,1\n")
+        with pytest.raises(DataFormatError, match=r"pool\.csv: .*utf-8"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text, got", [
+        ("id,e0,g_g\nq,1,0\n", "got 1, 1"),
+        ("id,e0\nq,1\nr,2\n", "got 2, 0"),
+        ("id,e0\n", "empty dataset"),
+        ("id,x0\nq,1\n", "malformed header"),
+        ("id,e0,e1\nq,1\n", "row 1: expected 3 cells, got 2"),
+    ])
+    def test_malformed_query_file_names_the_file(self, tmp_path, text, got):
+        path = tmp_path / "query.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as info:
+            load_query(path)
+        assert str(info.value).startswith(f"{path}: ") and got in str(info.value)
+
+    def test_query_file_reads_back_as_written(self, tmp_path):
+        q = Query("q,0", np.array([0.1, -2.5, 1e-300]))
+        path = tmp_path / "q.csv"
+        save_query(q, path)
+        again = tmp_path / "again.csv"
+        save_query(load_query(path), again)
+        assert again.read_bytes() == path.read_bytes() == (
+            b'id,e0,e1,e2\n"q,0",0.10000000000000001,-2.5,1e-300\n')
 
 
 class TestSyntheticGeneration:
