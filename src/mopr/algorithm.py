@@ -1,38 +1,54 @@
-"""Cutting-plane retrieval under a representation constraint, plus baselines.
+"""Retrieval under a representation constraint, plus baselines.
 
-One loop, ``_cutting_plane``, does the retrieval.  Each iteration re-solves
-the similarity LP under the cuts found so far (one LP object, carried from
-solve to solve, with the target gap relaxed to the smallest feasible one if
-it is infeasible), rounds the LP point to its k largest coordinates, and
-hands the rounded selection to a separator: one call ``sep(a) -> (violation,
-cut)`` at any point of [0,1]^n, the cut over all n items with bound 0 and
-tight at ``a``.  The loop restricts the cut to its LP columns, bounds it by
-its rho, and stops when the selection is certified, when the new cut
-duplicates an old one (the LP would not change), or after T iterations.
+The finite class of intersectional cell indicators is retrieved exactly, by
+``_cell_greedy``, with no LP.  Cell j's gap at a selection is
+|(2 c_j - k)/k - curated_j|, c_j the selected items in it, so MPR <= rho is
+one interval [L_j, U_j] of counts per cell, read from ``CellCounts``' own
+gap arithmetic.  The most similar k items under those bounds are each
+cell's L_j most similar items, filled up to k with the most similar of the
+others that keep every cell at most U_j (the count bounds of Celis,
+Straszak & Vishnoi 2018, "Ranking with fairness constraints", and Zehlike
+et al. 2017, "FA*IR").  That solves the integer program of Eq.
+``mip_supremum`` for this class: its cell-and-sum constraint matrix is
+totally unimodular, so the LP over the count intervals has the same
+optimum.  When no selection reaches rho, the retrieval takes the smallest
+cell gap at which one does, so a finite retrieval always certifies.
 
-The LP has a column only for the items an optimum can choose.  Each
-separator names the class of every retrieval item, the distinct feature row
-its cuts are constant on: the label cell on the labels view and the item
-itself elsewhere.  Moving LP weight within a class to a more similar item
-keeps every cut row and raises the objective, so an optimum takes at most k
-items of a class, and the most similar ones (the cell-count argument of
-Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k per
-class; at n = 3000 over 8 cells that is 160 columns, while singleton classes
-keep every column.
+One loop, ``_cutting_plane``, does every other retrieval.  Each iteration
+re-solves the similarity LP under the cuts found so far (one LP object,
+carried from solve to solve, with the target gap relaxed to the smallest
+feasible one if it is infeasible), rounds the LP point to its k largest
+coordinates, and hands the rounded selection to a separator: one call
+``sep(a) -> (violation, cut)`` at any point of [0,1]^n, the cut over all n
+items with bound 0 and tight at ``a``.  The loop restricts the cut to its
+LP columns, bounds it by its rho, and stops when the selection is
+certified, when the new cut duplicates an old one (the LP would not
+change), or after T iterations.
 
-The separator is the statistic class itself, a ``metric`` object that also
-reports its MPR: ``CellCounts`` for the finite class, ``LinearClass`` for
-the linear one, cut by the closed-form norm's supporting hyperplane without
-a fit, and ``OracleClass`` for the tree and MLP classes, cut on the
-regression oracle's witness.  The tree oracle is exact only on the labels
-view, so only there does a ``constraint-satisfied`` halt certify the gap
-over every tree of the depth limit.  ``mopr_qp_linear`` is the linear
-retrieval under its older name; a greedy maximal-marginal-relevance baseline
-and a Pareto sweep harness round out the module.
+Both consider only the items an optimum can choose.  Each statistic class
+names the class of every retrieval item, the distinct feature row its
+statistics are constant on: the label cell on the labels view and the item
+itself elsewhere.  Moving weight within a class to a more similar item
+keeps every constraint and raises the objective, so an optimum takes at
+most k items of a class, and the most similar ones (the cell-count argument
+of Celis, Straszak & Vishnoi 2018).  ``_selectable`` keeps those, at most k
+per class; at n = 3000 over 8 cells that is 160 items, while singleton
+classes keep every item.
+
+The loop's separator is the statistic class itself, a ``metric`` object that
+also reports its MPR: ``LinearClass`` for the linear class, cut by the
+closed-form norm's supporting hyperplane without a fit, and ``OracleClass``
+for the tree and MLP classes, cut on the regression oracle's witness.  The
+tree oracle is exact only on the labels view, so only there does a
+``constraint-satisfied`` halt certify the gap over every tree of the depth
+limit.  ``mopr_qp_linear`` is the linear retrieval under its older name; a
+greedy maximal-marginal-relevance baseline and a Pareto sweep harness round
+out the module.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -179,8 +195,59 @@ def _selectable(s: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _count_bounds(gaps: np.ndarray, t: float, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each cell's fewest and most selected items whose gap in ``gaps``
+    (``CellCounts.count_gaps``) is at most t + HALT_TOL, or None if a cell
+    has no such count or the bounds admit no k items.  A cell's gap falls
+    and then rises with its count, so the counts admitted are one interval."""
+    admitted = gaps <= t + HALT_TOL
+    if not admitted.any(axis=1).all():
+        return None
+    low, high = admitted.argmax(axis=1), k - admitted[:, ::-1].argmax(axis=1)
+    return (low, high) if low.sum() <= k <= high.sum() else None
+
+
+def _cell_greedy(carry: _SweepCarry, rho: float) -> tuple[Selection, MoprTrace]:
+    """The exact finite-class retrieval; see the module docstring.
+
+    The candidates are ``carry.keep``, ranked once by similarity, ties to
+    the lower index.  An item ranked below its cell's lower bound among the
+    cell's candidates is taken; one below the upper bound competes for the
+    places left.  A rho that admits no selection becomes the smallest gap in
+    the count table that does; the largest admits every count.  The trace's
+    one record is what the integral LP over the count intervals reports.
+    """
+    counts, s, k = carry.separator, carry.s, carry.k
+    gaps = counts.count_gaps()
+    rho_eff, bounds = rho, _count_bounds(gaps, rho, k)
+    if bounds is None:
+        candidates = np.unique(gaps[gaps > rho])  # NaN compares False and drops out
+        reached = bisect.bisect_left(
+            candidates, True, key=lambda t: _count_bounds(gaps, t, k) is not None)
+        rho_eff = float(candidates[reached])
+        bounds = _count_bounds(gaps, rho_eff, k)
+    low, high = bounds
+    order = carry.keep[np.argsort(-s[carry.keep], kind="stable")]
+    cells = counts.classes[order]
+    by_cell = np.argsort(cells, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[by_cell] = np.arange(order.size) - np.searchsorted(cells[by_cell], cells[by_cell])
+    taken = rank < low[cells]
+    taken[np.flatnonzero(~taken & (rank < high[cells]))[: k - int(low.sum())]] = True
+    indicator = np.zeros(s.size, dtype=int)
+    indicator[order[taken]] = 1
+    sel = Selection(indicator, k)
+    violation = counts.worst(indicator)[0]
+    record = IterationRecord(iteration=1, violation=violation,
+                             lp_objective=float(np.sum(s[sel.indices])), n_fractional=0,
+                             lp_pivots=0, rho_eff=rho_eff, cut_added=False)
+    return sel, MoprTrace([record], sel, violation, float(np.mean(s[sel.indices])), rho_eff,
+                          "constraint-satisfied")
+
+
 def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, MoprTrace]:
-    """The cutting-plane loop of every retrieval; see the module docstring.
+    """The cutting-plane loop of every retrieval but the finite class's; see
+    the module docstring.
 
     Its whole state is the ``carry``.  The LP is solved over the items
     ``keep`` (``_selectable`` of the separator's classes), and its top k are
@@ -236,18 +303,19 @@ class _SweepCarry:
     Built for one instance, ``d_r``, ``d_c``, ``q``, k and every
     ``MoprConfig`` field but rho and T, which each retrieval from it sets.
     Only ``pareto_sweep`` hands one to ``mopr_retrieve``, always for its own
-    instance, so nothing checks it.  It is the whole state of
-    ``_cutting_plane``: that instance's similarity vector, k, separator (the
-    statistic class of ``oracle_kind``) and LP columns ``keep`` (the items an
-    optimum can choose), and the cut pool (restricted to ``keep``) and the LP
-    (``solve_lp``'s ``lp``, its rows those cuts) where the last retrieval from
-    it ended.  A cut is a necessary condition of MPR <= rho at any rho once its
-    bound is set to that rho, because its statistic is a member of the class,
-    so the pool stays valid down the grid; only row bounds change, which
-    ``solve_lp(start=)`` writes into the carried LP.  ``separate`` calls the
-    separator and remembers its last answer, which a loop whose new cut leaves
-    the selection as it was asks for again, as does a sweep's first retrieval
-    after its top-k reference.
+    instance, so nothing checks it.  It holds that instance's similarity
+    vector, k, statistic class (``separator``, of ``oracle_kind``) and
+    ``keep`` (the items an optimum can choose), which is all that
+    ``_cell_greedy`` reads.  For the other classes it is the whole state of
+    ``_cutting_plane``, which adds the cut pool (restricted to ``keep``) and
+    the LP (``solve_lp``'s ``lp``, its rows those cuts) where the last
+    retrieval from it ended.  A cut is a necessary condition of MPR <= rho at
+    any rho once its bound is set to that rho, because its statistic is a
+    member of the class, so the pool stays valid down the grid; only row
+    bounds change, which ``solve_lp(start=)`` writes into the carried LP.
+    ``separate`` calls the separator and remembers its last answer, which a
+    loop whose new cut leaves the selection as it was asks for again, as does
+    a sweep's first retrieval after its top-k reference.
     """
 
     def __init__(self, d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig):
@@ -267,8 +335,9 @@ class _SweepCarry:
             self.separator = OracleClass.build(d_r, d_c, k, kind, view, cfg.tree_depth,
                                                cfg.mlp_hidden, cfg.mlp_epochs, cfg.seed)
         self.keep = _selectable(self.s, self.separator.classes, k)
-        self.cuts, self.lp = [], None
-        self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
+        if kind != "finite":
+            self.cuts, self.lp = [], None
+            self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
 
     def separate(self, a: np.ndarray) -> tuple[float, Cut]:
         if self._last is None or not np.array_equal(self._last[0], a):
@@ -280,14 +349,21 @@ def mopr_retrieve(
     d_r: Dataset, d_c: Dataset, q: Query, k: int, cfg: MoprConfig,
     *, _carry: _SweepCarry | None = None,
 ) -> tuple[Selection, MoprTrace]:
-    """Cutting-plane retrieval of k items under a representation bound.
+    """Retrieval of the k most similar items under a representation bound.
 
-    ``_carry`` is private to ``pareto_sweep``, which builds it for this same
-    instance: the retrieval reuses its separator and similarity vector,
-    starts from its cuts and LP, and leaves its own there.
+    The finite class is solved exactly by ``_cell_greedy``: it ignores T,
+    always halts ``constraint-satisfied`` after one trace record, and raises
+    the target gap, when rho is out of reach, to the smallest one a selection
+    reaches.  Every other class runs the cutting-plane loop for at most T
+    iterations.  ``_carry`` is private to ``pareto_sweep``, which builds it
+    for this same instance: the retrieval reuses its statistic class and
+    similarity vector, and a loop starts from its cuts and LP and leaves its
+    own there.
     """
     if _carry is None:
         _carry = _SweepCarry(d_r, d_c, q, k, cfg)
+    if cfg.oracle_kind == "finite":
+        return _cell_greedy(_carry, cfg.rho)
     return _cutting_plane(_carry, cfg.T, cfg.rho)
 
 
@@ -364,11 +440,12 @@ def pareto_sweep(
     """One constrained retrieval per grid value, normalized against ``similarity.top_k``.
 
     The sweep is one warm-started computation.  It builds one similarity
-    vector and one separator, which also measure the top-k reference, and
-    each grid value's retrieval starts from the cuts and the one LP the
-    previous value ended with, the cuts bounded by the new rho and the LP
-    re-bounded to match.  The first value starts from nothing, as a plain
-    ``mopr_retrieve`` does.
+    vector and one statistic class, which also measure the top-k reference.
+    For a loop class each grid value's retrieval starts from the cuts and the
+    one LP the previous value ended with, the cuts bounded by the new rho and
+    the LP re-bounded to match; the first value starts from nothing, as a
+    plain ``mopr_retrieve`` does.  The finite class's exact retrieval needs
+    no such state.
     """
     if not rho_grid:
         raise ValueError("rho grid must be nonempty")
@@ -378,7 +455,10 @@ def pareto_sweep(
     carry = _SweepCarry(d_r, d_c, q, k, cfg_template)
     top, chosen = top_k_indices(carry.s, k), np.zeros(carry.s.size)
     chosen[top] = 1.0
-    mpr0, _ = carry.separate(chosen)
+    if cfg_template.oracle_kind == "finite":
+        mpr0, _ = carry.separator.worst(chosen)
+    else:
+        mpr0, _ = carry.separate(chosen)
     sim0 = float(np.mean(carry.s[top]))
     points: list[ParetoPoint] = []
     for rho, cfg in zip(rho_grid, cfgs):

@@ -10,19 +10,21 @@ statistic is a function of the cell: it maximizes over every tree of the
 depth limit.  On the other views it is greedy CART, and the MLP oracle is a
 trained net; both are lower bounds on their class's gap.
 
-Each class the retrieval loop constrains is one object, built once per
-instance with its k, that separates and reports: ``classes`` numbers each
-retrieval item's distinct feature row, on which its cuts are constant, its
-call ``sep(a) -> (violation, Cut)`` cuts at any point of [0,1]^n, and
-``report(a)`` gives its ``MprReport``.  On the labels view the exact tree's
-cut reads the dynamic program's block means per cell, and only ``report``
-builds the ``TreeNode`` witness.  ``CellCounts`` holds the cell
+Each class a retrieval constrains is one object, built once per instance
+with its k, that reports its MPR: ``classes`` numbers each retrieval item's
+distinct feature row, on which the class's statistics are constant, and
+``report(a)`` gives its ``MprReport``.  ``CellCounts`` holds the cell
 indicators as counts, since a cell's gap depends only on how many selected
-and curated items fall in it; ``LinearClass`` is the closed form and
-``OracleClass`` a regression class.  Whether a certificate holds for the
-whole class or only for what an oracle found is a property of these objects,
-and a kernel class to retrieve under would join them, cut like
-``LinearClass`` by the supporting hyperplane of its norm.
+and curated items fall in it; its ``count_gaps`` table is what the exact
+finite retrieval reads.  The classes the cutting-plane loop constrains also
+separate: their call ``sep(a) -> (violation, Cut)`` cuts at any point of
+[0,1]^n.  ``LinearClass`` is the closed form and ``OracleClass`` a
+regression class; on the labels view the exact tree's cut reads the dynamic
+program's block means per cell, and only ``report`` builds the ``TreeNode``
+witness.  Whether a certificate holds for the whole class or only for what
+an oracle found is a property of these objects, and a kernel class to
+retrieve under would join them, cut like ``LinearClass`` by the supporting
+hyperplane of its norm.
 
 The other evaluators work on the distinct feature rows of D_R over D_C
 (``feature_groups``, a ``statclasses.FeatureGroups``): the intersectional
@@ -211,12 +213,13 @@ def _svd_factors(groups: FeatureGroups) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class CellCounts:
-    """The finite class for k items, separator and report: the cell indicators as
-    counts.  Retrieval item i is in cell ``classes[i]``, the cells present in
-    D_R or D_C numbered in lexicographic order; cell j has label ``codes[j]``
-    and curated mean ``curated[j]`` = (2C - m)/m, C of the m curated items in
-    it.  A cell absent from both has gap 0 at a selection and is left out.
-    ``schema`` is D_R's, whose label names and cards the report reads."""
+    """The finite class for k items, count table and report: the cell
+    indicators as counts.  Retrieval item i is in cell ``classes[i]``, the
+    cells present in D_R or D_C numbered in lexicographic order; cell j has
+    label ``codes[j]`` and curated mean ``curated[j]`` = (2C - m)/m, C of the
+    m curated items in it.  A cell absent from both has gap 0 at a selection
+    and is left out.  ``schema`` is D_R's, whose label names and cards the
+    report reads."""
 
     classes: np.ndarray
     codes: np.ndarray
@@ -231,10 +234,15 @@ class CellCounts:
         counts = np.bincount(inverse[n:], minlength=first.size)
         return cls(inverse[:n], labels[first], (2 * counts - m) / m, k, d_r.schema)
 
-    def __call__(self, a: np.ndarray) -> tuple[float, Cut]:
-        """(violation, cut) at ``a``: the worst cell's gap and its cut, bound 0."""
-        value, cell = self.worst(a)
-        return value, self.cut(cell, 0.0)
+    def count_gaps(self) -> np.ndarray:
+        """Each present cell's gap at c = 0..k selected items in it, one row a
+        cell, as ``worst`` computes it at a selection; NaN where the cell holds
+        fewer than c retrieval items, so no comparison admits that count."""
+        c = np.arange(self.k + 1)
+        gaps = np.abs((2 * c - self.k) / self.k - self.curated[:, None])
+        sizes = np.bincount(self.classes, minlength=self.curated.size)
+        gaps[c > sizes[:, None]] = np.nan
+        return gaps
 
     def worst(self, a: np.ndarray) -> tuple[float, int]:
         """Largest |selection mean - curated mean| for selection weights

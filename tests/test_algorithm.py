@@ -1,4 +1,6 @@
 import csv
+import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +96,28 @@ def finite_scan(sel, d_r, d_c):
                for c in set(rows) | set(curated))
 
 
+def worst_cell_cut(counts):
+    """The finite class as a separator: the worst cell's gap at ``a`` and its
+    cut, bound 0, as ``compare-ip`` builds it."""
+
+    def separate(a):
+        value, cell = counts.worst(a)
+        return value, counts.cut(cell, 0.0)
+
+    return separate
+
+
+def linear_mprs(subsets, d_r, d_c, k):
+    """The labels-view linear-class MPR of each row of ``subsets`` (0/1, one
+    selection a row), as the closed form's norm tn * ||U_l' sums(tilde)||."""
+    ctx = svd_context(feature_groups(d_r, d_c, "labels"))
+    n, m, groups = len(d_r), len(d_c), ctx.groups
+    on_cells = np.eye(len(groups.rows))[groups.inverse]
+    curated = on_cells[n:].sum(axis=0) * (-1.0 / m)
+    z = (subsets @ on_cells[:n] / k + curated) @ ctx.U_l
+    return target_norm(m, k) * np.linalg.norm(z, axis=1)
+
+
 def loop_separator(d_r, d_c, q, k, cfg):
     """The separator ``mopr_retrieve`` builds for ``cfg``, its cut bounded by ``cfg.rho``."""
     separator = _SweepCarry(d_r, d_c, q, k, cfg).separator
@@ -138,7 +162,7 @@ def run_to_cap(s, k, rho, T, separate, cuts=(), start=None):
     return sel, separate(sel.indicator.astype(float))[0], cuts, start
 
 
-@pytest.mark.parametrize("kind, rho", [("finite", 0.05), ("linear", 0.02), ("qp", 0.02)])
+@pytest.mark.parametrize("kind, rho", [("linear", 0.08), ("linear", 0.02), ("qp", 0.02)])
 def test_stall_halt_matches_run_to_cap(kind, rho):
     d_r, d_c, q = grid_instance()
     k, T = 10, 30
@@ -173,11 +197,13 @@ def record_retrievals(monkeypatch):
     return traces
 
 
-@pytest.mark.parametrize("kind", ["finite", "tree"])
-def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
+@pytest.mark.parametrize("kind, seed", [pytest.param("linear", 1, id="linear"),
+                                        pytest.param("tree", 0, id="tree")])
+def test_sweep_matches_run_to_cap_carrying_cuts(kind, seed, monkeypatch):
     # the stall halt holds across grid values: a loop that never halts on a
-    # duplicate, handed the cuts and LP of the value before, selects the same
-    d_r, d_c, q = grid_instance()
+    # duplicate, handed the cuts and LP of the value before, selects the same.
+    # The instance of each class stalls at every grid value after the first
+    d_r, d_c, q = grid_instance(seed)
     k, T, grid = 10, 30, [0.2, 0.1, 0.05, 0.02]
     cfg = MoprConfig(T=T, oracle_kind=kind)
     traces = record_retrievals(monkeypatch)
@@ -195,16 +221,16 @@ def test_sweep_matches_run_to_cap_carrying_cuts(kind, monkeypatch):
 
 
 # The loop on grid_instance(seed), k = 10, T = 30: per iteration (lp_pivots,
-# n_fractional), then the selected indices and the halt.  The finite class runs
-# at rho = 0.05 and the linear class at rho = 0.02; the tree class sweeps
-# PINNED_GRID, one entry per grid value (the relaxed ones included), with the
-# exact tree oracle of the labels view.  The pivot and tie rules and the top-k
-# start fix every number here, so a change to the LP's arithmetic that keeps
-# them moves a selection only where LP values tie within round_top_k's TOL.
+# n_fractional), then the selected indices and the halt.  The linear class runs
+# at rho = 0.02; the tree class sweeps PINNED_GRID, one entry per grid value
+# (the relaxed ones included), with the exact tree oracle of the labels view.
+# The pivot and tie rules and the top-k start fix every number here, so a
+# change to the LP's arithmetic that keeps them moves a selection only where
+# LP values tie within round_top_k's TOL.  The finite class at rho = 0.05 is
+# the exact cell greedy: one record with no LP, and the selection.
 PINNED_GRID = [0.2, 0.1, 0.05, 0.02]
 PINNED = {
-    "finite/0": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)],
-         [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
+    "finite/0": ([(0, 0)], [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "constraint-satisfied"),
     "linear/0": ([(0, 0), (1, 2), (4, 3), (2, 4), (3, 5)],
          [4, 5, 14, 27, 34, 51, 53, 71, 72, 75], "stalled"),
     "tree-sweep/0": [
@@ -217,10 +243,7 @@ PINNED = {
         ([(6, 7)],
          [4, 5, 17, 27, 34, 50, 51, 71, 72, 75], "stalled"),
     ],
-    # items 57 and 70 tie at 7/12 in the last LP point, up to rounding noise;
-    # the tie goes to the lower index
-    "finite/1": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 4), (1, 6), (2, 7), (1, 7)],
-         [11, 16, 29, 34, 51, 52, 53, 56, 57, 73], "stalled"),
+    "finite/1": ([(0, 0)], [11, 29, 34, 51, 52, 53, 56, 57, 70, 73], "constraint-satisfied"),
     "linear/1": ([(0, 0), (2, 2), (4, 3), (3, 4)],
          [11, 16, 29, 51, 52, 55, 56, 57, 70, 73], "stalled"),
     "tree-sweep/1": [
@@ -233,8 +256,7 @@ PINNED = {
         ([(2, 5), (0, 5)],
          [11, 16, 29, 51, 52, 53, 56, 57, 70, 73], "stalled"),
     ],
-    "finite/2": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (32, 5)],
-         [19, 25, 36, 46, 47, 48, 59, 64, 70, 79], "stalled"),
+    "finite/2": ([(0, 0)], [19, 25, 36, 47, 48, 59, 64, 70, 71, 79], "constraint-satisfied"),
     "linear/2": ([(0, 0), (3, 2), (3, 3), (2, 4), (2, 4), (3, 4)],
          [2, 16, 19, 25, 36, 48, 50, 55, 59, 64], "stalled"),
     "tree-sweep/2": [
@@ -247,8 +269,7 @@ PINNED = {
         ([(86, 7)],
          [16, 19, 25, 36, 40, 50, 64, 70, 71, 79], "stalled"),
     ],
-    "finite/3": ([(0, 0), (2, 2), (2, 3), (2, 4), (2, 4), (2, 4), (2, 4)],
-         [1, 11, 24, 27, 34, 40, 46, 75, 76, 78], "stalled"),
+    "finite/3": ([(0, 0)], [1, 11, 24, 27, 40, 43, 46, 75, 76, 78], "constraint-satisfied"),
     "linear/3": ([(0, 0), (3, 2), (4, 3), (5, 4), (2, 5)],
          [2, 4, 11, 24, 27, 44, 46, 75, 76, 78], "stalled"),
     "tree-sweep/3": [
@@ -348,7 +369,7 @@ class TestMoprRetrieve:
 
     def test_trace_counts_lp_pivots(self):
         d_r, d_c, q = grid_instance()
-        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.05, oracle_kind="finite"))
+        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.05, oracle_kind="linear"))
         pivots = [rec["lp_pivots"] for rec in trace.to_dict()["iterations"]]
         assert pivots[0] == 0  # the first LP has no cuts: its start is optimal
         assert all(isinstance(p, int) and p >= 0 for p in pivots) and sum(pivots) > 0
@@ -375,7 +396,8 @@ class TestMoprRetrieve:
                              similarity_bias={"a00": (0.5, -0.5)}, seed=5)
         d_r, d_c, q = generate_synthetic(spec)
         sel, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.1, T=5, oracle_kind="finite"))
-        assert any(record.cut_added for record in trace.iterations)
+        assert trace.halted_by == "constraint-satisfied" and len(trace.iterations) == 1
+        assert trace.achieved_mpr <= trace.effective_rho + 1e-8
         assert trace.selection is sel
         assert trace.achieved_mpr == finite_scan(sel, d_r, d_c)
 
@@ -456,6 +478,71 @@ class TestMoprRetrieve:
         sel, trace = mopr_retrieve(d_r, d_c, q, 5, MoprConfig(rho=float("inf"), oracle_kind=kind))
         assert np.array_equal(sel.indicator, top_k(d_r, q, 5)[0].indicator)
         assert trace.halted_by == "constraint-satisfied" and len(trace.iterations) == 1
+
+
+@st.composite
+def cell_instances(draw):
+    """A labels-view pool of at most 20 items on a 2, 2 x 3 or 3 x 3 grid of
+    cells, with k and rho.  One cell holds curated items and no retrieval
+    item, so its count is 0 in every selection."""
+    cards = draw(st.sampled_from([{"a": 2}, {"a": 2, "b": 3}, {"a": 3, "b": 3}]))
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 30))
+    rho = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]) | st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = list(itertools.product(*(range(card) for card in cards.values())))
+    curated_only = cells.pop(int(rng.integers(len(cells))))
+    pool = [cells[i] for i in rng.integers(len(cells), size=n)]
+    curated = [curated_only] + [(cells + [curated_only])[i]
+                                for i in rng.integers(len(cells) + 1, size=m - 1)]
+    d_r = make_dataset(rng.standard_normal((n, 3)), [dict(zip(cards, c)) for c in pool],
+                       cards=cards, prefix="r")
+    d_c = make_dataset(rng.standard_normal((m, 3)), [dict(zip(cards, c)) for c in curated],
+                       cards=cards, role="curated", prefix="c")
+    return d_r, d_c, Query("q", rng.standard_normal(3)), k, rho
+
+
+class TestCellGreedy:
+    """The finite class is retrieved exactly: the cell greedy's selection is
+    an optimum of the integer program under every cell cut at its effective
+    rho, which is rho itself unless no selection reaches rho."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell_instances())
+    def test_greedy_is_the_exact_optimum(self, instance):
+        d_r, d_c, q, k, rho = instance
+        sel, trace = mopr_retrieve(d_r, d_c, q, k, MoprConfig(rho=rho, oracle_kind="finite"))
+        s = similarity_vector(d_r, q)
+        rho_eff = trace.effective_rho
+        assert rho_eff >= rho
+        cuts = cell_cuts(d_r, d_c, k, rho_eff)
+        assert check_cuts(sel.indicator, cuts, tol=1e-8) == []
+        ip = solve_ip_exact(s, cuts, k)
+        assert float(s @ sel.indicator) == pytest.approx(float(s @ ip.indicator), rel=1e-12)
+        if rho_eff > rho:
+            with pytest.raises(ValueError, match="infeasible"):
+                solve_ip_exact(s, cell_cuts(d_r, d_c, k, rho_eff - 1e-6), k)
+        assert trace.achieved_mpr == finite_scan(sel, d_r, d_c) <= rho_eff + 1e-8
+        (record,) = trace.iterations
+        assert (record.lp_pivots, record.n_fractional, record.cut_added) == (0, 0, False)
+        assert record.lp_objective == pytest.approx(float(s @ sel.indicator), rel=1e-12)
+        assert record.rho_eff == rho_eff and trace.halted_by == "constraint-satisfied"
+
+    def test_finite_sweep_certifies_every_point(self, monkeypatch):
+        # down a descending grid every point certifies at its own rho, or at
+        # the smallest one a selection reaches, and the similarity never rises
+        d_r, d_c, q = grid_instance(n=300, m=200)
+        grid = [0.4, 0.2, 0.1, 0.05, 0.02, 0.0]
+        traces = record_retrievals(monkeypatch)
+        points = pareto_sweep(d_r, d_c, q, 20, MoprConfig(oracle_kind="finite"), grid)
+        assert [t.effective_rho for t in traces[:4]] == grid[:4]
+        for point, trace in zip(points, traces):
+            assert point.halted_by == "constraint-satisfied" and point.iterations == 1
+            assert point.mpr_achieved == finite_scan(trace.selection, d_r, d_c)
+            assert point.mpr_achieved <= max(point.rho_target, trace.effective_rho) + 1e-8
+        means = [p.mean_similarity for p in points]
+        assert all(later <= earlier for earlier, later in zip(means, means[1:]))
 
 
 class TestQpVariant:
@@ -576,10 +663,10 @@ class TestRelaxation:
         assert trace.achieved_mpr == mpr_exact_finite(sel, d_r, d_c, indicators).value
 
     def test_records_carry_the_relaxed_rho(self):
-        # the same instance: rho stays 0 until an LP turns infeasible, and from
-        # that iteration on each record holds the relaxed value it solved at
-        d_r, d_c, q = grid_instance(seed=2)
-        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.0, oracle_kind="finite"))
+        # rho stays 0 until an LP turns infeasible, and from that iteration on
+        # each record holds the relaxed value it solved at
+        d_r, d_c, q = grid_instance(seed=2, n=30)
+        _, trace = mopr_retrieve(d_r, d_c, q, 10, MoprConfig(rho=0.0, oracle_kind="linear"))
         rhos = [rec["rho_eff"] for rec in trace.to_dict()["iterations"]]
         assert rhos[0] == 0.0 and rhos[-1] == trace.effective_rho > 0.0
         assert rhos == sorted(rhos)
@@ -654,7 +741,7 @@ class TestOracleCut:
         oracle = CellCounts.build(d_r, d_c, k)
         indicators = all_cell_indicators(d_r.schema.label_cards)
         witness = mpr_exact_finite(Selection(a.astype(int), k), d_r, d_c, indicators).witness
-        cut = oracle(a)[1].with_bound(0.1)
+        cut = worst_cell_cut(oracle)(a)[1].with_bound(0.1)
         expected = cell_cuts(d_r, d_c, k, 0.1)[indicators.index(witness)]
         assert np.array_equal(cut.coefficients, expected.coefficients)
         assert (cut.offset, cut.bound) == (expected.offset, expected.bound)
@@ -688,7 +775,7 @@ class TestCutIsTight:
         if kind == "hyperplane":
             separate = LinearClass.build(d_r, d_c, k, view)
         elif kind == "finite":
-            separate = CellCounts.build(d_r, d_c, k)
+            separate = worst_cell_cut(CellCounts.build(d_r, d_c, k))
         else:
             separate = OracleClass.build(d_r, d_c, k, kind, view, mlp_hidden=4, mlp_epochs=20,
                                          seed=seed % 7)
@@ -871,6 +958,8 @@ class TestPrunedLp:
             separate = OracleClass.build(d_r, d_c, k, kind)
         keep = _selectable(s, separate.classes, k)
         assert np.array_equal(keep, selectable_reference(s, separate.classes, k))
+        if kind == "finite":
+            separate = worst_cell_cut(separate)
         full, pruned = [], []
         for _ in range(3):
             a = np.zeros(len(d_r))
@@ -906,13 +995,13 @@ class TestPrunedLp:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(30, 90), k=st.integers(2, 12),
            rho=st.sampled_from([0.02, 0.05, 0.1, 0.3]),
-           kind=st.sampled_from(["finite", "linear", "qp"]))
+           kind=st.sampled_from(["linear", "qp"]))
     def test_loop_selects_as_run_to_cap_over_every_column(self, seed, n, k, rho, kind):
         d_r, d_c, q = grid_instance(seed, n=n, m=40)
         self.assert_selects_as_run_to_cap(d_r, d_c, q, k, rho, kind)
 
     @settings(max_examples=80, deadline=None)
-    @given(tied_label_instances(), st.sampled_from(["finite", "linear", "qp"]))
+    @given(tied_label_instances(), st.sampled_from(["linear", "qp"]))
     def test_tied_loop_selects_as_run_to_cap_over_every_column(self, instance, kind):
         d_r, d_c, q, k, rho, _ = instance
         self.assert_selects_as_run_to_cap(d_r, d_c, q, k, rho, kind)
@@ -1093,17 +1182,22 @@ class TestParetoSweep:
         assert all(np.array_equal(a, c.coefficients) for a, c in zip(first, carry.cuts))
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(8, 20), k=st.integers(3, 8),
+    @given(seed=st.integers(0, 10_000), n=st.integers(8, 16), k=st.integers(3, 8),
            grid=st.lists(st.floats(0.2, 0.8), min_size=2, max_size=4, unique=True))
     def test_carried_cuts_hold_at_the_ip_optimum(self, seed, n, k, grid):
         # a carried cut bounded by the new rho is a necessary condition of
-        # MPR <= rho: the exact optimum under every cell cut satisfies it.  The
-        # LP's cuts span the carry's columns, which hold all of that optimum's
-        # items: it takes the most similar items of each cell
+        # MPR <= rho: the exact optimum under the linear class, the most
+        # similar of all C(n, k) selections with MPR <= rho, satisfies it.
+        # The LP's cuts span the carry's columns, which hold all of that
+        # optimum's items: it takes the most similar items of each cell
         d_r, d_c, q = grid_instance(seed, n=n, m=30)
         grid = sorted(grid, reverse=True)
-        cfg = MoprConfig(T=10, oracle_kind="finite")
+        cfg = MoprConfig(T=10, oracle_kind="linear")
         carry = _SweepCarry(d_r, d_c, q, k, cfg)
+        subsets = np.zeros((math.comb(n, k), n))
+        for row, items in enumerate(itertools.combinations(range(n), k)):
+            subsets[row, list(items)] = 1.0
+        mprs, sims = linear_mprs(subsets, d_r, d_c, k), subsets @ carry.s
         lp_cuts = []
 
         def spy(s, cuts, k, **kwargs):
@@ -1117,13 +1211,12 @@ class TestParetoSweep:
                 _cutting_plane(carry, cfg.T, rho)
                 carried = lp_cuts[start]  # the cuts of the first LP at this rho
                 assert all(c.bound == rho for c in carried)
-                try:
-                    opt = solve_ip_exact(carry.s, cell_cuts(d_r, d_c, k, rho), k)
-                except ValueError:  # no selection reaches rho
+                feasible = np.flatnonzero(mprs <= rho)
+                if feasible.size == 0:  # no selection reaches rho
                     continue
-                assert np.isin(opt.indices, carry.keep).all()
-                on_keep = opt.indicator[carry.keep].astype(float)
-                assert check_cuts(on_keep, carried, tol=1e-9) == []
+                opt = subsets[feasible[np.argmax(sims[feasible])]]
+                assert np.isin(np.flatnonzero(opt), carry.keep).all()
+                assert check_cuts(opt[carry.keep], carried, tol=1e-9) == []
 
     def test_row_order_and_csv(self, rng, tmp_path):
         d_r, d_c, q = binary_instance(rng)
