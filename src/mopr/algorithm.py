@@ -63,16 +63,11 @@ HALT_TOL = 1e-8
 DUPLICATE_CUT_TOL = 1e-9
 RELAX_FLOOR = 1e-6  # the first target gap tried when relaxing from rho = 0
 RELAX_RTOL = 1e-6  # relative tolerance of the smallest feasible target gap
-MAX_RHO = 2.0  # the largest gap of a +-1 cell indicator; a normalized statistic's is at most 1
+# a guard that no retrieval reaches: the loop's cuts are normalized statistics,
+# whose gap is at most 1 over the whole LP polytope, so the relaxation is
+# feasible by rho = 1; doubling a gap below 1 stays below 2, so no probe is cut short
+MAX_RHO = 2.0
 ORACLE_KINDS = ("linear", "tree", "mlp", "finite")
-
-
-class InfeasibleRetrievalError(RuntimeError):
-    """LP stayed infeasible with the target gap relaxed to MAX_RHO."""
-
-    def __init__(self, message: str, trace: "MoprTrace"):
-        super().__init__(message)
-        self.trace = trace
 
 
 def _check_k(k: int) -> None:
@@ -139,13 +134,15 @@ class MoprTrace:
         return {key: value for key, value in asdict(self).items() if key != "selection"}
 
 
-def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTrace, start):
+def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, start):
     """Solve the LP ``start`` takes over, relaxing the target gap to the smallest feasible one.
 
     An infeasible LP has its gap doubled, from RELAX_FLOOR when it is 0, until
     the LP is feasible; bisection then narrows the gap to the smallest feasible
     one, to RELAX_RTOL relative.  Every probe re-bounds that one LP and
-    re-optimizes it.  Returns (lp, cuts, rho_eff, pivots summed over the probes).
+    re-optimizes it.  An LP still infeasible at MAX_RHO would break the
+    normalization bound, and raises RuntimeError.  Returns (lp, cuts,
+    rho_eff, pivots summed over the probes).
     """
     lp = solve_lp(s, cuts, k, start=start)
     pivots = lp.diagnostics["pivots"]
@@ -163,7 +160,7 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, trace: MoprTra
     best = None
     while best is None:
         if hi >= MAX_RHO:
-            raise InfeasibleRetrievalError(f"LP infeasible even at rho={hi}", trace)
+            raise RuntimeError(f"LP infeasible even at rho={hi}")
         lo, hi = hi, min(max(2.0 * hi, RELAX_FLOOR), MAX_RHO)
         best = probe(hi)
     while hi - lo > RELAX_RTOL * hi:
@@ -268,7 +265,7 @@ def _cutting_plane(carry: _SweepCarry, T: int, rho: float) -> tuple[Selection, M
     s_keep = s[keep]
     stalled = False
     for it in range(1, T + 1):
-        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s_keep, cuts, k, rho_eff, trace, carry.lp)
+        lp, cuts, rho_eff, pivots = _solve_with_relaxation(s_keep, cuts, k, rho_eff, carry.lp)
         carry.lp, carry.cuts = lp.lp, cuts
         trace.effective_rho = rho_eff
         chosen = np.zeros(s.size)
@@ -462,13 +459,9 @@ def pareto_sweep(
     sim0 = float(np.mean(carry.s[top]))
     points: list[ParetoPoint] = []
     for rho, cfg in zip(rho_grid, cfgs):
-        try:
-            # through the module attribute, cfg fifth, so a wrapper sees every
-            # retrieval and its rho
-            _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, _carry=carry)
-        except InfeasibleRetrievalError:
-            points.append(ParetoPoint(rho, *[float("nan")] * 4, "infeasible", 0))
-            continue
+        # through the module attribute, cfg fifth, so a wrapper sees every
+        # retrieval and its rho
+        _, trace = mopr_retrieve(d_r, d_c, q, k, cfg, _carry=carry)
         points.append(
             ParetoPoint(
                 rho_target=rho,

@@ -25,17 +25,20 @@ def _write_sidecar(out_path: str, config: dict) -> None:
     sidecar.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _resolved(args: argparse.Namespace, mode: str | None = None) -> dict:
-    """The parsed arguments but those ``mode``, an algorithm or mpr method, ignores."""
-    unread = ("func",) + _UNREAD_ARGS.get(mode, ())
+def _resolved(args: argparse.Namespace, *modes) -> dict:
+    """The parsed arguments but those any of ``modes`` ignores: a retrieve
+    algorithm, an mpr method or a retrieval oracle, ``("oracle", kind)``."""
+    unread = {"func"}.union(*(_UNREAD_ARGS.get(mode, ()) for mode in modes))
     return {k: v for k, v in sorted(vars(args).items()) if k not in unread}
 
 
-# the arguments each retrieve algorithm or mpr method ignores, which its sidecar leaves out
+# the arguments each retrieve algorithm, mpr method or retrieval oracle
+# ignores, which its sidecar leaves out; the finite class's exact retrieval
+# runs no loop, so no iteration cap
 _LOOP_ARGS = ("rho", "oracle", "feature_view", "iterations", "curation_pool")
 _UNREAD_ARGS = {"topk": ("lam",) + _LOOP_ARGS, "mmr": _LOOP_ARGS, "mopr": ("lam",),
                 "oracle": ("kernel",), "closed-form": ("oracle", "kernel"), "rkhs": ("oracle",),
-                "finite": ("oracle", "kernel")}
+                "finite": ("oracle", "kernel"), ("oracle", "finite"): ("iterations",)}
 
 
 def _emit(args, text: str, config: dict) -> int:
@@ -147,7 +150,7 @@ def cmd_retrieve(args) -> int:
     else:
         sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k, _mopr_config(args, args.rho))
     datamodel.save_ids(map(d_r.ids.__getitem__, sel.indices), args.out)
-    sidecar = _resolved(args, args.algo)
+    sidecar = _resolved(args, args.algo, ("oracle", args.oracle))
     if trace is not None:
         sidecar["trace"] = trace.to_dict()
     _write_sidecar(args.out, sidecar)
@@ -159,7 +162,7 @@ def cmd_sweep(args) -> int:
     grid = _floats("--rho-grid", args.rho_grid)
     points = algorithm.pareto_sweep(d_r, d_c, q, args.k, _mopr_config(args, grid[0]), grid)
     algorithm.write_sweep_csv(points, args.out)
-    _write_sidecar(args.out, _resolved(args))
+    _write_sidecar(args.out, _resolved(args, ("oracle", args.oracle)))
     return 0
 
 
@@ -185,10 +188,6 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare_ip(args) -> int:
     d_r, d_c, q = _load_inputs(args)
-    if len(d_r) > solver.IP_EXACT_MAX_N:
-        raise ValueError(
-            f"compare-ip requires a retrieval pool of at most {solver.IP_EXACT_MAX_N} items"
-        )
     s = similarity.similarity_vector(d_r, q)
     counts = metric.CellCounts.build(d_r, d_c, args.k)
     rows = []
@@ -202,9 +201,10 @@ def cmd_compare_ip(args) -> int:
         # the rounded set's own MPR is above rho when rounding broke a cut
         figures = [datamodel.FLOAT_FMT % v for v in (lp.objective, float(s @ rounded.indicator),
                                                      counts.worst(rounded.indicator)[0])]
-        try:
-            ip_sel = solver.solve_ip_exact(s, cuts, args.k)
-        except ValueError:  # the relaxation is feasible, but no selection is
+        # the finite class's exact retrieval solves its integer program
+        ip_sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k,
+                                                MoprConfig(rho=rho, oracle_kind="finite"))
+        if trace.effective_rho > rho:  # the relaxation is feasible, but no selection is
             rows.append([rho, "ip-infeasible", *figures, ""])
             continue
         rows.append([rho, "optimal", *figures, datamodel.FLOAT_FMT % float(s @ ip_sel.indicator)])
@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write JSON here (default: stdout)")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("compare-ip", help="rounded LP vs exact IP on a small instance")
+    p = sub.add_parser("compare-ip",
+                       help="the finite class's LP relaxation, its rounding and its exact IP")
     _add_io_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--rho-grid", dest="rho_grid", required=True)

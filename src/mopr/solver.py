@@ -10,7 +10,9 @@ its rows re-optimizes in place, a few pivots per new cut, each updating the
 basis inverse in product form (Forrest & Tomlin 1972).  The ratio test is the
 long-step one of Maros 2003 and Koberstein 2005, so a cut that moves many
 items of one cell costs one pivot; the leaving row and ties go to the lowest
-index.  Small integer programs are solved by enumeration or branch and bound.
+index.  ``solve_ip_exact`` solves a small integer program by enumeration,
+the reference the tests hold the finite class's exact retrieval
+(``algorithm._cell_greedy``) to.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ MAX_PIVOTS = 200000
 # bounds, stays where it is, its bound shifted
 PIVOT_TOL = 1e-7
 REFACTOR_EVERY = 32  # pivots between refactorizations of the basis inverse
-IP_EXACT_MAX_N = 25  # the largest pool solve_ip_exact takes
+IP_EXACT_MAX_N = 20  # the largest pool solve_ip_exact enumerates
 
 # status of a variable in a basis, and the way each status lets it move
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -109,12 +111,6 @@ class _Lp:
             setattr(self, name, np.zeros(tuple(size + extra for size in value.shape), value.dtype))
             getattr(self, name)[tuple(map(slice, value.shape))] = value
         self.A[old:, n + old :] = -np.eye(extra)
-
-    def copy(self) -> _Lp:
-        other = object.__new__(_Lp)
-        other.__dict__ = {key: value if key == "s" else getattr(value, "copy", lambda: value)()
-                          for key, value in vars(self).items()}
-        return other
 
     @property
     def cut_rows(self) -> np.ndarray:
@@ -251,10 +247,9 @@ def solve_lp(s: np.ndarray, cuts, k: int, start: _Lp | None = None) -> LpSolutio
     ``start`` is the ``lp`` of an earlier solution over the same ``s`` whose
     rows are a prefix of ``cuts``; their bounds may differ.  The solve takes
     ``start`` over: it appends the cuts past its rows, rewrites every row
-    bound, re-optimizes and returns it as its ``lp``, so a caller that needs
-    ``start`` again passes ``start.copy()``.  The returned point is a vertex,
-    so the number of fractional coordinates is at most the number of active
-    cut rows + 1.
+    bound, re-optimizes and returns it as its ``lp``; the LP as ``start``
+    held it is not kept.  The returned point is a vertex, so the number of
+    fractional coordinates is at most the number of active cut rows + 1.
     """
     s = np.asarray(s, dtype=float)
     n = s.size
@@ -339,51 +334,17 @@ def _enumerate_ip(s: np.ndarray, cuts, k: int) -> Selection:
 
 
 def solve_ip_exact(s: np.ndarray, cuts, k: int) -> Selection:
-    """Optimal binary selection on a small instance.
-
-    Exhaustive enumeration for n <= 20, branch-and-bound with the LP bound
-    above that.  Also asserts LP-relaxation dominance over the IP optimum.
+    """Optimal binary selection on a pool of at most IP_EXACT_MAX_N items, by
+    exhaustive enumeration.  Also asserts LP-relaxation dominance over the IP
+    optimum.
     """
     s = np.asarray(s, dtype=float)
     n = s.size
     if n > IP_EXACT_MAX_N:
         raise ValueError(f"pool size {n} exceeds exact-solver limit {IP_EXACT_MAX_N}")
     lp = solve_lp(s, cuts, k)
-    sel = _enumerate_ip(s, cuts, k) if n <= 20 else _branch_and_bound(s, cuts, k)
+    sel = _enumerate_ip(s, cuts, k)
     ip_obj = float(s @ sel.indicator)
     if lp.status == "optimal" and ip_obj > lp.objective + 1e-6:
         raise AssertionError("IP objective exceeded the LP relaxation bound")
     return sel
-
-
-def _branch_and_bound(s: np.ndarray, cuts, k: int) -> Selection:
-    """Best selection under ``cuts`` by LP-based branch and bound (Land & Doig 1960).
-
-    A node's rows are the caller's cuts followed by one zero-width row
-    ``Cut(e_j, v, 0)`` per item its path fixes.  A node branches on its lowest
-    fractional item, v = 1 before v = 0: each child appends its row to a copy
-    of the parent's LP and re-optimizes it.  A node whose LP
-    bound does not beat the incumbent by 1e-9 is pruned, and an integral vertex
-    becomes the incumbent if it satisfies the caller's cuts.
-    """
-    unit, best_obj, best_ind = np.eye(s.size), -np.inf, None
-
-    def recurse(rows: list[Cut], start):
-        nonlocal best_obj, best_ind
-        lp = solve_lp(s, rows, k, start=start)
-        if lp.status != "optimal" or lp.objective <= best_obj + 1e-9:
-            return
-        frac = np.flatnonzero((lp.a > FRACTIONAL_TOL) & (lp.a < 1.0 - FRACTIONAL_TOL))
-        if frac.size == 0:
-            ind = (lp.a > 0.5).astype(int)
-            if not check_cuts(ind.astype(float), cuts):
-                best_obj, best_ind = lp.objective, ind
-            return
-        j = int(frac[0])
-        for fix in (1.0, 0.0):
-            recurse(rows + [Cut(unit[j], fix, 0.0)], lp.lp.copy())
-
-    recurse(list(cuts), None)
-    if best_ind is None:
-        raise ValueError("integer program infeasible")
-    return Selection(best_ind, k)

@@ -12,9 +12,7 @@ from scipy.optimize import linprog
 from conftest import make_dataset, random_pair, scipy_reference
 from mopr import algorithm, metric, statclasses
 from mopr.algorithm import (
-    InfeasibleRetrievalError,
     MoprConfig,
-    MoprTrace,
     SWEEP_CSV_HEADER,
     _SweepCarry,
     _cutting_plane,
@@ -346,7 +344,7 @@ class TestMoprRetrieve:
         assert len(trace.iterations) <= cfg.T
 
     def test_near_ip_objective(self, rng):
-        # n=15, k=5, one binary group: final objective within 2% of exact IP
+        # n=15, k=5, one binary group: the finite retrieval is the exact IP
         d_r, d_c, q = binary_instance(rng, n=15)
         k, rho = 5, 0.1
         cfg = MoprConfig(rho=rho, T=50, oracle_kind="finite")
@@ -358,7 +356,7 @@ class TestMoprRetrieve:
             for st in indicators
         ]
         ip = solve_ip_exact(s, cuts, k)
-        assert float(s @ sel.indicator) >= 0.98 * float(s @ ip.indicator)
+        assert float(s @ sel.indicator) == pytest.approx(float(s @ ip.indicator), rel=1e-12)
 
     def test_trace_is_reproducible(self, rng):
         d_r, d_c, q = binary_instance(rng)
@@ -681,7 +679,7 @@ class TestRelaxation:
             coef = rng.choice([-1.0, 1.0], size=n) / k
             offset = float(rng.uniform(-0.8, 0.8))
             cuts.append(Cut(coef, offset, 0.0))
-        lp, relaxed, rho, pivots = _solve_with_relaxation(s, cuts, k, 0.0, MoprTrace(), None)
+        lp, relaxed, rho, pivots = _solve_with_relaxation(s, cuts, k, 0.0, None)
         assert lp.status == "optimal"
         assert rho == pytest.approx(smallest_feasible_rho(s, cuts, k), rel=3e-6, abs=1e-8)
         assert not check_cuts(lp.a, relaxed, tol=1e-7)
@@ -689,8 +687,8 @@ class TestRelaxation:
 
     def test_infeasible_at_rho_two_raises(self):
         cut = Cut(np.ones(3), 10.0, 0.0)  # any pair sums to 2, a gap of 8
-        with pytest.raises(InfeasibleRetrievalError, match="rho=2.0"):
-            _solve_with_relaxation(np.ones(3), [cut], 2, 0.0, MoprTrace(), None)
+        with pytest.raises(RuntimeError, match="rho=2.0"):
+            _solve_with_relaxation(np.ones(3), [cut], 2, 0.0, None)
 
 
 class TestOracleCut:
@@ -888,10 +886,7 @@ class TestLinearSeparator:
         d_r, d_c, q = grid_instance(seed)
 
         def run(retrieve):
-            try:
-                sel, trace = retrieve()
-            except InfeasibleRetrievalError as err:
-                return str(err), err.trace.to_dict()
+            sel, trace = retrieve()
             return sel.indicator.tolist(), trace.to_dict()
 
         cfg = MoprConfig(rho=rho, T=30, oracle_kind="linear", feature_view=view)

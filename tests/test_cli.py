@@ -10,6 +10,7 @@ from mopr import cli, statclasses
 from mopr.algorithm import ORACLE_KINDS
 from mopr.cli import build_parser, main
 from mopr.datamodel import (
+    FLOAT_FMT,
     Dataset,
     GroupAxis,
     Query,
@@ -20,12 +21,14 @@ from mopr.datamodel import (
     save_query,
 )
 from mopr.metric import (
+    CellCounts,
     mpr_closed_form_linear,
     mpr_exact_finite,
     mpr_rkhs,
     mpr_via_oracle,
 )
-from mopr.similarity import Selection, top_k
+from mopr.similarity import Selection, similarity_vector, top_k
+from mopr.solver import solve_ip_exact, solve_lp
 from mopr.statclasses import FEATURE_VIEWS, all_cell_indicators
 
 
@@ -331,7 +334,7 @@ class TestRetrieve:
 
     @pytest.mark.parametrize("algo, read", [
         ("topk", set()), ("mmr", {"lam"}),
-        ("mopr", {"rho", "oracle", "feature_view", "iterations", "curation_pool", "trace"})],
+        ("mopr", {"rho", "oracle", "feature_view", "curation_pool", "trace"})],
         ids=["topk", "mmr", "mopr"])
     def test_sidecar_records_only_what_shaped_the_selection(self, tmp_path, algo, read):
         write_fixture(tmp_path)
@@ -342,6 +345,20 @@ class TestRetrieve:
         sidecar = json.loads((tmp_path / "sel.csv.config.json").read_text())
         common = {"command", "retrieval", "curated", "query", "k", "algo", "seed", "out"}
         assert set(sidecar) == common | read
+
+    @pytest.mark.parametrize("oracle", ["finite", "linear"])
+    @pytest.mark.parametrize("command", ["retrieve", "sweep"])
+    def test_sidecar_records_iterations_only_for_a_loop(self, tmp_path, command, oracle):
+        # the finite class's exact retrieval runs no loop, so reads no --iterations
+        write_fixture(tmp_path)
+        out = tmp_path / "out.csv"
+        rho = ["--rho", "0.2"] if command == "retrieve" else ["--rho-grid", "0.2"]
+        assert main([command] + io_args(tmp_path) + [
+            "--k", "10", *rho, "--oracle", oracle, "--iterations", "7",
+            "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "out.csv.config.json").read_text())
+        assert sidecar.get("iterations") == (None if oracle == "finite" else 7)
+        assert sidecar["oracle"] == oracle
 
     def test_mopr_qp_is_not_an_algorithm(self, tmp_path, capsys):
         write_fixture(tmp_path)
@@ -435,7 +452,7 @@ class TestCompareIp:
 
     def test_infeasible_integer_program_keeps_the_lp_figures(self, tmp_path):
         # at rho = 0.1 the LP relaxation is feasible but no selection of 4 is:
-        # branch and bound (n = 22) finds none, and the row says so
+        # the finite retrieval raises rho, and the row says so
         write_fixture(tmp_path, seed=4, n=22, m=40)
         out = tmp_path / "cmp.csv"
         assert main(["compare-ip"] + io_args(tmp_path) + [
@@ -449,12 +466,76 @@ class TestCompareIp:
             assert np.isfinite(float(row[name]))
         assert float(row["rounded_mpr"]) > 0.1  # no selection meets rho, the rounded one included
 
-    def test_large_pool_rejected(self, tmp_path, capsys):
-        write_fixture(tmp_path, n=40)
-        code = main(["compare-ip"] + io_args(tmp_path) + [
-            "--k", "4", "--rho-grid", "0.5", "--out", str(tmp_path / "cmp.csv")])
-        assert code == 1
-        assert "25" in capsys.readouterr().err
+    def test_large_pool(self, tmp_path):
+        # no pool size limit: the IP column is the exact finite retrieval, and
+        # a row is ip-infeasible exactly when no selection reaches its rho,
+        # which a scan of each cell's admitted counts tells
+        d_r, d_c, _ = write_fixture(tmp_path, seed=5, n=240, m=40)
+        out = tmp_path / "cmp.csv"
+        grid = [0.5, 0.3, 0.2, 0.15, 0.1, 0.05, 0.02, 0.0]
+        k = 7
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", str(k), "--rho-grid", ",".join(map(str, grid)), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        pool = [tuple(r) for r in d_r.labels.tolist()]
+        curated = [tuple(r) for r in d_c.labels.tolist()]
+        m = len(curated)
+
+        def reachable(rho):
+            low = high = 0
+            for cell in set(pool) | set(curated):
+                share = (2 * curated.count(cell) - m) / m
+                admitted = [c for c in range(min(k, pool.count(cell)) + 1)
+                            if abs((2 * c - k) / k - share) <= rho + 1e-9]
+                if not admitted:
+                    return False
+                low, high = low + min(admitted), high + max(admitted)
+            return low <= k <= high
+
+        statuses = [row["status"] for row in rows]
+        assert "optimal" in statuses and "ip-infeasible" in statuses
+        for rho, row in zip(grid, rows):
+            assert float(row["rho"]) == rho
+            assert (row["status"] == "optimal") == reachable(rho), row
+            if row["status"] == "optimal":
+                assert float(row["ip_objective"]) <= float(row["lp_objective"]) + 1e-9
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_enumeration(self, tmp_path, seed):
+        # on pools of at most 20 items each row's status and IP objective are
+        # those of exhaustive enumeration under every cell cut
+        rng = np.random.default_rng(seed)
+        axes = tuple(GroupAxis(f"a{j}", card, tuple(rng.dirichlet(np.ones(card))),
+                               tuple(rng.dirichlet(np.ones(card))))
+                     for j, card in enumerate(rng.integers(2, 4, size=rng.integers(1, 3))))
+        spec = SyntheticSpec(n=int(rng.integers(6, 21)), m=int(rng.integers(10, 50)), d=3,
+                             group_axes=axes, seed=seed)
+        d_r, d_c, q = generate_synthetic(spec)
+        save_dataset(d_r, tmp_path / "retrieval.csv")
+        save_dataset(d_c, tmp_path / "curated.csv")
+        save_query(q, tmp_path / "query.csv")
+        k = int(rng.integers(1, len(d_r)))
+        grid = sorted(set(np.round(rng.uniform(0.0, 1.2, size=4), 2).tolist()), reverse=True)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", str(k), "--rho-grid", ",".join(map(str, grid)), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        s = similarity_vector(d_r, q)
+        counts = CellCounts.build(d_r, d_c, k)
+        for rho, row in zip(grid, rows):
+            cuts = [counts.cut(cell, rho) for cell in range(counts.curated.size)]
+            if solve_lp(s, cuts, k).status != "optimal":
+                assert (row["status"], row["ip_objective"]) == ("infeasible", "")
+                continue
+            try:
+                ip = solve_ip_exact(s, cuts, k)
+            except ValueError:
+                assert (row["status"], row["ip_objective"]) == ("ip-infeasible", "")
+                continue
+            assert row["status"] == "optimal"
+            assert row["ip_objective"] == FLOAT_FMT % float(s @ ip.indicator)
 
 
 class TestEdgeValues:

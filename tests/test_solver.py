@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from conftest import scipy_reference
 from mopr.solver import (
     Cut,
-    _branch_and_bound,
-    _enumerate_ip,
     check_cuts,
     round_top_k,
     solve_ip_exact,
@@ -172,18 +170,6 @@ class TestIpExact:
             )
             assert float(s @ sel.indicator) == pytest.approx(best[0])
 
-    def test_branch_and_bound_matches_enumeration(self, rng):
-        # force the branch-and-bound path (n > 20) and cross-check by scan
-        n, k = 22, 3
-        s, cuts = random_cut_instance(rng, n, 1, rho=0.7)
-        sel = solve_ip_exact(s, cuts, k)
-        best = max(
-            float(s[list(c)].sum())
-            for c in combinations(range(n), k)
-            if not check_cuts(np.bincount(list(c), minlength=n).astype(float), cuts)
-        )
-        assert float(s @ sel.indicator) == pytest.approx(best)
-
     def test_lp_dominates_ip(self, rng):
         for _ in range(10):
             s, cuts = random_cut_instance(rng, 14, 2, rho=0.5)
@@ -195,36 +181,6 @@ class TestIpExact:
             except ValueError:
                 continue
             assert float(s @ sel.indicator) <= lp.objective + 1e-6
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_branch_and_bound_matches_enumeration_property(self, data):
-        # n <= 14, so both paths run; cell cuts as CellCounts.cut builds them
-        # (each item +-1 on a cell's indicator), or random grid rows
-        n = data.draw(st.integers(4, 14))
-        k = data.draw(st.integers(1, n - 1))
-        s = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
-        if data.draw(st.booleans()):
-            cell = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-            curated = data.draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))
-            rho = data.draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0]))
-            cuts = [Cut(np.where(cell == j, 1.0, -1.0) / k, 2 * share / 8 - 1, rho)
-                    for j, share in enumerate(np.bincount(curated, minlength=4))]
-        else:
-            rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-            cuts = [Cut(np.array(data.draw(rows)) / k, data.draw(GRID), abs(data.draw(GRID)))
-                    for _ in range(data.draw(st.integers(1, 3)))]
-        try:
-            expected = _enumerate_ip(s, cuts, k)
-        except ValueError:
-            with pytest.raises(ValueError, match="infeasible"):
-                _branch_and_bound(s, cuts, k)
-            return
-        found = _branch_and_bound(s, cuts, k)
-        assert float(s @ found.indicator) == pytest.approx(float(s @ expected.indicator), abs=1e-9)
-        assert int(found.indicator.sum()) == k
-        assert not check_cuts(found.indicator.astype(float), cuts)
-        assert not check_cuts(expected.indicator.astype(float), cuts)
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="limit"):
@@ -296,8 +252,8 @@ def lp_instances(draw, min_cuts=0):
 
 
 def fixing_rows(n):
-    """Zero-width rows ``Cut(e_j, v, 0)`` that fix some items at 0 or 1, as
-    branch and bound fixes them; they may fix more than k items at 1."""
+    """Zero-width rows ``Cut(e_j, v, 0)`` that fix some items at 0 or 1;
+    they may fix more than k items at 1."""
     values = st.lists(st.sampled_from([None] * 4 + [0.0, 1.0]), min_size=n, max_size=n)
     return st.just([]) | values.map(
         lambda vs: [Cut(np.eye(n)[j], v, 0.0) for j, v in enumerate(vs) if v is not None]
