@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from mopr.datamodel import FLOAT_FMT, Dataset, Query, write_csv
-from mopr.metric import CellCounts, LinearClass, OracleClass
+from mopr.metric import CellCounts, LinearClass, OracleClass, class_partition
 from mopr.similarity import Selection, condition_curation, similarity_vector, top_k_indices
 from mopr.solver import Cut, _top_k, solve_lp
 from mopr.statclasses import FEATURE_VIEWS, MLP_EPOCHS, MLP_HIDDEN, TREE_DEPTH
@@ -173,17 +173,19 @@ def _solve_with_relaxation(s, cuts: list, k: int, rho_eff: float, start):
     return *best, hi, pivots
 
 
-def _selectable(s: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+def _selectable(s: np.ndarray, classes: np.ndarray, k: int, partition=None) -> np.ndarray:
     """The k most similar items of each class, in ascending index.
 
-    ``classes`` numbers the classes with small non-negative integers.  A
-    class of at most k items keeps them all.  In a larger one, similarity
-    ties at its k-th place go to the lower index, as in the LP's top-k start.
+    ``classes`` numbers the classes with small non-negative integers, and
+    ``partition`` is their ``metric.class_partition``, computed here if not
+    given.  A class of at most k items keeps them all.  In a larger one,
+    similarity ties at its k-th place go to the lower index, as in the LP's
+    top-k start.
     """
-    counts = np.bincount(classes)
+    counts, by_class, starts = class_partition(classes) if partition is None else partition
     keep = counts[classes] <= k
     for c in np.flatnonzero(counts > k):
-        members = np.flatnonzero(classes == c)
+        members = by_class[starts[c] : starts[c + 1]]
         values = s[members]
         kth = np.partition(values, values.size - k)[values.size - k]
         above = members[values > kth]
@@ -299,11 +301,11 @@ class _SweepCarry:
 
     Built for one instance, ``d_r``, ``d_c``, ``q``, k and every
     ``MoprConfig`` field but rho and T, which each retrieval from it sets.
-    Only ``pareto_sweep`` hands one to ``mopr_retrieve``, always for its own
-    instance, so nothing checks it.  It holds that instance's similarity
-    vector, k, statistic class (``separator``, of ``oracle_kind``) and
-    ``keep`` (the items an optimum can choose), which is all that
-    ``_cell_greedy`` reads.  For the other classes it is the whole state of
+    Only ``pareto_sweep`` and the CLI's ``compare-ip`` hand one to
+    ``mopr_retrieve``, always for their own instance, so nothing checks it.
+    It holds that instance's similarity vector, k, statistic class
+    (``separator``, of ``oracle_kind``) and ``keep`` (the items an optimum
+    can choose), which is all that ``_cell_greedy`` reads.  For the other classes it is the whole state of
     ``_cutting_plane``, which adds the cut pool (restricted to ``keep``) and
     the LP (``solve_lp``'s ``lp``, its rows those cuts) where the last
     retrieval from it ended.  A cut is a necessary condition of MPR <= rho at
@@ -331,7 +333,7 @@ class _SweepCarry:
         else:
             self.separator = OracleClass.build(d_r, d_c, k, kind, view, cfg.tree_depth,
                                                cfg.mlp_hidden, cfg.mlp_epochs, cfg.seed)
-        self.keep = _selectable(self.s, self.separator.classes, k)
+        self.keep = _selectable(self.s, self.separator.classes, k, self.separator.partition)
         if kind != "finite":
             self.cuts, self.lp = [], None
             self._last: tuple[np.ndarray, tuple[float, Cut]] | None = None
@@ -352,10 +354,10 @@ def mopr_retrieve(
     always halts ``constraint-satisfied`` after one trace record, and raises
     the target gap, when rho is out of reach, to the smallest one a selection
     reaches.  Every other class runs the cutting-plane loop for at most T
-    iterations.  ``_carry`` is private to ``pareto_sweep``, which builds it
-    for this same instance: the retrieval reuses its statistic class and
-    similarity vector, and a loop starts from its cuts and LP and leaves its
-    own there.
+    iterations.  ``_carry`` is private to ``pareto_sweep`` and ``compare-ip``,
+    which build it for this same instance: the retrieval reuses its statistic
+    class and similarity vector, and a loop starts from its cuts and LP and
+    leaves its own there.
     """
     if _carry is None:
         _carry = _SweepCarry(d_r, d_c, q, k, cfg)
@@ -387,9 +389,7 @@ def mmr_retrieve(d_r: Dataset, q: Query, k: int, lam: float) -> Selection:
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
     sims = similarity_vector(d_r, q)
-    emb = d_r.embeddings
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    unit = emb / norms
+    unit = d_r.embeddings / d_r.row_norms[:, None]
     selected: list[int] = []
     available = np.ones(n, dtype=bool)
     max_sim_to_selected = np.full(n, -np.inf)

@@ -188,8 +188,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_compare_ip(args) -> int:
     d_r, d_c, q = _load_inputs(args)
-    s = similarity.similarity_vector(d_r, q)
-    counts = metric.CellCounts.build(d_r, d_c, args.k)
+    # one finite-class state for every rho: the similarity vector, the cell
+    # counts and the items the exact retrieval ranks
+    carry = algorithm._SweepCarry(d_r, d_c, q, args.k, MoprConfig(oracle_kind="finite"))
+    s, counts = carry.s, carry.separator
     rows = []
     for rho in _floats("--rho-grid", args.rho_grid):
         cuts = [counts.cut(cell, rho) for cell in range(counts.curated.size)]
@@ -203,7 +205,8 @@ def cmd_compare_ip(args) -> int:
                                                      counts.worst(rounded.indicator)[0])]
         # the finite class's exact retrieval solves its integer program
         ip_sel, trace = algorithm.mopr_retrieve(d_r, d_c, q, args.k,
-                                                MoprConfig(rho=rho, oracle_kind="finite"))
+                                                MoprConfig(rho=rho, oracle_kind="finite"),
+                                                _carry=carry)
         if trace.effective_rho > rho:  # the relaxation is feasible, but no selection is
             rows.append([rho, "ip-infeasible", *figures, ""])
             continue

@@ -10,6 +10,7 @@ outputs are reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from array import array
@@ -52,7 +53,8 @@ class Dataset:
     """Ordered, immutable dataset with a consistent schema.
 
     ``embeddings`` is (n, d) and ``labels`` is (n, axes) with columns in
-    ``schema.label_names`` order; the dataset keeps read-only copies of both.
+    ``schema.label_names`` order; the dataset keeps read-only copies of both,
+    and the embedding rows' norms from their first use on.
     """
 
     def __init__(self, ids: Sequence[str], embeddings, labels, schema: DatasetSchema,
@@ -108,6 +110,18 @@ class Dataset:
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
+
+    @functools.cached_property
+    def row_norms(self) -> np.ndarray:
+        """The Euclidean norm of each embedding row, read-only, computed on first use."""
+        norms = np.linalg.norm(self._embeddings, axis=1)
+        norms.setflags(write=False)
+        return norms
+
+    @functools.cached_property
+    def has_zero_row(self) -> bool:
+        """Whether some embedding row is all zeros, computed on first use."""
+        return bool((self.row_norms == 0.0).any())
 
     schema = property(lambda self: self._schema)
     role = property(lambda self: self._role)  # 'retrieval' or 'curated'

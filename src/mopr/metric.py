@@ -40,9 +40,11 @@ groups of each view and the label cells are kept in a module-level
 identity (``_per_pair``).  A ``Dataset`` is immutable, so an entry stays
 true for as long as both datasets live, and it goes when either is
 collected; the entry holds no reference to them.  The groups in turn keep
-their SVD (``svd_context``), CART presort and exact tree tables, so these
-too are built once per pair.  A new dataset is a new key, even with the same
-rows, as are those that ``condition_curation`` and ``reconcile`` build.
+their SVD (``svd_context``), CART presort, exact tree tables and the
+retrieval items' ``class_partition``, so these too are built once per pair,
+as is the label cells' partition (``_cell_partition``).  A new dataset is a
+new key, even with the same rows, as are those that ``condition_curation``
+and ``reconcile`` build.
 Errors are not kept: an incompatible pair raises on every call.
 """
 
@@ -175,6 +177,26 @@ def _label_cells(d_r: Dataset, d_c: Dataset):
 
 
 @_per_pair
+def _cell_partition(d_r: Dataset, d_c: Dataset):
+    """``class_partition`` of the retrieval items' label cells, once per pair."""
+    return class_partition(_label_cells(d_r, d_c)[3][: len(d_r)])
+
+
+def class_partition(classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, members, starts) of ``classes``, read-only: class c has
+    ``sizes[c]`` items, ``members[starts[c] : starts[c + 1]]`` in ascending
+    index."""
+    sizes = np.bincount(classes)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return read_only(sizes), read_only(np.argsort(classes, kind="stable")), read_only(starts)
+
+
+def _groups_partition(groups: FeatureGroups, n: int):
+    """``class_partition`` of the first n stack rows' distinct rows, kept on ``groups``."""
+    return groups.cached(("partition", n), lambda: class_partition(groups.inverse[:n]))
+
+
+@_per_pair
 def feature_groups(d_r: Dataset, d_c: Dataset, view: str) -> FeatureGroups:
     """Distinct feature rows of D_R stacked over D_C, built once per pair and
     view.
@@ -219,20 +241,23 @@ class CellCounts:
     label ``codes[j]`` and curated mean ``curated[j]`` = (2C - m)/m, C of the
     m curated items in it.  A cell absent from both has gap 0 at a selection
     and is left out.  ``schema`` is D_R's, whose label names and cards the
-    report reads."""
+    report reads; ``partition`` is ``class_partition(classes)``, built once
+    per pair."""
 
     classes: np.ndarray
     codes: np.ndarray
     curated: np.ndarray
     k: int
     schema: DatasetSchema
+    partition: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, d_r: Dataset, d_c: Dataset, k: int) -> "CellCounts":
         n, m = len(d_r), len(d_c)
         labels, _, first, inverse = _label_cells(d_r, d_c)
         counts = np.bincount(inverse[n:], minlength=first.size)
-        return cls(inverse[:n], labels[first], (2 * counts - m) / m, k, d_r.schema)
+        return cls(inverse[:n], labels[first], (2 * counts - m) / m, k, d_r.schema,
+                   _cell_partition(d_r, d_c))
 
     def count_gaps(self) -> np.ndarray:
         """Each present cell's gap at c = 0..k selected items in it, one row a
@@ -352,7 +377,8 @@ class OracleClass:
     coefficients the witness's values on the D_R items over k, as the search
     computed them.  The oracle is deterministic; ``groups``, built once per
     pair, keeps the exact tree fit's block table and CART's presort from the
-    first evaluation on, so every class on the pair builds them once.
+    first evaluation on, so every class on the pair builds them once, as it
+    does ``partition``, ``class_partition(classes)``.
     """
 
     groups: FeatureGroups
@@ -361,6 +387,7 @@ class OracleClass:
     k: int
     oracle: str
     options: tuple  # oracle_gap's arguments after the oracle: view, depth, hidden, epochs, seed
+    partition: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(
@@ -368,9 +395,10 @@ class OracleClass:
         feature_view: str = "labels", tree_depth: int = TREE_DEPTH,
         mlp_hidden: int = MLP_HIDDEN, mlp_epochs: int = MLP_EPOCHS, seed: int = 0,
     ) -> "OracleClass":
-        groups = feature_groups(d_r, d_c, feature_view)
-        return cls(groups, groups.inverse[: len(d_r)], len(d_c), k, oracle,
-                   (feature_view, tree_depth, mlp_hidden, mlp_epochs, seed))
+        groups, n = feature_groups(d_r, d_c, feature_view), len(d_r)
+        return cls(groups, groups.inverse[:n], len(d_c), k, oracle,
+                   (feature_view, tree_depth, mlp_hidden, mlp_epochs, seed),
+                   _groups_partition(groups, n))
 
     def fit(self, a: np.ndarray) -> tuple[float, NormalizedStatistic, float, np.ndarray]:
         """``oracle_gap`` at selection weights ``a``."""
@@ -426,7 +454,8 @@ class LinearClass:
     ``classes``: the cut is the norm's supporting hyperplane, and the class is
     closed under negation, so both sides are necessary conditions.  At z = 0
     no linear statistic separates the sets: the cut is the zero row and the
-    witness the zero statistic.
+    witness the zero statistic.  ``partition`` is ``class_partition(classes)``,
+    kept on the groups.
     """
 
     ctx: SvdContext
@@ -434,12 +463,14 @@ class LinearClass:
     m: int
     k: int
     feature_view: str
+    partition: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, d_r: Dataset, d_c: Dataset, k: int,
               feature_view: str = "labels") -> "LinearClass":
-        ctx = svd_context(feature_groups(d_r, d_c, feature_view))
-        return cls(ctx, ctx.groups.inverse[: len(d_r)], len(d_c), k, feature_view)
+        ctx, n = svd_context(feature_groups(d_r, d_c, feature_view)), len(d_r)
+        return cls(ctx, ctx.groups.inverse[:n], len(d_c), k, feature_view,
+                   _groups_partition(ctx.groups, n))
 
     def gap(self, a: np.ndarray) -> tuple[float, np.ndarray, float, float]:
         """The MPR at selection weights ``a``, z, ||z|| and tn."""

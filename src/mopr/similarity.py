@@ -48,7 +48,8 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def similarity_vector(dataset: Dataset, q: Query) -> np.ndarray:
-    """Cosine similarity of every item to the query, in item order."""
+    """Cosine similarity of every item to the query, in item order.  The
+    dataset's row norms are computed once per dataset (``Dataset.row_norms``)."""
     emb = dataset.embeddings
     if np.shape(q.embedding) != emb.shape[1:]:
         raise ValueError(
@@ -58,11 +59,10 @@ def similarity_vector(dataset: Dataset, q: Query) -> np.ndarray:
     if not np.isfinite(q.embedding).all():
         j = int(np.flatnonzero(~np.isfinite(q.embedding))[0])
         raise ValueError(f"query {q.id!r}: embedding e{j}={q.embedding[j]} is not finite")
-    norms = np.linalg.norm(emb, axis=1)
     qn = np.linalg.norm(q.embedding)
-    if qn == 0.0 or np.any(norms == 0.0):
+    if qn == 0.0 or dataset.has_zero_row:
         raise ValueError("cosine similarity undefined for zero-norm vector")
-    return np.clip(emb @ q.embedding / (norms * qn), -1.0, 1.0)
+    return np.clip(emb @ q.embedding / (dataset.row_norms * qn), -1.0, 1.0)
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:

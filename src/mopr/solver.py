@@ -5,9 +5,11 @@ The relaxed retrieval problem is ``max s.a`` over ``a in [0,1]^n`` with
 coefficients.a <= offset + bound``, solved by a self-contained bounded dual
 simplex.  A row's slack carries its range, so a cut appends a row and a new
 bound moves bounds only.  A cold solve starts at the dual feasible top-k
-vertex.  A solve returns the LP itself, which a later solve whose cuts extend
-its rows re-optimizes in place, a few pivots per new cut, each updating the
-basis inverse in product form (Forrest & Tomlin 1972).  The ratio test is the
+vertex.  With no cuts that vertex is its own optimum: the solve returns it
+with no refactorization, its reduced costs set to what one computes.  A
+solve returns the LP itself, which a later solve whose cuts extend its rows
+re-optimizes in place, a few pivots per new cut, each updating the basis
+inverse in product form (Forrest & Tomlin 1972).  The ratio test is the
 long-step one of Maros 2003 and Koberstein 2005, so a cut that moves many
 items of one cell costs one pivot; the leaving row and ties go to the lowest
 index.  ``solve_ip_exact`` solves a small integer program by enumeration,
@@ -92,10 +94,12 @@ class _Lp:
     def __init__(self, s: np.ndarray, k: int, capacity: int):
         n = self.n = s.size
         self.s, self.rows, self.coefficients = s, 1, []  # each cut row's coefficients
-        self.A, self.B_inv, self.basis = np.zeros((0, n)), np.zeros((0, 0)), np.zeros(0, dtype=int)
-        self.c, self.d, self.lower, self.upper = s.copy(), np.zeros(n), np.zeros(n), np.ones(n)
-        self.status = np.zeros(n, dtype=int)
-        self._reserve(capacity)
+        size, slack = n + capacity, np.arange(capacity)
+        self.A, self.B_inv = np.zeros((capacity, size)), np.zeros((capacity, capacity))
+        self.A[slack, n + slack] = -1.0
+        self.basis, self.status = np.zeros(capacity, dtype=int), np.zeros(size, dtype=int)
+        self.c, self.d, self.lower, self.upper = (np.zeros(size) for _ in range(4))
+        self.c[:n], self.upper[:n] = s, 1.0
         # the top-k vertex: in stable descending-s order the first k - 1 items at
         # their upper bound, the k-th basic in row 0, the rest and row 0's slack at lower
         order = np.argsort(-s, kind="stable")
@@ -121,6 +125,8 @@ class _Lp:
         """Add cut rows, their slacks basic.  The rows are zero on the old
         slacks, so they border B^-1 exactly, with (rows on the old basis) B^-1
         and -I, and leave every reduced cost as it was."""
+        if not cuts:
+            return
         old, n = self.rows, self.n
         new = self.rows = old + len(cuts)
         if new > self.basis.size:
@@ -148,8 +154,7 @@ class _Lp:
         rows, n_var = self.rows, self.n + self.rows
         A, B_inv, basis = self.A[:rows, :n_var], self.B_inv[:rows, :rows], self.basis[:rows]
         c, d, status = self.c[:n_var], self.d[:n_var], self.status[:n_var]
-        given = self.lower[:n_var], self.upper[:n_var]
-        lower, upper = given[0].copy(), given[1].copy()  # the shifted bounds stay local
+        given = lower, upper = self.lower[:n_var], self.upper[:n_var]
         width = upper - lower
         movable = width > 0.0
         direction = _DIRECTION[status] * movable
@@ -197,6 +202,8 @@ class _Lp:
             flip, entering = walk[:first], int(walk[first:last].min())
             off = max(given[0][leaving] - xb[p], xb[p] - given[1][leaving])
             if abs(row[entering]) < PIVOT_TOL and off <= PIVOT_TOL:
+                if lower is given[0]:  # the shifted bounds stay local
+                    lower, upper = lower.copy(), upper.copy()
                 lower[leaving] = min(lower[leaving], xb[p])
                 upper[leaving] = max(upper[leaving], xb[p])
                 width[leaving] = upper[leaving] - lower[leaving]
@@ -258,6 +265,16 @@ def solve_lp(s: np.ndarray, cuts, k: int, start: _Lp | None = None) -> LpSolutio
     if k > n:
         raise ValueError(f"k={k} exceeds pool size {n}")
     lp = _Lp(s, k, 2 * len(cuts) + 16) if start is None else start
+    if start is None and not cuts:
+        # the top-k start vertex is optimal: its reduced costs are those a
+        # refactorization of the one-row basis computes, exactly, since that
+        # inverse is [[1.0]]
+        basic = s[lp.basis[0]]
+        lp.d[:n], lp.d[n] = s - basic, basic
+        lp.lower[n] = lp.upper[n] = k
+        lp.since_refactor = 0
+        a = (lp.status[:n] != AT_LOWER).astype(float)
+        return LpSolution(a, float(s @ a), "optimal", 0, {"rows": 0, "pivots": 0}, lp)
     if start is not None and (
         start.n != n or len(cuts) < start.rows - 1
         or (start.s is not s and not np.array_equal(start.c[:n], s))

@@ -1,6 +1,8 @@
 import csv
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +37,7 @@ from mopr.metric import (
     CellCounts,
     LinearClass,
     OracleClass,
+    class_partition,
     feature_groups,
     mpr_closed_form_linear,
     mpr_exact_finite,
@@ -1243,3 +1246,65 @@ class TestBalancedFeasibility:
         counts = np.bincount(d_r.labels[sel.indices, 0], minlength=2)
         assert counts.tolist() == [4, 4]
         assert trace.achieved_mpr <= 1e-9
+
+
+class TestCacheIsolation:
+    """The state a retrieval keeps between requests, each dataset's row norms
+    and each pair's class partition, never changes what a retrieval returns,
+    and it dies with the datasets."""
+
+    @staticmethod
+    def clear_caches(*datasets):
+        metric._PAIR_MEMO.clear()
+        for d in datasets:  # the norms Dataset keeps from their first use
+            vars(d).pop("row_norms", None)
+            vars(d).pop("has_zero_row", None)
+
+    @staticmethod
+    def summary(sel, trace):
+        return sel.indices.tolist(), trace.to_dict()
+
+    def test_interleaved_retrievals_equal_cold_ones(self):
+        # pools of one size, so that state kept for the wrong pool would fit
+        pools = [grid_instance(seed, n=120) for seed in (1, 2)]
+        requests = [(pool, k, kind) for k in (3, 5, 10) for kind in ("finite", "linear", "tree")
+                    for pool in pools]
+        warm = []
+        for (d_r, d_c, q), k, kind in requests:
+            cfg = MoprConfig(rho=0.05, T=8, oracle_kind=kind)
+            warm.append(self.summary(*mopr_retrieve(d_r, d_c, q, k, cfg)))
+            carry = _SweepCarry(d_r, d_c, q, k, cfg)
+            partition = class_partition(carry.separator.classes)
+            assert all(np.array_equal(a, b) for a, b in zip(carry.separator.partition, partition))
+        for ((d_r, d_c, q), k, kind), expected in zip(requests, warm):
+            self.clear_caches(*(d for pool in pools for d in pool[:2]))
+            cfg = MoprConfig(rho=0.05, T=8, oracle_kind=kind)
+            assert self.summary(*mopr_retrieve(d_r, d_c, q, k, cfg)) == expected
+
+    def test_cached_state_is_read_only_and_dies_with_the_pair(self):
+        d_r, d_c, q = grid_instance(4)
+        for kind in ("finite", "linear", "tree"):
+            mopr_retrieve(d_r, d_c, q, 5, MoprConfig(rho=0.05, T=3, oracle_kind=kind))
+        groups = weakref.ref(feature_groups(d_r, d_c, "labels"))
+        cells = weakref.ref(CellCounts.build(d_r, d_c, 5).partition[1])
+        norms = weakref.ref(d_r.row_norms)
+        for a in (d_r.row_norms, *groups().cached(("partition", len(d_r)), None), cells()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+        assert d_r in metric._PAIR_MEMO
+        del d_r, d_c, q, a
+        gc.collect()
+        assert groups() is None and cells() is None and norms() is None
+
+    def test_zero_row_raises_on_every_call(self):
+        emb = np.eye(3)
+        emb[1] = 0.0
+        d_r = make_dataset(emb, [{"g": i % 2} for i in range(3)], prefix="r")
+        q = Query("q", np.ones(3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero-norm"):
+                similarity_vector(d_r, q)
+            with pytest.raises(ValueError, match="zero-norm"):
+                top_k(d_r, q, 2)
+            with pytest.raises(ValueError, match="zero-norm"):
+                mmr_retrieve(d_r, q, 2, 0.5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
-from mopr import cli, statclasses
+from mopr import algorithm, cli, statclasses
 from mopr.algorithm import ORACLE_KINDS
 from mopr.cli import build_parser, main
 from mopr.datamodel import (
@@ -413,6 +413,21 @@ class TestBoundsCommand:
 
 
 class TestCompareIp:
+    def test_one_finite_state_for_every_rho(self, tmp_path, monkeypatch):
+        # the similarity vector, cell counts and ranked items are built once
+        # per command and handed to the exact retrieval of each rho
+        write_fixture(tmp_path, n=12, m=24)
+        built, inner = [], algorithm._SweepCarry
+
+        def counting(*args):
+            built.append(inner(*args))
+            return built[-1]
+
+        monkeypatch.setattr(algorithm, "_SweepCarry", counting)
+        assert main(["compare-ip"] + io_args(tmp_path) + [
+            "--k", "4", "--rho-grid", "0.8,0.5,0.2", "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert len(built) == 1
+
     def test_dominance_rows(self, tmp_path):
         write_fixture(tmp_path, n=12, m=24)
         out = tmp_path / "cmp.csv"

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import scipy_reference
+from mopr.similarity import top_k_indices
 from mopr.solver import (
     Cut,
+    _Lp,
     check_cuts,
     round_top_k,
     solve_ip_exact,
@@ -482,3 +484,37 @@ class TestSolveLpProperties:
             if cold.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
             assert_matches_highs(warm, s, cuts, k)
+
+
+LP_STATE = ("rows", "since_refactor", "A", "B_inv", "basis", "c", "d", "lower", "upper", "status")
+
+
+def assert_same_solution(one, other):
+    """Two solves that return the same point, figures and LP state, bit for bit."""
+    assert one.status == other.status and one.n_fractional == other.n_fractional
+    assert one.diagnostics == other.diagnostics
+    assert np.array_equal(one.a, other.a)
+    assert np.array_equal([one.objective], [other.objective], equal_nan=True)
+    for name in LP_STATE:
+        assert np.array_equal(getattr(one.lp, name), getattr(other.lp, name)), name
+
+
+class TestStartVertex:
+    """A cold solve with no cuts returns the top-k start vertex without
+    solving; it is what a refactorization of that basis gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp_instances(min_cuts=1), st.sampled_from([None, 0.25, 0.5]))
+    def test_cut_free_cold_solve_is_the_refactored_vertex(self, instance, tie):
+        s, cuts, k = instance
+        if tie is not None:  # ties around the k-th place
+            s = np.where(s < 0.5, tie, s)
+        vertex = solve_lp(s, [], k)
+        # a fresh LP handed over as a start goes through the refactorization
+        refactored = solve_lp(s, [], k, start=_Lp(s, k, 16))
+        assert vertex.diagnostics == {"rows": 0, "pivots": 0}
+        assert_same_solution(vertex, refactored)
+        assert np.flatnonzero(vertex.a).tolist() == top_k_indices(s, k).tolist()
+        # and a warm solve with cuts from each is the same solve
+        assert_same_solution(solve_lp(s, cuts, k, start=vertex.lp),
+                             solve_lp(s, cuts, k, start=refactored.lp))
