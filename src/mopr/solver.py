@@ -12,9 +12,10 @@ re-optimizes in place, a few pivots per new cut, each updating the basis
 inverse in product form (Forrest & Tomlin 1972).  The ratio test is the
 long-step one of Maros 2003 and Koberstein 2005, so a cut that moves many
 items of one cell costs one pivot; the leaving row and ties go to the lowest
-index.  ``solve_ip_exact`` solves a small integer program by enumeration,
-the reference the tests hold the finite class's exact retrieval
-(``algorithm._cell_greedy``) to.
+index.  It finds the first breakpoint without a sort, and sorts only when the
+dual slope does not turn there.  ``solve_ip_exact`` solves a small integer
+program by enumeration, the reference the tests hold the finite class's exact
+retrieval (``algorithm._cell_greedy``) to.
 """
 
 from __future__ import annotations
@@ -81,6 +82,30 @@ class Cut:
         return cut
 
 
+def _ratio_test(candidates, ratios, row, width, infeasibility):
+    """The long-step ratio test: (the variables that flip bound, the one that
+    enters), or None if the dual slope never turns (the LP is infeasible).
+    ``candidates`` ascend and ``ratios`` are their breakpoints |d_j / row_j|.  The
+    walk passes them up, ties to the lowest index, the slope falling from
+    ``infeasibility`` by |row_j| width_j at each: those passed while it stays
+    above TOL flip, and of the rest the smallest ratio enters, ties within TOL to
+    the lowest index.  The first breakpoint is the argmin, found without a sort;
+    the ratios are sorted only when the slope does not turn there."""
+    if candidates.size == 0:
+        return None
+    j = candidates[i := ratios.argmin()]
+    if infeasibility - abs(row.item(j)) * width.item(j) <= TOL:
+        return candidates[:0], int(candidates[(ratios <= ratios[i] + TOL).argmax()])
+    order = ratios.argsort(kind="stable")
+    walk, ratios = candidates[order], ratios[order]
+    turn = (infeasibility - (np.abs(row[walk]) * width[walk]).cumsum() <= TOL).nonzero()[0]
+    if turn.size == 0:
+        return None
+    first = turn[0]
+    last = ratios.searchsorted(ratios[first] + TOL, side="right")
+    return walk[:first], int(walk[first:last].min())
+
+
 class _Lp:
     """max c.x, Ax = 0, lower <= x <= upper, with the basis a solve left it at.
 
@@ -140,16 +165,14 @@ class _Lp:
     def optimize(self) -> tuple[np.ndarray, int, bool]:
         """Bounded dual simplex from the current, dual feasible basis.
 
-        The lowest-index infeasible basic variable leaves.  The ratio test
-        walks the breakpoints |d_j / alpha_j| up, ties to the lowest index,
-        the dual slope falling from the infeasibility by |alpha_j| times each
-        width: those passed while it stays above TOL flip bound, and of the
-        rest the smallest ratio enters, ties within TOL to the lowest index.
-        A leaving variable within PIVOT_TOL of its bounds that only a pivot
-        element below PIVOT_TOL would repair has its bound shifted instead
-        (near-duplicate rows).  Flips and pivots move the basic values; the
-        point comes from the final basis, so a basis gives one point however
-        it was reached.  Returns (x, pivots, feasible).
+        The lowest-index infeasible basic variable leaves.  ``_ratio_test``
+        picks the variables that flip bound and the one that enters: it finds
+        the walk's first breakpoint without a sort, and sorts only when the
+        dual slope does not turn there.  A leaving variable within PIVOT_TOL
+        of its bounds that only a pivot element below PIVOT_TOL would repair
+        has its bound shifted instead (near-duplicate rows).  Flips and pivots
+        move the basic values; the point comes from the final basis, so a
+        basis gives one point however it was reached.  Returns (x, pivots, feasible).
         """
         rows, n_var = self.rows, self.n + self.rows
         A, B_inv, basis = self.A[:rows, :n_var], self.B_inv[:rows, :rows], self.basis[:rows]
@@ -158,7 +181,8 @@ class _Lp:
         width = upper - lower
         movable = width > 0.0
         direction = _DIRECTION[status] * movable
-        lb, ub, xb = lower[basis] - TOL, upper[basis] + TOL, np.empty(rows)
+        # the basic bounds widened by TOL, as lists: a pivot reads and writes single entries
+        lb, ub, xb = (lower[basis] - TOL).tolist(), (upper[basis] + TOL).tolist(), np.empty(rows)
 
         def primal():
             x = np.where(status == AT_UPPER, upper, lower)
@@ -173,66 +197,61 @@ class _Lp:
             return primal()
 
         x = refactor() if self.since_refactor >= REFACTOR_EVERY else primal()
-        feasible = True
         for pivots in range(MAX_PIVOTS):
-            infeasible = ((xb < lb) | (xb > ub)).nonzero()[0]
-            if infeasible.size == 0:
+            infeasible = [i for i, v in enumerate(xb.tolist()) if v < lb[i] or v > ub[i]]
+            if not infeasible:
                 break
-            p = int(infeasible[basis[infeasible].argmin()])
-            leaving, below = basis[p], bool(xb[p] < lb[p])
+            p = min(infeasible, key=basis.item)
+            leaving, xp = basis.item(p), xb.item(p)
+            below = xp < lb[p]
             # x[leaving] falls by row[j] per unit rise of x[j]; the candidates
             # are the moves that bring it back inside its bounds
             row = B_inv[p] @ A
             moves = direction * row
             candidates = (moves < -TOL if below else moves > TOL).nonzero()[0]
-            ratios = np.abs(d[candidates] / row[candidates])
-            order = ratios.argsort(kind="stable")
-            walk = candidates[order]
-            # the dual slope after each breakpoint: how far x[leaving] would
-            # still be outside its bound with every variable up to that one flipped
-            target = lower[leaving] if below else upper[leaving]
-            infeasibility = target - xb[p] if below else xb[p] - target
-            slope = infeasibility - (np.abs(row[walk]) * width[walk]).cumsum()
-            turn = (slope <= TOL).nonzero()[0]
-            if turn.size == 0:
-                feasible = False
-                break
-            first, ratios = turn[0], ratios[order]
-            last = ratios.searchsorted(ratios[first] + TOL, side="right")
-            flip, entering = walk[:first], int(walk[first:last].min())
-            off = max(given[0][leaving] - xb[p], xb[p] - given[1][leaving])
-            if abs(row[entering]) < PIVOT_TOL and off <= PIVOT_TOL:
+            target = lower.item(leaving) if below else upper.item(leaving)
+            choice = _ratio_test(candidates, np.abs(d[candidates] / row[candidates]), row, width,
+                                 target - xp if below else xp - target)
+            if choice is None:  # the dual slope never turns: the LP is infeasible
+                return (primal() if pivots else x), pivots, False
+            flip, entering = choice
+            alpha = row.item(entering)
+            off = max(given[0].item(leaving) - xp, xp - given[1].item(leaving))
+            if abs(alpha) < PIVOT_TOL and off <= PIVOT_TOL:
                 if lower is given[0]:  # the shifted bounds stay local
                     lower, upper = lower.copy(), upper.copy()
-                lower[leaving] = min(lower[leaving], xb[p])
-                upper[leaving] = max(upper[leaving], xb[p])
-                width[leaving] = upper[leaving] - lower[leaving]
-                lb[p], ub[p] = lower[leaving] - TOL, upper[leaving] + TOL
+                low = lower[leaving] = min(lower.item(leaving), xp)
+                high = upper[leaving] = max(upper.item(leaving), xp)
+                width[leaving] = high - low
+                lb[p], ub[p] = low - TOL, high + TOL
                 continue
             if flip.size:
                 xb -= B_inv @ (A[:, flip] @ (direction[flip] * width[flip]))
                 status[flip] ^= 1  # AT_LOWER <-> AT_UPPER
                 direction[flip] = -direction[flip]
+                xp = xb.item(p)
             column = B_inv @ A[:, entering]
-            step = (xb[p] - target) / column[p]
+            pivot = column.item(p)
+            step = (xp - target) / pivot
             xb -= step * column
-            xb[p] = (lower[entering] if direction[entering] > 0 else upper[entering]) + step
-            d -= (d[entering] / row[entering]) * row
+            low, high = lower.item(entering), upper.item(entering)
+            xb[p] = (low if direction.item(entering) > 0 else high) + step
+            d -= (d.item(entering) / alpha) * row
             d[entering] = 0.0
             status[leaving], status[entering] = (AT_LOWER if below else AT_UPPER), BASIC
-            direction[leaving] = (1.0 if below else -1.0) * movable[leaving]
+            direction[leaving] = (1.0 if below else -1.0) * movable.item(leaving)
             direction[entering] = 0.0
-            lb[p], ub[p], basis[p] = lower[entering] - TOL, upper[entering] + TOL, entering
+            lb[p], ub[p], basis[p] = low - TOL, high + TOL, entering
             self.since_refactor += 1
-            if abs(column[p]) < PIVOT_TOL or self.since_refactor >= REFACTOR_EVERY:
+            if abs(pivot) < PIVOT_TOL or self.since_refactor >= REFACTOR_EVERY:
                 refactor()
             else:  # the product-form update B^-1 <- E B^-1, E the eta matrix of column
-                pivot_row = B_inv[p] / column[p]
+                pivot_row = B_inv[p] / pivot
                 B_inv -= column[:, None] * pivot_row
                 B_inv[p] = pivot_row
         else:
             raise RuntimeError("simplex iteration limit exceeded")
-        return (primal() if pivots else x), pivots, feasible
+        return (primal() if pivots else x), pivots, True
 
 
 @dataclass
@@ -286,11 +305,11 @@ def solve_lp(s: np.ndarray, cuts, k: int, start: _Lp | None = None) -> LpSolutio
         raise ValueError("cut coefficient length does not match pool size")
     lp.append(cuts[lp.rows - 1 :])
     rows = lp.rows
-    ranges = np.array([(cut.offset - cut.bound, cut.offset + cut.bound) for cut in cuts])
-    lp.lower[n + 1 : n + rows], lp.upper[n + 1 : n + rows] = ranges.reshape(-1, 2).T
+    low, high = [cut.offset - cut.bound for cut in cuts], [cut.offset + cut.bound for cut in cuts]
+    lp.lower[n + 1 : n + rows], lp.upper[n + 1 : n + rows] = low, high
     lp.lower[n] = lp.upper[n] = k
     x, pivots, feasible = lp.optimize()
-    fixed = 1 + (lp.lower[n + 1 : n + rows] == lp.upper[n + 1 : n + rows]).nonzero()[0]
+    fixed = np.array([i for i, (a, b) in enumerate(zip(low, high), 1) if a == b])
     if fixed.size:
         # a nonbasic fixed slack goes to the bound its dual (c_B B^-1) favours,
         # so that a later solve that gives the row room starts dual feasible

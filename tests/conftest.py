@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.optimize import linprog
 
 from mopr.datamodel import Dataset, DatasetSchema, Query
+
+# a failing example also prints its @reproduce_failure blob, so a failure in
+# CI can be replayed without a scan of hypothesis seeds
+settings.register_profile("mopr", print_blob=True)
+settings.load_profile("mopr")
 
 
 def make_dataset(embeddings, labels=None, cards=None, role="retrieval", prefix="x"):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from conftest import scipy_reference
 from mopr.similarity import top_k_indices
 from mopr.solver import (
+    TOL,
     Cut,
     _Lp,
+    _ratio_test,
     check_cuts,
     round_top_k,
     solve_ip_exact,
@@ -518,3 +520,76 @@ class TestStartVertex:
         # and a warm solve with cuts from each is the same solve
         assert_same_solution(solve_lp(s, cuts, k, start=vertex.lp),
                              solve_lp(s, cuts, k, start=refactored.lp))
+
+
+def sorted_walk(candidates, ratios, row, width, infeasibility):
+    """The long-step ratio test as one stable sort of every breakpoint, the
+    reference ``_ratio_test`` is held to."""
+    order = ratios.argsort(kind="stable")
+    walk = candidates[order]
+    slope = infeasibility - (np.abs(row[walk]) * width[walk]).cumsum()
+    turn = (slope <= TOL).nonzero()[0]
+    if turn.size == 0:
+        return None
+    first, ratios = turn[0], ratios[order]
+    last = ratios.searchsorted(ratios[first] + TOL, side="right")
+    return walk[:first].tolist(), int(walk[first:last].min())
+
+
+@st.composite
+def ratio_tests(draw):
+    """Inputs of the ratio test over up to 12 variables, at least one a
+    candidate (the empty walk is a case of its own).  The breakpoints take
+    three values, each exact or moved by half, one or two TOL, so they tie
+    exactly and within TOL at the smallest; widths may be zero.  The
+    infeasibility is drawn so that the slope turns at a drawn breakpoint, the
+    first, a later one, or none."""
+    n = draw(st.integers(1, 12))
+    row = np.array(draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                                 min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]), min_size=n, max_size=n)))
+    candidates = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=int)
+    breakpoint = st.tuples(st.sampled_from([0.0, 0.25, 1.0]),
+                           st.sampled_from([0.0, 0.0, 0.5 * TOL, TOL, 2 * TOL])).map(sum)
+    ratios = np.array(draw(st.lists(breakpoint, min_size=candidates.size,
+                                    max_size=candidates.size)), dtype=float)
+    walk = candidates[ratios.argsort(kind="stable")]
+    passed = np.concatenate(([0.0], (np.abs(row[walk]) * width[walk]).cumsum()))
+    at = draw(st.integers(0, candidates.size))  # candidates.size: the slope never turns
+    share = draw(st.sampled_from([0.0, 0.5, 1.0] if at < candidates.size else [0.5, 1.0]))
+    gap = passed[at + 1] - passed[at] if at < candidates.size else 1.0
+    return candidates, ratios, row, width, passed[at] + TOL + share * gap
+
+
+class TestRatioTest:
+    """``_ratio_test`` finds the first breakpoint without a sort; it returns
+    what the walk over every breakpoint in stable-sorted order returns."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(ratio_tests())
+    def test_is_the_sorted_walk(self, instance):
+        test = _ratio_test(*instance)
+        expected = sorted_walk(*instance)
+        assert (None if test is None else (test[0].tolist(), test[1])) == expected
+
+    @pytest.mark.parametrize("candidates, ratios, width, infeasibility, expected", [
+        # an exact tie at the smallest ratio: the lower index enters, nothing flips
+        ([1, 3, 4], [0.5, 0.25, 0.25], [1.0, 1.0, 1.0], 0.5, ([], 3)),
+        # a ratio within TOL of the smallest ties with it
+        ([1, 3, 4], [0.25 + 0.5 * TOL, 0.5, 0.25], [1.0, 1.0, 1.0], 0.5, ([], 1)),
+        # the slope turns at the second breakpoint: the first flips
+        ([1, 3, 4], [0.5, 0.25, 0.75], [1.0, 1.0, 1.0], 1.5, ([3], 1)),
+        # a zero width passes its breakpoint without turning the slope
+        ([1, 3, 4], [0.5, 0.25, 0.75], [1.0, 0.0, 1.0], 0.5, ([3], 1)),
+        # the slope never turns, or there is no breakpoint: the LP is infeasible
+        ([1, 3, 4], [0.5, 0.25, 0.75], [1.0, 1.0, 1.0], 3.5, None),
+        ([], [], [], 0.5, None),
+    ])
+    def test_cases(self, candidates, ratios, width, infeasibility, expected):
+        candidates, ratios = np.array(candidates, dtype=int), np.array(ratios, dtype=float)
+        full = np.ones(5)
+        full[candidates] = width
+        instance = candidates, ratios, np.ones(5), full, infeasibility
+        test = _ratio_test(*instance)
+        assert (None if test is None else (test[0].tolist(), test[1])) == expected
+        assert sorted_walk(*instance) == expected
